@@ -3,18 +3,21 @@
 //! The key schedule of HMAC — hashing the ipad- and opad-masked key
 //! blocks — depends only on the key, yet the naive formulation redoes
 //! both compressions for every message. [`HmacKey`] computes the two
-//! midstates once; [`HmacKey::tag`] then clones them (a stack copy)
-//! per message, halving the compression count for short messages.
-//! This is what lets the verifier authenticate a device without
-//! re-deriving the key schedule on every request.
+//! midstates once; [`HmacKey::tag`] then resumes a hasher from each
+//! (a 32-byte copy) per message, halving the compression count for
+//! short messages. This is what lets the verifier authenticate a
+//! device without re-deriving the key schedule on every request.
 
 use crate::sha256::Sha256;
 
 /// A precomputed HMAC-SHA256 key schedule: the inner (ipad) and outer
 /// (opad) SHA-256 midstates, computed once per key.
 ///
-/// Tagging a message clones the midstates — a fixed-size stack copy,
-/// no allocation — so a cached `HmacKey` turns per-message cost from
+/// Only the two 32-byte chaining states are kept (64 bytes in all), not
+/// two whole hashers with their empty block buffers: the verifier's
+/// registry holds one `HmacKey` per enrolled device. Tagging a message
+/// resumes a hasher from each midstate — a fixed-size stack copy, no
+/// allocation — so a cached `HmacKey` turns per-message cost from
 /// "4 compressions + key masking" into "2 compressions" for messages
 /// that fit one block.
 ///
@@ -29,10 +32,10 @@ use crate::sha256::Sha256;
 /// ```
 #[derive(Clone)]
 pub struct HmacKey {
-    /// SHA-256 state after absorbing `key_block ^ ipad`.
-    inner: Sha256,
-    /// SHA-256 state after absorbing `key_block ^ opad`.
-    outer: Sha256,
+    /// SHA-256 chaining state after absorbing `key_block ^ ipad`.
+    inner: [u32; 8],
+    /// SHA-256 chaining state after absorbing `key_block ^ opad`.
+    outer: [u32; 8],
 }
 
 /// Opaque on purpose: the midstates are forgery-equivalent to the key
@@ -61,19 +64,18 @@ impl HmacKey {
             ipad[i] = key_block[i] ^ 0x36;
             opad[i] = key_block[i] ^ 0x5c;
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        Self { inner, outer }
+        Self {
+            inner: Sha256::one_block_midstate(&ipad),
+            outer: Sha256::one_block_midstate(&opad),
+        }
     }
 
     /// `HMAC-SHA256(key, message)` from the cached midstates.
     pub fn tag(&self, message: &[u8]) -> [u8; 32] {
-        let mut inner = self.inner.clone();
+        let mut inner = Sha256::resume_after_one_block(self.inner);
         inner.update(message);
         let inner_digest = inner.finalize();
-        let mut outer = self.outer.clone();
+        let mut outer = Sha256::resume_after_one_block(self.outer);
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -186,6 +188,14 @@ mod tests {
         tag[0] ^= 1;
         assert!(!key.verify(b"m", &tag));
         assert!(!key.verify(b"other", &key.tag(b"m")));
+    }
+
+    #[test]
+    fn key_is_two_midstates() {
+        // One `HmacKey` per enrolled device: keep it at the two 32-byte
+        // chaining states.
+        assert_eq!(std::mem::size_of::<HmacKey>(), 64);
+        assert_eq!(format!("{:?}", HmacKey::new(b"k")), "HmacKey { .. }");
     }
 
     #[test]

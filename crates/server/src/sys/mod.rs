@@ -5,10 +5,12 @@
 //! entry points itself (they live in the C library every Linux `std`
 //! binary already links) and wraps them in a safe, minimal readiness
 //! API; [`net`] does the same for `SO_REUSEPORT` listener binding and
-//! vectored writes (`writev`). These are the **only** modules in the
-//! workspace that contain `unsafe` code, and the unsafety is confined
-//! to the FFI boundary: every pointer handed to the kernel is derived
-//! from a live Rust allocation whose length is passed alongside it.
+//! vectored writes (`writev`). Apart from the SHA-256 hardware kernel
+//! (`ropuf_hash`'s `sha256::shani`, whose loads and stores stay inside
+//! fixed-size arrays), these are the **only** modules in the workspace
+//! that contain `unsafe` code, and the unsafety is confined to the FFI
+//! boundary: every pointer handed to the kernel is derived from a live
+//! Rust allocation whose length is passed alongside it.
 
 #[cfg(target_os = "linux")]
 pub mod epoll;

@@ -39,7 +39,7 @@
 //!   before it is acknowledged, and crash recovery replays
 //!   latest-valid-snapshot + WAL tail.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -378,21 +378,23 @@ impl ShardedRegistry {
             })
             .collect();
         let mut accepted: Vec<usize> = Vec::new();
+        // Ids accepted so far in the current shard's batch: the first
+        // occurrence wins, later ones are duplicates. Default hasher,
+        // since the ids come from outside the program.
+        let mut batch_ids: HashSet<u64> = HashSet::new();
         for (shard_index, indices) in buckets.iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
+            accepted.clear();
+            batch_ids.clear();
+            batch_ids.reserve(indices.len());
             let mut shard = self.shards[shard_index]
                 .lock()
                 .expect("shard lock poisoned");
-            accepted.clear();
             for &i in indices {
                 let device_id = entries[i].as_ref().expect("entry pending").device_id;
-                if shard.contains(device_id)
-                    || accepted.iter().any(|&j| {
-                        entries[j].as_ref().expect("entry pending").device_id == device_id
-                    })
-                {
+                if shard.contains(device_id) || !batch_ids.insert(device_id) {
                     results[i] = Err(RegistryError::Duplicate { device_id });
                     continue;
                 }
