@@ -11,16 +11,19 @@
 //!
 //! # Incremental decoding
 //!
-//! [`FrameAccum`] is the non-blocking entry point: it accumulates one
-//! frame across however many `read` calls the transport needs,
-//! returning [`FramePoll::Pending`] on `WouldBlock` instead of
-//! blocking. An event-driven server parks the connection until the
-//! next readiness notification and resumes exactly where the byte
-//! stream stopped — mid-header, mid-payload, anywhere. The blocking
-//! [`FrameReader`] reads are built on the same accumulator, so both
-//! serving styles share one set of framing rules (length cap before
-//! allocation, clean-EOF detection, scratch bounded by
-//! [`SCRATCH_RETAIN`] across frames *and* error paths).
+//! [`FrameAccum`] is the non-blocking entry point: a read-ahead buffer
+//! that hands out one complete frame at a time. [`FrameAccum::poll`]
+//! returns a frame that is already buffered without touching the
+//! source; otherwise it reads as many bytes as the buffer has room for
+//! — often several pipelined frames in one `read` — and returns
+//! [`FramePoll::Pending`] on `WouldBlock` instead of blocking. An
+//! event-driven server parks the connection until the next readiness
+//! notification and resumes exactly where the byte stream stopped —
+//! mid-header, mid-payload, anywhere. The blocking [`FrameReader`]
+//! reads are built on the same accumulator, so every reader shares one
+//! set of framing rules (length cap before allocation, clean-EOF
+//! detection, buffer bounded by [`SCRATCH_RETAIN`] across frames *and*
+//! error paths).
 
 use std::io::{self, Read, Write};
 
@@ -114,44 +117,77 @@ pub enum FramePoll {
     Eof,
 }
 
-/// Incremental single-frame accumulator: the non-blocking decode entry
-/// point of the wire layer.
+/// Incremental frame decoder with read-ahead: the non-blocking decode
+/// entry point of the wire layer.
 ///
-/// One `FrameAccum` holds the read-side state machine of one
-/// connection: partially received header, partially received payload,
-/// or one complete frame awaiting consumption. [`FrameAccum::poll`]
-/// advances the machine with however many bytes the source has and
+/// One `FrameAccum` holds the read side of one connection: a buffer of
+/// received bytes not yet consumed, which may hold a partial frame,
+/// one complete frame, or a pipelined run of them. [`FrameAccum::poll`]
+/// serves a frame that is already complete in the buffer without any
+/// `read`; otherwise it reads into all the free room the buffer has and
 /// never blocks beyond what the source itself does — a non-blocking
 /// socket yields [`FramePoll::Pending`] instead of spinning (exactly
 /// one `read` returning `WouldBlock` per poll, never a busy loop).
 ///
-/// The payload scratch is reused across frames and re-bounded to
-/// [`SCRATCH_RETAIN`] both on [`FrameAccum::finish_frame`] and on
-/// every framing error, so neither a multi-megabyte frame nor a
-/// hostile error path can pin capacity for a connection's lifetime.
+/// The buffer grows only to fit the frame in progress: its length cap
+/// is checked against [`MAX_FRAME`] before any allocation, and a fresh
+/// accumulator sizes its buffer to the header, then to the frame, so
+/// it never reads past its first frame. An event loop can instead
+/// [`lend`](FrameAccum::lend) it a larger buffer for the duration of a
+/// readiness pass and [`take it back`](FrameAccum::take_buffer) once
+/// nothing is buffered. Capacity is re-bounded to [`SCRATCH_RETAIN`]
+/// both on [`FrameAccum::finish_frame`] and on every framing error, so
+/// neither a multi-megabyte frame nor a hostile error path can pin
+/// memory for a connection's lifetime.
 #[derive(Debug, Default)]
 pub struct FrameAccum {
-    /// Length-prefix bytes received so far (complete at 4).
-    header: [u8; 4],
-    header_filled: usize,
-    /// Payload scratch; sized to the declared length once the header
-    /// completes.
-    payload: Vec<u8>,
-    payload_filled: usize,
-    /// A complete frame is buffered and awaits `finish_frame`.
+    /// Read buffer, fully initialized: reads may fill up to
+    /// `buf.len()`.
+    buf: Vec<u8>,
+    /// First received byte not yet consumed.
+    start: usize,
+    /// One past the last received byte.
+    end: usize,
+    /// `poll` reported the frame at `start`; it awaits `finish_frame`.
     ready: bool,
 }
 
 impl FrameAccum {
-    /// A fresh accumulator (no partial frame, empty scratch).
+    /// A fresh accumulator (nothing buffered, no buffer allocated).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Received bytes not yet consumed, a reported frame included.
+    fn held(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The length prefix at `start`, once all four bytes are in.
+    fn declared_len(&self) -> Option<u32> {
+        if self.held() < 4 {
+            return None;
+        }
+        let header = &self.buf[self.start..self.start + 4];
+        Some(u32::from_le_bytes([
+            header[0], header[1], header[2], header[3],
+        ]))
+    }
+
+    /// `true` when a whole frame sits in the buffer, reported by
+    /// [`FrameAccum::poll`] or not: the next poll returns it without a
+    /// `read`. Level-triggered readiness cannot see these bytes — they
+    /// already left the socket — so an event loop that stops reading
+    /// with one buffered must come back to it on its own.
+    pub fn has_complete_frame(&self) -> bool {
+        self.declared_len()
+            .is_some_and(|len| len <= MAX_FRAME && self.held() >= 4 + len as usize)
     }
 
     /// `true` while a frame has started arriving but is not complete —
     /// the predicate slow-client (slow-loris) eviction timers key on.
     pub fn mid_frame(&self) -> bool {
-        !self.ready && (self.header_filled > 0 || self.payload_filled > 0)
+        self.held() > 0 && !self.has_complete_frame()
     }
 
     /// `true` when a complete frame is buffered (i.e. [`FrameAccum::poll`]
@@ -163,37 +199,98 @@ impl FrameAccum {
 
     /// The completed frame's payload. Empty unless [`FrameAccum::has_frame`].
     pub fn payload(&self) -> &[u8] {
-        if self.ready {
-            &self.payload
-        } else {
-            &[]
+        match self.declared_len() {
+            Some(len) if self.ready => &self.buf[self.start + 4..self.start + 4 + len as usize],
+            _ => &[],
         }
     }
 
-    /// Retained capacity of the payload scratch — observable so tests
-    /// (and metrics) can assert the [`SCRATCH_RETAIN`] bound holds.
+    /// Retained capacity of the read buffer — observable so tests (and
+    /// metrics) can assert the [`SCRATCH_RETAIN`] bound holds.
     pub fn scratch_capacity(&self) -> usize {
-        self.payload.capacity()
+        self.buf.capacity()
     }
 
-    /// Consumes the buffered frame (no-op when none) and re-bounds the
-    /// scratch, readying the machine for the next frame.
+    /// Adopts `buf` as the read buffer, so reads fill its whole
+    /// capacity. Only an accumulator holding no bytes switches
+    /// buffers; otherwise it keeps its own and `buf` is dropped.
+    /// `buf`'s contents are ignored.
+    pub fn lend(&mut self, mut buf: Vec<u8>) {
+        if self.held() > 0 {
+            return;
+        }
+        buf.resize(buf.capacity(), 0);
+        self.buf = buf;
+        self.start = 0;
+        self.end = 0;
+    }
+
+    /// Gives the read buffer back when no bytes are buffered, leaving
+    /// the accumulator holding no memory; `None` while bytes are
+    /// buffered (they stay put) or when there is no buffer.
+    pub fn take_buffer(&mut self) -> Option<Vec<u8>> {
+        if self.held() > 0 || self.buf.capacity() == 0 {
+            return None;
+        }
+        self.start = 0;
+        self.end = 0;
+        Some(std::mem::take(&mut self.buf))
+    }
+
+    /// Consumes the frame [`FrameAccum::poll`] reported (no-op when
+    /// none) and re-bounds the buffer. Bytes received after it — the
+    /// next frame, whole or partial — stay buffered.
     pub fn finish_frame(&mut self) {
-        self.ready = false;
-        self.header_filled = 0;
-        self.payload.clear();
-        self.payload_filled = 0;
-        bound_scratch(&mut self.payload);
+        if self.ready {
+            self.ready = false;
+            let len = self.declared_len().unwrap_or(0);
+            self.start += 4 + len as usize;
+        }
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.capacity() > SCRATCH_RETAIN && self.held() <= SCRATCH_RETAIN {
+            self.compact();
+            bound_scratch(&mut self.buf);
+        }
     }
 
-    /// Resets all partial state after a framing error so a bad frame
-    /// cannot pin scratch capacity or leave the machine desynchronized.
+    /// Drops everything buffered after a framing error so a bad frame
+    /// cannot pin capacity or leave the machine desynchronized.
     fn abort(&mut self) {
-        self.finish_frame();
+        self.ready = false;
+        self.start = 0;
+        self.end = 0;
+        bound_scratch(&mut self.buf);
     }
 
-    /// Advances the frame state machine with whatever bytes `src` can
-    /// deliver right now.
+    /// Moves the unconsumed bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+    }
+
+    /// Makes sure a `need`-byte frame starting at `start` fits the
+    /// buffer: compacts first, grows only if the frame itself is
+    /// larger than the buffer.
+    fn make_room(&mut self, need: usize) {
+        if self.start + need <= self.buf.len() {
+            return;
+        }
+        self.compact();
+        if need > self.buf.len() {
+            self.buf.reserve_exact(need - self.buf.len());
+            self.buf.resize(need, 0);
+        }
+    }
+
+    /// Advances the frame state machine: returns a buffered frame
+    /// without reading, otherwise reads whatever `src` can deliver
+    /// right now into the buffer's free room.
     ///
     /// Returns [`FramePoll::Frame`] once a complete frame is buffered
     /// (and again on every later call until [`FrameAccum::finish_frame`]
@@ -204,77 +301,52 @@ impl FrameAccum {
     /// # Errors
     ///
     /// [`FrameError::Oversize`] on a forged length prefix (checked
-    /// **before** the payload buffer grows), [`FrameError::Io`] on
-    /// transport failure or EOF mid-frame. Every error path resets the
-    /// partial state and re-bounds the scratch.
+    /// **before** the buffer grows), [`FrameError::Io`] on transport
+    /// failure or EOF mid-frame. Every error path drops the buffered
+    /// bytes and re-bounds the buffer.
     pub fn poll(&mut self, src: &mut impl Read) -> Result<FramePoll, FrameError> {
         if self.ready {
             return Ok(FramePoll::Frame);
         }
         loop {
-            if self.header_filled < 4 {
-                match src.read(&mut self.header[self.header_filled..]) {
-                    Ok(0) if self.header_filled == 0 => return Ok(FramePoll::Eof),
-                    Ok(0) => {
-                        let filled = self.header_filled;
-                        self.abort();
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            format!("stream ended {filled} bytes into a frame header"),
-                        )));
-                    }
-                    Ok(n) => {
-                        self.header_filled += n;
-                        if self.header_filled < 4 {
-                            continue;
-                        }
-                        let len = u32::from_le_bytes(self.header);
-                        if len > MAX_FRAME {
-                            self.abort();
-                            return Err(FrameError::Oversize(len));
-                        }
-                        self.payload.clear();
-                        self.payload.resize(len as usize, 0);
-                        self.payload_filled = 0;
-                        if len == 0 {
-                            self.ready = true;
-                            return Ok(FramePoll::Frame);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return Ok(FramePoll::Pending)
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        self.abort();
-                        return Err(FrameError::Io(e));
-                    }
+            let need = match self.declared_len() {
+                Some(len) if len > MAX_FRAME => {
+                    self.abort();
+                    return Err(FrameError::Oversize(len));
                 }
-            } else {
-                match src.read(&mut self.payload[self.payload_filled..]) {
-                    Ok(0) => {
-                        let (got, want) = (self.payload_filled, self.payload.len());
-                        self.abort();
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            format!("stream ended {got} bytes into a {want}-byte frame payload"),
-                        )));
-                    }
-                    Ok(n) => {
-                        self.payload_filled += n;
-                        if self.payload_filled == self.payload.len() {
-                            self.ready = true;
-                            return Ok(FramePoll::Frame);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return Ok(FramePoll::Pending)
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        self.abort();
-                        return Err(FrameError::Io(e));
-                    }
+                Some(len) => 4 + len as usize,
+                None => 4,
+            };
+            let held = self.held();
+            if held >= need {
+                self.ready = true;
+                return Ok(FramePoll::Frame);
+            }
+            self.make_room(need);
+            match src.read(&mut self.buf[self.end..]) {
+                Ok(0) if held == 0 => return Ok(FramePoll::Eof),
+                Ok(0) => {
+                    let detail = if held < 4 {
+                        format!("stream ended {held} bytes into a frame header")
+                    } else {
+                        format!(
+                            "stream ended {} bytes into a {}-byte frame payload",
+                            held - 4,
+                            need - 4
+                        )
+                    };
+                    self.abort();
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        detail,
+                    )));
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(FramePoll::Pending),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.abort();
+                    return Err(FrameError::Io(e));
                 }
             }
         }
@@ -304,12 +376,20 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError>
 
 /// Reads length-prefixed message frames from any [`Read`].
 ///
-/// The reader owns a [`FrameAccum`] whose payload scratch every
+/// The reader owns a [`FrameAccum`] whose buffer every
 /// `read_request`/`read_response`/`read_request_ref` call reuses, so a
 /// steady-state connection reads frames with zero allocations. The
 /// blocking reads below drive the same incremental state machine the
 /// evented server polls; [`FrameReader::poll_frame`] exposes it
 /// directly for callers that own a non-blocking stream.
+///
+/// **The reader reads ahead.** Once its buffer has grown past one
+/// frame, a `read` may pull in the start of the next frame too, and
+/// those bytes live in the reader from then on. Keep one reader per
+/// stream for the stream's whole life: a throwaway reader per message
+/// can swallow the next message with it. A read that times out
+/// mid-frame keeps the partial bytes, so the next call finishes that
+/// frame.
 #[derive(Debug)]
 pub struct FrameReader<R: Read> {
     inner: R,
@@ -354,24 +434,25 @@ impl<R: Read> FrameReader<R> {
         self.accum.mid_frame()
     }
 
-    /// Retained payload-scratch capacity (tests assert the
+    /// Retained read-buffer capacity (tests assert the
     /// [`SCRATCH_RETAIN`] bound).
     pub fn scratch_capacity(&self) -> usize {
         self.accum.scratch_capacity()
     }
 
-    /// Blocking drive of the accumulator: consumes any frame a prior
-    /// read left buffered (lazy finish keeps `read_request_ref`'s
-    /// borrow valid until the caller comes back), then reads until a
-    /// frame completes or clean EOF. `Ok(true)` = frame buffered.
+    /// Blocking drive of the accumulator: consumes the frame a prior
+    /// read returned (lazy finish keeps `read_request_ref`'s borrow
+    /// valid until the caller comes back), then reads until a frame
+    /// completes or clean EOF. Partial bytes of the next frame stay
+    /// buffered. `Ok(true)` = frame buffered.
     fn next_frame_blocking(&mut self) -> Result<bool, FrameError> {
         self.accum.finish_frame();
         match self.accum.poll(&mut self.inner)? {
             FramePoll::Frame => Ok(true),
             FramePoll::Eof => Ok(false),
             // A blocking stream only reports WouldBlock when a read
-            // timeout is configured; surface it as the Io error the
-            // pre-incremental reader produced.
+            // timeout is configured; surface it as an Io error. The
+            // bytes received so far stay buffered for the next call.
             FramePoll::Pending => Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::WouldBlock,
                 "read timed out mid-frame (non-blocking sources should use poll_frame)",
@@ -463,13 +544,16 @@ impl<R: Read> FrameReader<R> {
 
 /// Writes length-prefixed message frames to any [`Write`].
 ///
-/// The writer owns an encode scratch buffer that every
-/// `write_request`/`write_response` call reuses, so a steady-state
-/// connection writes frames with zero allocations.
+/// The writer owns two reused buffers — one for encoding a message,
+/// one for the framed bytes — so a steady-state connection writes
+/// frames with zero allocations, and each frame leaves in a single
+/// `write_all` (one syscall, one TCP segment on a `TCP_NODELAY` socket
+/// for any routine message).
 #[derive(Debug)]
 pub struct FrameWriter<W: Write> {
     inner: W,
     scratch: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl<W: Write> FrameWriter<W> {
@@ -478,26 +562,26 @@ impl<W: Write> FrameWriter<W> {
         Self {
             inner,
             scratch: Vec::new(),
+            frame: Vec::new(),
         }
     }
 
-    /// Writes one raw payload as a frame and flushes.
+    /// Writes one raw payload as a frame — length and payload in one
+    /// write — and flushes.
     ///
     /// # Errors
     ///
     /// [`FrameError::Oversize`] when the payload exceeds [`MAX_FRAME`]
     /// (nothing is written), [`FrameError::Io`] on transport failure.
     pub fn write_frame(&mut self, payload: &[u8]) -> Result<(), FrameError> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&n| n <= MAX_FRAME)
-            .ok_or(FrameError::Oversize(
-                payload.len().min(u32::MAX as usize) as u32
-            ))?;
-        self.inner.write_all(&len.to_le_bytes())?;
-        self.inner.write_all(payload)?;
-        self.inner.flush()?;
-        Ok(())
+        self.frame.clear();
+        append_frame(&mut self.frame, payload)?;
+        let written = self
+            .inner
+            .write_all(&self.frame)
+            .and_then(|()| self.inner.flush());
+        bound_scratch(&mut self.frame);
+        Ok(written?)
     }
 
     /// Encodes and writes one [`Request`], reusing the writer's encode
@@ -605,6 +689,44 @@ mod tests {
             Err(FrameError::Oversize(_))
         ));
         assert!(sink.is_empty(), "nothing half-written");
+    }
+
+    /// A sink that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        let mut w = FrameWriter::new(CountingSink::default());
+        w.write_request(&Request::Snapshot).unwrap();
+        w.write_response(&Response::Verdict(WireVerdict::Accept))
+            .unwrap();
+        w.write_frame(b"raw").unwrap();
+        assert_eq!(w.inner.writes, 3, "one write per frame, length included");
+        let mut expect = Vec::new();
+        append_frame(&mut expect, &Request::Snapshot.encode()).unwrap();
+        append_frame(
+            &mut expect,
+            &Response::Verdict(WireVerdict::Accept).encode(),
+        )
+        .unwrap();
+        append_frame(&mut expect, b"raw").unwrap();
+        assert_eq!(w.inner.bytes, expect, "same bytes as before");
     }
 
     #[test]

@@ -121,7 +121,18 @@ fn framed_stream(requests: &[Request]) -> Vec<u8> {
 /// every frame as a request (the evented server's read loop, minus the
 /// handler).
 fn decode_all_chunked(source: &mut ChunkedSource) -> Vec<Request> {
+    decode_all_with(FrameAccum::new(), source)
+}
+
+/// [`decode_all_chunked`] on an accumulator that reads into a lent
+/// 64 KiB buffer, the way the evented loop drives it.
+fn decode_all_lent(source: &mut ChunkedSource) -> Vec<Request> {
     let mut accum = FrameAccum::new();
+    accum.lend(vec![0; 64 * 1024]);
+    decode_all_with(accum, source)
+}
+
+fn decode_all_with(mut accum: FrameAccum, source: &mut ChunkedSource) -> Vec<Request> {
     let mut decoded = Vec::new();
     loop {
         match accum.poll(source).expect("well-formed stream") {
@@ -143,6 +154,7 @@ proptest! {
             1..7,
         ),
         chunks in proptest::collection::vec(1usize..64, 1..24),
+        wide_chunks in proptest::collection::vec(1usize..1024, 1..8),
     ) {
         let requests = requests_from(&nonces);
         let wire = framed_stream(&requests);
@@ -161,9 +173,19 @@ proptest! {
         prop_assert_eq!(&chunked, &requests);
 
         // And byte-at-a-time, the adversarial extreme.
-        let mut trickle = ChunkedSource::new(wire, vec![1]);
+        let mut trickle = ChunkedSource::new(wire.clone(), vec![1]);
         let trickled = decode_all_chunked(&mut trickle);
         prop_assert_eq!(&trickled, &requests);
+
+        // Chunks that span several frames: one read delivers the tail
+        // of one frame, whole frames, and the head of another, into a
+        // buffer sized per frame and into a lent read-ahead buffer.
+        let mut spanning = ChunkedSource::new(wire.clone(), wide_chunks.clone());
+        let spanned = decode_all_chunked(&mut spanning);
+        prop_assert_eq!(&spanned, &requests);
+        let mut lent = ChunkedSource::new(wire, wide_chunks);
+        let lent_decoded = decode_all_lent(&mut lent);
+        prop_assert_eq!(&lent_decoded, &requests);
     }
 }
 
@@ -391,4 +413,116 @@ fn frame_reader_poll_api_matches_blocking_reads() {
         }
     }
     assert_eq!(decoded, requests);
+}
+
+#[test]
+fn lent_buffer_decodes_a_pipelined_burst_in_two_reads() {
+    // 64 frames written back to back, all sitting in the socket: the
+    // first read takes the whole burst into the lent buffer, every
+    // frame is then served from it, and one WouldBlock read ends the
+    // pass. (Per-frame reads took one header read and one payload read
+    // per frame, plus the WouldBlock: 129.)
+    let requests: Vec<Request> = (0..64u64)
+        .map(|id| Request::QueryVerdict { device_id: id })
+        .collect();
+    let wire = framed_stream(&requests);
+    assert!(wire.len() <= 64 * 1024, "the burst fits the buffer");
+    let mut source = CountingPiece {
+        piece: Piece(&wire),
+        reads: 0,
+    };
+    let mut accum = FrameAccum::new();
+    accum.lend(vec![0; 64 * 1024]);
+    let mut decoded = Vec::new();
+    loop {
+        match accum.poll(&mut source).unwrap() {
+            FramePoll::Frame => {
+                decoded.push(RequestRef::decode(accum.payload()).unwrap().into_owned());
+                accum.finish_frame();
+            }
+            FramePoll::Pending => break,
+            FramePoll::Eof => unreachable!("the socket stays open"),
+        }
+    }
+    assert_eq!(decoded, requests);
+    assert!(source.reads <= 2, "{} reads for one burst", source.reads);
+    // Nothing left buffered: the buffer goes back to the lender.
+    assert!(!accum.mid_frame());
+    assert!(accum.take_buffer().is_some());
+    assert_eq!(
+        accum.scratch_capacity(),
+        0,
+        "an idle accumulator holds nothing"
+    );
+}
+
+/// A [`Piece`] that counts `read` calls.
+struct CountingPiece<'a> {
+    piece: Piece<'a>,
+    reads: usize,
+}
+
+impl Read for CountingPiece<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
+        self.piece.read(buf)
+    }
+}
+
+/// A blocking stream with a read timeout: serves `parts` in order, and
+/// between parts one read times out the way an expired `SO_RCVTIMEO`
+/// does on Linux (`WouldBlock`).
+struct TimingOut {
+    parts: Vec<Vec<u8>>,
+    timed_out: bool,
+}
+
+impl Read for TimingOut {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.parts.is_empty() {
+            return Ok(0);
+        }
+        if !self.timed_out {
+            self.timed_out = true;
+            return Err(io::Error::new(io::ErrorKind::WouldBlock, "timed out"));
+        }
+        let part = &mut self.parts[0];
+        let n = part.len().min(buf.len());
+        buf[..n].copy_from_slice(&part[..n]);
+        part.drain(..n);
+        if part.is_empty() {
+            self.parts.remove(0);
+            self.timed_out = false;
+        }
+        Ok(n)
+    }
+}
+
+#[test]
+fn frame_reader_resumes_a_frame_after_a_read_timeout() {
+    // Two frames, the first cut mid-payload by a read timeout. The
+    // timed-out call reports an Io error; the next call must finish
+    // the same frame from the bytes already received (dropping them
+    // made the reader parse payload bytes as a length prefix).
+    let requests = vec![
+        Request::Hello {
+            protocol: 1,
+            client: "resumed-after-a-timeout".into(),
+        },
+        Request::Snapshot,
+    ];
+    let wire = framed_stream(&requests);
+    let cut = 9;
+    let mut reader = FrameReader::new(TimingOut {
+        parts: vec![wire[..cut].to_vec(), wire[cut..].to_vec()],
+        timed_out: true,
+    });
+    match reader.read_request() {
+        Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+        other => panic!("expected the timeout, got {other:?}"),
+    }
+    assert!(reader.mid_frame(), "the partial frame is kept");
+    assert_eq!(reader.read_request().unwrap(), Some(requests[0].clone()));
+    assert_eq!(reader.read_request().unwrap(), Some(requests[1].clone()));
+    assert_eq!(reader.read_request().unwrap(), None);
 }

@@ -9,17 +9,23 @@
 //!   │           ──▶ waker readable?      drain, re-check flags   │
 //!   │           ──▶ connection event ──▶ per-connection machine: │
 //!   │                                                            │
-//!   │   ┌──────────────┐ header ┌───────────────┐ frame          │
-//!   │   │ reading frame│───────▶│reading payload│──────┐         │
-//!   │   │    header    │        │  (FrameAccum) │      ▼         │
-//!   │   └──────▲───────┘        └───────────────┘  decode →      │
-//!   │          │ pipelining: next frame             handle →     │
-//!   │          └──────────────────────────────── append response │
-//!   │                                                 │          │
-//!   │   ┌─────────────────────────┐  write readiness  ▼          │
-//!   │   │ drain out-queue: one    │◀──────── bounded out-queue   │
-//!   │   │ writev() per readiness  │   (backpressure: stop        │
-//!   │   └─────────────────────────┘    reading while over-full)  │
+//!   │   lend the loop's read buffer (kept: a partial frame)      │
+//!   │     │                                                      │
+//!   │     ▼                         yes                          │
+//!   │   ┌▶ frame complete in buffer? ──▶ decode → handle →       │
+//!   │   │   │ no                        append to the flat       │
+//!   │   │   ▼                           out-queue                │
+//!   │   ├─ read() into all free room        │ next frame         │
+//!   │   │   │ (a whole burst per read)      ▼                    │
+//!   │   └───┼─────────────────────────────◀─┘                    │
+//!   │       │ WouldBlock                                         │
+//!   │       ▼                                                    │
+//!   │   write() the queued run; backpressure (over the           │
+//!   │   high-water mark) stops reading, and frames still         │
+//!   │   buffered are served once it lifts                        │
+//!   │       │                                                    │
+//!   │       ▼                                                    │
+//!   │   nothing buffered: the read buffer goes back              │
 //!   └────────────────────────────────────────────────────────────┘
 //!        │ all loops share one Arc<dyn RequestHandler>
 //!        ▼
@@ -49,11 +55,14 @@
 //!   (the default on IPv4) every loop binds its own `SO_REUSEPORT`
 //!   listener, so the kernel shards incoming connections across loops
 //!   and an accept never wakes more than one thread.
-//! * **Vectored flush** — responses are queued one segment per frame
-//!   (the segmented `OutQueue`) and drained with a single gathered `writev` per
-//!   readiness instead of one `write` per frame; a pipelined burst
-//!   leaves in one syscall and a partially-accepted burst advances by
-//!   byte count with no buffer compaction.
+//! * **Per-readiness I/O** — syscalls are paid per readiness, not per
+//!   frame. Each loop owns one 64 KiB read buffer and lends it to the
+//!   connection it is servicing; the connection's [`FrameAccum`]
+//!   reads a pipelined burst in one `read` and serves every frame
+//!   already buffered without another. Responses are appended to one
+//!   flat out-queue per connection and leave in one `write`. A
+//!   connection whose pass ends with nothing buffered hands the read
+//!   buffer back, so idle connections hold no read memory.
 //! * **Loop-affine sharding** — clients that ask
 //!   [`Request::LoopInfo`](ropuf_proto::Request::LoopInfo) per
 //!   connection can steer a device's traffic to the loop its registry
@@ -74,7 +83,6 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -191,6 +199,26 @@ struct Shared {
     wakers: Mutex<Vec<UnixStream>>,
 }
 
+impl Shared {
+    fn new(config: &EventedConfig) -> Self {
+        let telemetry = ServerTelemetry::new(
+            "evented",
+            config.slow_trace_threshold,
+            config.trace_capacity,
+            config.series_capacity,
+            config.sample_interval,
+        );
+        let admission = Admission::new(config.overload, &telemetry);
+        Self {
+            stop: AtomicBool::new(false),
+            force: AtomicBool::new(false),
+            telemetry,
+            admission,
+            wakers: Mutex::new(Vec::new()),
+        }
+    }
+}
+
 /// A running event-driven TCP server.
 ///
 /// Like the blocking server, dropping the handle without calling
@@ -266,21 +294,7 @@ impl EventedServer {
     ) -> io::Result<Self> {
         let loops = config.loops.max(1);
         let (listeners, local_addr) = bind_listeners(&addr, loops, config.reuseport)?;
-        let telemetry = ServerTelemetry::new(
-            "evented",
-            config.slow_trace_threshold,
-            config.trace_capacity,
-            config.series_capacity,
-            config.sample_interval,
-        );
-        let admission = Admission::new(config.overload, &telemetry);
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            force: AtomicBool::new(false),
-            telemetry,
-            admission,
-            wakers: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(&config));
         let sampler = shared.telemetry.start_sampler();
 
         // A failure partway through (a pair or spawn error) must not
@@ -440,117 +454,45 @@ struct PendingFlush {
     record: TraceRecord,
 }
 
-/// Recycled-segment pool cap per connection: enough to serve a
-/// pipelined burst allocation-free, small enough that thousands of
-/// idle connections hold no meaningful memory.
-const OUT_POOL: usize = 8;
-
-/// A connection's outbound bytes: one segment per encoded response
-/// frame, drained oldest-first with gathered writes.
+/// A connection's outbound bytes: encoded response frames back to
+/// back in one buffer, drained from `head` with plain `write`s.
 ///
-/// Keeping frames in separate segments (instead of one flat `Vec`)
-/// buys two things on the flush path: a pipelined burst of responses
-/// leaves in a **single `writev`** instead of one `write` per frame,
-/// and a partially-accepted burst advances by byte count — the old
-/// flat-buffer `drain(..sent)` compaction memmove is gone entirely.
-/// Fully-drained segments recycle through a bounded pool under the
-/// same [`SCRATCH_RETAIN`](ropuf_proto::SCRATCH_RETAIN) retention rule
-/// as every other reused buffer.
+/// A pipelined burst of responses is one contiguous run of bytes, so
+/// it leaves in one `write` per readiness however many frames it
+/// holds, and queueing a frame is an append — no per-frame allocation.
+/// A partially accepted run just moves `head`; the unsent tail is
+/// moved to the front only once the sent prefix outgrows it, so each
+/// byte is moved at most once on average. Once drained, the buffer
+/// keeps at most [`SCRATCH_RETAIN`](ropuf_proto::SCRATCH_RETAIN) of
+/// capacity, the retention rule of every other reused buffer.
 #[derive(Debug, Default)]
 struct OutQueue {
-    /// Encoded frames not yet fully accepted by the socket, oldest
-    /// first.
-    segs: VecDeque<Vec<u8>>,
-    /// Bytes of the front segment already accepted.
+    /// Queued frames; bytes before `head` were accepted by the socket.
+    buf: Vec<u8>,
+    /// Bytes of `buf` already accepted.
     head: usize,
-    /// Total unsent bytes across all segments.
-    pending: usize,
-    /// Drained segments awaiting reuse.
-    pool: Vec<Vec<u8>>,
 }
 
 impl OutQueue {
     fn pending(&self) -> usize {
-        self.pending
+        self.buf.len() - self.head
     }
 
     fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.pending() == 0
     }
 
-    /// Frames `payload` (`[len u32 le][payload]`) into its own
-    /// segment. Returns the framed byte count, or the
-    /// [`FrameError::Oversize`] verdict with the queue unchanged.
+    /// Appends `payload` as one `[len u32 le][payload]` frame. Returns
+    /// the framed byte count, or the [`FrameError::Oversize`] verdict
+    /// with the queue unchanged.
     fn push_frame(&mut self, payload: &[u8]) -> Result<usize, FrameError> {
-        let mut seg = self.pool.pop().unwrap_or_default();
-        seg.clear();
-        match append_frame(&mut seg, payload) {
-            Ok(()) => {
-                let n = seg.len();
-                self.pending += n;
-                self.segs.push_back(seg);
-                Ok(n)
-            }
-            Err(e) => {
-                self.recycle(seg);
-                Err(e)
-            }
-        }
+        let before = self.buf.len();
+        append_frame(&mut self.buf, payload)?;
+        Ok(self.buf.len() - before)
     }
 
-    /// Fills `bufs` with the unsent byte ranges, oldest first (the
-    /// front segment minus its accepted prefix, then whole segments).
-    /// Returns how many slices were produced.
-    fn fill_slices<'a>(&'a self, bufs: &mut [&'a [u8]]) -> usize {
-        let mut n = 0;
-        for (i, seg) in self.segs.iter().enumerate() {
-            if n == bufs.len() {
-                break;
-            }
-            let slice = if i == 0 { &seg[self.head..] } else { &seg[..] };
-            if !slice.is_empty() {
-                bufs[n] = slice;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Marks `n` bytes as accepted by the socket: whole segments are
-    /// popped and recycled, a mid-segment landing just moves the head.
-    fn advance(&mut self, mut n: usize) {
-        debug_assert!(n <= self.pending, "advance past pending bytes");
-        self.pending -= n;
-        while n > 0 {
-            // `n <= pending` means the queue can never run dry here;
-            // the sink reported bytes the queue handed it.
-            let Some(seg) = self.segs.pop_front() else {
-                break;
-            };
-            let left = seg.len() - self.head;
-            if n >= left {
-                n -= left;
-                self.head = 0;
-                self.recycle(seg);
-            } else {
-                self.head += n;
-                self.segs.push_front(seg);
-                n = 0;
-            }
-        }
-    }
-
-    fn recycle(&mut self, seg: Vec<u8>) {
-        // Retention rule: one giant snapshot frame must not pin
-        // MAX_FRAME of capacity in the pool forever.
-        if self.pool.len() < OUT_POOL && seg.capacity() <= ropuf_proto::SCRATCH_RETAIN {
-            self.pool.push(seg);
-        }
-    }
-
-    /// Drains through `write_bufs` — one gathered write per call —
-    /// until the queue empties or the sink reports `WouldBlock`.
-    /// Returns the total bytes accepted.
+    /// Drains through `write` until the queue empties or the sink
+    /// reports `WouldBlock`. Returns the total bytes accepted.
     ///
     /// # Errors
     ///
@@ -559,28 +501,33 @@ impl OutQueue {
     /// transport is gone).
     fn drain_with(
         &mut self,
-        mut write_bufs: impl FnMut(&[&[u8]]) -> io::Result<usize>,
+        mut write: impl FnMut(&[u8]) -> io::Result<usize>,
     ) -> io::Result<usize> {
         let mut total = 0;
         while !self.is_empty() {
-            let written = {
-                let mut bufs: [&[u8]; net::MAX_IOVECS] = [&[]; net::MAX_IOVECS];
-                let n = self.fill_slices(&mut bufs);
-                match write_bufs(&bufs[..n]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "sink accepted no bytes",
-                        ))
-                    }
-                    Ok(w) => w,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+            match write(&self.buf[self.head..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "sink accepted no bytes",
+                    ))
                 }
-            };
-            self.advance(written);
-            total += written;
+                Ok(n) => {
+                    self.head += n;
+                    total += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        if self.is_empty() {
+            self.buf.clear();
+            self.head = 0;
+            ropuf_proto::frame::bound_scratch(&mut self.buf);
+        } else if self.head >= self.pending() {
+            self.buf.drain(..self.head);
+            self.head = 0;
         }
         Ok(total)
     }
@@ -654,6 +601,12 @@ const CONN_BASE: u64 = 2;
 const EVENTS_MIN: usize = 256;
 const EVENTS_MAX: usize = 4096;
 
+/// Size of the read buffer a loop lends to the connection it is
+/// servicing: a pipelined burst of routine frames arrives in one
+/// `read`. Equal to the retention bound, so finishing a frame never
+/// shrinks it.
+const READ_BUF: usize = ropuf_proto::SCRATCH_RETAIN;
+
 /// How long [`EventedConfig::busy_poll`] spins on zero-timeout polls
 /// before parking in a blocking wait.
 const BUSY_POLL_SPIN: Duration = Duration::from_micros(200);
@@ -674,6 +627,11 @@ struct EventLoop {
     /// Response-encode scratch shared by every connection on this loop
     /// (handling is synchronous, so one buffer suffices).
     encode_scratch: Vec<u8>,
+    /// Read buffer lent to the connection being serviced and taken
+    /// back when its pass ends with nothing buffered, so idle
+    /// connections hold no read memory. Empty while a connection
+    /// keeps it (a partial frame); the next lend allocates afresh.
+    read_buf: Vec<u8>,
     /// Set once the stop flag has been observed and the listener
     /// deregistered.
     draining: bool,
@@ -717,6 +675,7 @@ impl EventLoop {
             conns: Vec::new(),
             free: VecDeque::new(),
             encode_scratch: Vec::new(),
+            read_buf: Vec::new(),
             draining: false,
             drain_deadline: None,
             lane: None,
@@ -925,149 +884,64 @@ impl EventLoop {
             conn.settle_flushed(&shared.telemetry);
         }
 
-        let teardown = loop {
-            if conn.closing {
-                break None; // no more reads; wait for the drain
-            }
-            if conn.pending_out() > self.config.max_write_buffer {
-                break None; // backpressure: resume when the peer drains
-            }
-            match conn.accum.poll(&mut conn.stream) {
-                Ok(FramePoll::Frame) => {
-                    let t0 = Instant::now();
-                    conn.last_activity = t0;
-                    conn.frame_deadline = None;
-                    if !conn.saw_first_frame {
-                        conn.saw_first_frame = true;
-                        shared
-                            .telemetry
-                            .first_frame(elapsed_ns(conn.accepted_at, t0));
-                    }
-                    // Counted before decode: malformed frames and the
-                    // metrics scrape itself are part of the tally, so
-                    // `server.requests` equals the client-side op
-                    // count exactly.
-                    shared.telemetry.request_started();
-                    let msg_type = conn.accum.payload().first().copied().unwrap_or(0);
-                    // Admission off the type byte alone, metered by
-                    // this connection's unsent response bytes plus the
-                    // ready backlog still queued behind it on the
-                    // loop: a shed request costs a small error frame,
-                    // never a decode or a verifier call, and the
-                    // connection lives on.
-                    if let Some(shed) = shared.admission.check(
-                        RequestClass::of(msg_type),
-                        evented_pressure(conn.pending_out() as u64, self.ready_backlog),
-                    ) {
-                        let t2 = Instant::now();
-                        let queued = queue_response(conn, &shed, &mut self.encode_scratch);
-                        let t3 = Instant::now();
-                        let record = shared.telemetry.observe_queued(
-                            msg_type,
-                            0,
-                            elapsed_ns(drain_start, t0),
-                            0,
-                            elapsed_ns(t0, t2),
-                            elapsed_ns(t2, t3),
-                            self.loop_id,
-                        );
-                        conn.pending_flush.push_back(PendingFlush {
-                            end: conn.queued_total,
-                            queued_at: t3,
-                            record,
-                        });
-                        conn.accum.finish_frame();
-                        if !queued {
-                            break Some(Teardown::Normal);
+        // Read into the loop's buffer unless this connection still
+        // holds its own (bytes of a frame left from its last pass).
+        if conn.accum.scratch_capacity() == 0 {
+            let buf = std::mem::take(&mut self.read_buf);
+            conn.accum.lend(if buf.capacity() == 0 {
+                vec![0; READ_BUF]
+            } else {
+                buf
+            });
+        }
+
+        // A pass repeats while frames it already read sit complete in
+        // the buffer after backpressure lifts: those bytes left the
+        // socket, so level-triggered epoll will never report them.
+        let teardown = 'pass: loop {
+            let teardown = loop {
+                if conn.closing {
+                    break None; // no more reads; wait for the drain
+                }
+                if conn.pending_out() > self.config.max_write_buffer {
+                    break None; // backpressure: resume when the peer drains
+                }
+                match conn.accum.poll(&mut conn.stream) {
+                    Ok(FramePoll::Frame) => {
+                        let t0 = Instant::now();
+                        conn.last_activity = t0;
+                        conn.frame_deadline = None;
+                        if !conn.saw_first_frame {
+                            conn.saw_first_frame = true;
+                            shared
+                                .telemetry
+                                .first_frame(elapsed_ns(conn.accepted_at, t0));
                         }
-                        continue;
-                    }
-                    let decoded = RequestRef::decode(conn.accum.payload());
-                    let t1 = Instant::now();
-                    let keep_going = match decoded {
-                        Ok(request) => {
-                            let device_hash = request_device_hash(&request);
-                            // Loop-affinity accounting: the device
-                            // hash is the same splitmix64 the registry
-                            // shards by, so `hash % shards` *is* the
-                            // device's shard, and a shard is local
-                            // when it folds onto this loop. Cross-loop
-                            // requests are served identically — the
-                            // counters measure how well topology-aware
-                            // clients steered, nothing more.
-                            if device_hash != 0 && self.shard_count != 0 {
-                                if let Some((local, remote)) = &self.affinity {
-                                    let shard = device_hash % self.shard_count as u64;
-                                    if shard % u64::from(self.loops_total)
-                                        == u64::from(self.loop_id)
-                                    {
-                                        local.add(1);
-                                    } else {
-                                        remote.add(1);
-                                    }
-                                }
-                            }
-                            let response = match request {
-                                // The handler only knows the verifier's
-                                // metrics; the serving layer folds its
-                                // own namespace into the blob.
-                                RequestRef::MetricsSnapshot => shared
-                                    .telemetry
-                                    .merged_metrics_response(handler.handle_ref(request)),
-                                // Traces and the time series live
-                                // here, not in the handler.
-                                RequestRef::TraceDump => shared.telemetry.trace_response(),
-                                RequestRef::TimeSeriesDump => {
-                                    shared.telemetry.timeseries_response()
-                                }
-                                // Topology discovery is answered by
-                                // the loop itself: the handler cannot
-                                // know which accept queue a socket
-                                // landed on.
-                                RequestRef::LoopInfo => Response::LoopInfoOk {
-                                    loop_id: self.loop_id,
-                                    loops: self.loops_total,
-                                },
-                                request => handler.handle_ref(request),
-                            };
+                        // Counted before decode: malformed frames and the
+                        // metrics scrape itself are part of the tally, so
+                        // `server.requests` equals the client-side op
+                        // count exactly.
+                        shared.telemetry.request_started();
+                        let msg_type = conn.accum.payload().first().copied().unwrap_or(0);
+                        // Admission off the type byte alone, metered by
+                        // this connection's unsent response bytes plus the
+                        // ready backlog still queued behind it on the
+                        // loop: a shed request costs a small error frame,
+                        // never a decode or a verifier call, and the
+                        // connection lives on.
+                        if let Some(shed) = shared.admission.check(
+                            RequestClass::of(msg_type),
+                            evented_pressure(conn.pending_out() as u64, self.ready_backlog),
+                        ) {
                             let t2 = Instant::now();
-                            let queued = queue_response(conn, &response, &mut self.encode_scratch);
-                            let t3 = Instant::now();
-                            let record = shared.telemetry.observe_queued(
-                                msg_type,
-                                device_hash,
-                                elapsed_ns(drain_start, t0),
-                                elapsed_ns(t0, t1),
-                                elapsed_ns(t1, t2),
-                                elapsed_ns(t2, t3),
-                                self.loop_id,
-                            );
-                            conn.pending_flush.push_back(PendingFlush {
-                                end: conn.queued_total,
-                                queued_at: t3,
-                                record,
-                            });
-                            queued
-                        }
-                        Err(e) => {
-                            // Same contract as the blocking server: a
-                            // typed answer, then the connection ends.
-                            let t2 = Instant::now();
-                            let answered = queue_response(
-                                conn,
-                                &Response::Error {
-                                    code: ErrorCode::MalformedRequest,
-                                    detail: FrameError::Decode(e).to_string(),
-                                },
-                                &mut self.encode_scratch,
-                            );
+                            let queued = queue_response(conn, &shed, &mut self.encode_scratch);
                             let t3 = Instant::now();
                             let record = shared.telemetry.observe_queued(
                                 msg_type,
                                 0,
                                 elapsed_ns(drain_start, t0),
-                                elapsed_ns(t0, t1),
-                                elapsed_ns(t1, t2),
+                                0,
+                                elapsed_ns(t0, t2),
                                 elapsed_ns(t2, t3),
                                 self.loop_id,
                             );
@@ -1076,72 +950,181 @@ impl EventLoop {
                                 queued_at: t3,
                                 record,
                             });
-                            conn.closing = true;
-                            conn.frame_deadline = None;
-                            answered
+                            conn.accum.finish_frame();
+                            if !queued {
+                                break Some(Teardown::Normal);
+                            }
+                            continue;
                         }
-                    };
-                    conn.accum.finish_frame();
-                    if !keep_going {
-                        break Some(Teardown::Normal);
+                        let decoded = RequestRef::decode(conn.accum.payload());
+                        let t1 = Instant::now();
+                        let keep_going = match decoded {
+                            Ok(request) => {
+                                let device_hash = request_device_hash(&request);
+                                // Loop-affinity accounting: the device
+                                // hash is the same splitmix64 the registry
+                                // shards by, so `hash % shards` *is* the
+                                // device's shard, and a shard is local
+                                // when it folds onto this loop. Cross-loop
+                                // requests are served identically — the
+                                // counters measure how well topology-aware
+                                // clients steered, nothing more.
+                                if device_hash != 0 && self.shard_count != 0 {
+                                    if let Some((local, remote)) = &self.affinity {
+                                        let shard = device_hash % self.shard_count as u64;
+                                        if shard % u64::from(self.loops_total)
+                                            == u64::from(self.loop_id)
+                                        {
+                                            local.add(1);
+                                        } else {
+                                            remote.add(1);
+                                        }
+                                    }
+                                }
+                                let response = match request {
+                                    // The handler only knows the verifier's
+                                    // metrics; the serving layer folds its
+                                    // own namespace into the blob.
+                                    RequestRef::MetricsSnapshot => shared
+                                        .telemetry
+                                        .merged_metrics_response(handler.handle_ref(request)),
+                                    // Traces and the time series live
+                                    // here, not in the handler.
+                                    RequestRef::TraceDump => shared.telemetry.trace_response(),
+                                    RequestRef::TimeSeriesDump => {
+                                        shared.telemetry.timeseries_response()
+                                    }
+                                    // Topology discovery is answered by
+                                    // the loop itself: the handler cannot
+                                    // know which accept queue a socket
+                                    // landed on.
+                                    RequestRef::LoopInfo => Response::LoopInfoOk {
+                                        loop_id: self.loop_id,
+                                        loops: self.loops_total,
+                                    },
+                                    request => handler.handle_ref(request),
+                                };
+                                let t2 = Instant::now();
+                                let queued =
+                                    queue_response(conn, &response, &mut self.encode_scratch);
+                                let t3 = Instant::now();
+                                let record = shared.telemetry.observe_queued(
+                                    msg_type,
+                                    device_hash,
+                                    elapsed_ns(drain_start, t0),
+                                    elapsed_ns(t0, t1),
+                                    elapsed_ns(t1, t2),
+                                    elapsed_ns(t2, t3),
+                                    self.loop_id,
+                                );
+                                conn.pending_flush.push_back(PendingFlush {
+                                    end: conn.queued_total,
+                                    queued_at: t3,
+                                    record,
+                                });
+                                queued
+                            }
+                            Err(e) => {
+                                // Same contract as the blocking server: a
+                                // typed answer, then the connection ends.
+                                let t2 = Instant::now();
+                                let answered = queue_response(
+                                    conn,
+                                    &Response::Error {
+                                        code: ErrorCode::MalformedRequest,
+                                        detail: FrameError::Decode(e).to_string(),
+                                    },
+                                    &mut self.encode_scratch,
+                                );
+                                let t3 = Instant::now();
+                                let record = shared.telemetry.observe_queued(
+                                    msg_type,
+                                    0,
+                                    elapsed_ns(drain_start, t0),
+                                    elapsed_ns(t0, t1),
+                                    elapsed_ns(t1, t2),
+                                    elapsed_ns(t2, t3),
+                                    self.loop_id,
+                                );
+                                conn.pending_flush.push_back(PendingFlush {
+                                    end: conn.queued_total,
+                                    queued_at: t3,
+                                    record,
+                                });
+                                conn.closing = true;
+                                conn.frame_deadline = None;
+                                answered
+                            }
+                        };
+                        conn.accum.finish_frame();
+                        if !keep_going {
+                            break Some(Teardown::Normal);
+                        }
+                        // Pipelining: immediately try the next frame.
                     }
-                    // Pipelining: immediately try the next frame.
-                }
-                Ok(FramePoll::Pending) => {
-                    if conn.accum.mid_frame() && conn.frame_deadline.is_none() {
-                        conn.frame_deadline = Some(Instant::now() + self.config.frame_timeout);
+                    Ok(FramePoll::Pending) => {
+                        if conn.accum.mid_frame() && conn.frame_deadline.is_none() {
+                            conn.frame_deadline = Some(Instant::now() + self.config.frame_timeout);
+                        }
+                        break None;
                     }
-                    break None;
+                    Ok(FramePoll::Eof) => {
+                        // Clean EOF: answer nothing further, drain and close.
+                        conn.closing = true;
+                        conn.frame_deadline = None;
+                        break None;
+                    }
+                    Err(e) if e.is_peer_fault() => {
+                        // Oversized frame header: typed answer, then close.
+                        queue_response(
+                            conn,
+                            &Response::Error {
+                                code: ErrorCode::MalformedRequest,
+                                detail: e.to_string(),
+                            },
+                            &mut self.encode_scratch,
+                        );
+                        conn.closing = true;
+                        // No more frames will be read; the only remaining
+                        // timer that should apply is the idle one.
+                        conn.frame_deadline = None;
+                        break None;
+                    }
+                    Err(_) => break Some(Teardown::Normal), // dead transport
                 }
-                Ok(FramePoll::Eof) => {
-                    // Clean EOF: answer nothing further, drain and close.
-                    conn.closing = true;
-                    conn.frame_deadline = None;
-                    break None;
+            };
+            if teardown.is_some() {
+                break 'pass teardown;
+            }
+
+            // Out-queue peak is measured *before* the flush below: this
+            // is the residency the responses just queued actually saw.
+            let pending = conn.pending_out();
+            if pending > self.out_highwater {
+                self.out_highwater = pending;
+                if let Some(lane) = &self.lane {
+                    lane.out_highwater.set(pending as u64);
                 }
-                Err(e) if e.is_peer_fault() => {
-                    // Oversized frame header: typed answer, then close.
-                    queue_response(
-                        conn,
-                        &Response::Error {
-                            code: ErrorCode::MalformedRequest,
-                            detail: e.to_string(),
-                        },
-                        &mut self.encode_scratch,
-                    );
-                    conn.closing = true;
-                    // No more frames will be read; the only remaining
-                    // timer that should apply is the idle one.
-                    conn.frame_deadline = None;
-                    break None;
-                }
-                Err(_) => break Some(Teardown::Normal), // dead transport
+            }
+
+            if !flush_out(conn) {
+                break 'pass Some(Teardown::Normal);
+            }
+            conn.settle_flushed(&shared.telemetry);
+            let paused = conn.closing || conn.pending_out() > self.config.max_write_buffer;
+            if paused || !conn.accum.has_complete_frame() {
+                break 'pass None;
             }
         };
         if let Some(reason) = teardown {
             self.close(index, reason, shared);
             return;
         }
-
-        // Out-queue peak is measured *before* the flush below: this
-        // is the residency the responses just queued actually saw.
-        let pending = conn.pending_out();
-        if pending > self.out_highwater {
-            self.out_highwater = pending;
-            if let Some(lane) = &self.lane {
-                lane.out_highwater.set(pending as u64);
-            }
-        }
-
-        if !flush_out(conn) {
-            self.close(index, Teardown::Normal, shared);
-            return;
-        }
-        conn.settle_flushed(&shared.telemetry);
         if conn.closing && conn.pending_out() == 0 {
             self.close(index, Teardown::Normal, shared);
             return;
         }
+        reclaim_read_buf(&mut self.read_buf, &mut conn.accum);
 
         // Re-register interest: read (and watch for peer half-close)
         // unless paused, write only while output is pending. RDHUP is
@@ -1221,6 +1204,7 @@ impl EventLoop {
             );
             let _ = self.epoll.delete(&conn.stream);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            reclaim_read_buf(&mut self.read_buf, &mut conn.accum);
             self.free.push_back(index);
         }
     }
@@ -1232,9 +1216,21 @@ impl EventLoop {
     }
 }
 
-/// Encodes `response` and appends it to the connection's out-queue
-/// (one segment per frame), advancing `queued_total` by the framed
-/// byte count. An oversize response degrades to the same typed
+/// Takes a connection's read buffer back as the loop's `spare` once
+/// nothing is buffered in it, so an idle connection holds no read
+/// memory. When the loop already has a spare, the returned buffer is
+/// freed.
+fn reclaim_read_buf(spare: &mut Vec<u8>, accum: &mut FrameAccum) {
+    if let Some(buf) = accum.take_buffer() {
+        if spare.capacity() == 0 {
+            *spare = buf;
+        }
+    }
+}
+
+/// Encodes `response` and appends it to the connection's out-queue,
+/// advancing `queued_total` by the framed byte count. An oversize
+/// response degrades to the same typed
 /// [`ErrorCode::ResponseTooLarge`] answer the blocking server gives.
 /// Returns `false` only when even the fallback cannot be queued.
 fn queue_response(conn: &mut Conn, response: &Response, scratch: &mut Vec<u8>) -> bool {
@@ -1270,16 +1266,14 @@ fn queue_response(conn: &mut Conn, response: &Response, scratch: &mut Vec<u8>) -
     queued
 }
 
-/// Drains as much pending output as the socket accepts — one gathered
-/// `writev` per attempt instead of one `write` per frame, so a
-/// pipelined burst of responses leaves in a single syscall. Returns
+/// Drains as much pending output as the socket accepts — the whole
+/// queued run in one `write` unless the socket buffer fills. Returns
 /// `false` when the transport died.
 fn flush_out(conn: &mut Conn) -> bool {
     if conn.out.is_empty() {
         return true;
     }
-    let fd = conn.stream.as_raw_fd();
-    match conn.out.drain_with(|bufs| net::writev(fd, bufs)) {
+    match conn.out.drain_with(|bytes| (&conn.stream).write(bytes)) {
         Ok(0) => true,
         Ok(written) => {
             conn.sent_total += written as u64;
@@ -1298,6 +1292,7 @@ mod tests {
     use crate::transport::Client;
     use ropuf_proto::{FaultPlan, FaultyStream, Request, RATE_ONE};
     use ropuf_verifier::{DetectorConfig, Verifier};
+    use std::net::TcpStream;
 
     fn spawn_default() -> EventedServer {
         let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
@@ -1582,39 +1577,39 @@ mod tests {
     #[test]
     fn out_queue_survives_arbitrary_write_chunking() {
         // Every write is truncated to 1–8 bytes (RATE_ONE partial-io):
-        // the gathered drain must still deliver the exact byte stream
-        // a flat buffer would have.
+        // the drain must still deliver the exact byte stream, frames
+        // queued between partial writes included.
         let mut queue = OutQueue::default();
         let mut expect = Vec::new();
+        let mut sink = Vec::new();
+        let mut faulty = FaultyStream::new(&mut sink, FaultPlan::new(77).with_partial_io(RATE_ONE));
+        let mut written = 0;
         for i in 0..32usize {
             let payload: Vec<u8> = (0..i * 7 + 1)
                 .map(|b| (b as u8).wrapping_mul(31).wrapping_add(i as u8))
                 .collect();
             queue.push_frame(&payload).unwrap();
             append_frame(&mut expect, &payload).unwrap();
+            if i % 4 == 3 {
+                // A socket that takes one short write, then is full.
+                let mut budget = 1;
+                written += queue
+                    .drain_with(|bytes| {
+                        if budget == 0 {
+                            return Err(io::ErrorKind::WouldBlock.into());
+                        }
+                        budget -= 1;
+                        faulty.write(bytes)
+                    })
+                    .unwrap();
+            }
         }
-        assert_eq!(queue.pending(), expect.len());
-        let mut sink = Vec::new();
-        let mut faulty = FaultyStream::new(&mut sink, FaultPlan::new(77).with_partial_io(RATE_ONE));
-        let written = queue
-            .drain_with(|bufs| {
-                // A writev the kernel cut short: accept slices in
-                // order, stop at the first partial acceptance.
-                let mut total = 0;
-                for buf in bufs {
-                    let n = faulty.write(buf)?;
-                    total += n;
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Ok(total)
-            })
-            .unwrap();
+        assert_eq!(written + queue.pending(), expect.len());
+        written += queue.drain_with(|bytes| faulty.write(bytes)).unwrap();
         assert_eq!(written, expect.len());
         assert!(queue.is_empty());
         drop(faulty);
-        assert_eq!(sink, expect, "chunked writev drain reordered bytes");
+        assert_eq!(sink, expect, "chunked drain reordered bytes");
     }
 
     #[test]
@@ -1625,26 +1620,87 @@ mod tests {
             .push_frame(&vec![2u8; ropuf_proto::SCRATCH_RETAIN * 2])
             .unwrap();
         let queued = queue.pending();
-        let drained = queue
-            .drain_with(|bufs| Ok(bufs.iter().map(|b| b.len()).sum()))
-            .unwrap();
+        let drained = queue.drain_with(|bytes| Ok(bytes.len())).unwrap();
         assert_eq!(drained, queued);
         assert!(queue.is_empty());
-        // The small segment came back to the pool; the oversized one
-        // was dropped (retention rule).
-        assert_eq!(queue.pool.len(), 1);
-        assert!(queue.pool[0].capacity() <= ropuf_proto::SCRATCH_RETAIN);
+        // The buffer grew past the retention bound for the big frame;
+        // once drained it keeps no more than the bound.
+        assert!(queue.buf.capacity() <= ropuf_proto::SCRATCH_RETAIN);
+        // And a drained queue is reused as is: the next frame needs no
+        // allocation.
+        let capacity = queue.buf.capacity();
+        queue.push_frame(&[3u8; 100]).unwrap();
+        assert_eq!(queue.buf.capacity(), capacity);
     }
 
     #[test]
     fn out_queue_rejects_oversize_frames_untouched() {
         let mut queue = OutQueue::default();
+        queue.push_frame(b"queued").unwrap();
+        let before = queue.buf.clone();
         let oversize = vec![0u8; ropuf_proto::MAX_FRAME as usize + 1];
         assert!(matches!(
             queue.push_frame(&oversize),
             Err(FrameError::Oversize(_))
         ));
-        assert!(queue.is_empty());
-        assert_eq!(queue.segs.len(), 0);
+        assert_eq!(queue.buf, before, "nothing half-queued");
+        assert_eq!(queue.pending(), before.len());
+    }
+
+    #[test]
+    fn idle_connection_after_a_burst_holds_no_read_buffer() {
+        // One loop driven by hand: a client pipelines a burst, the loop
+        // serves it, the connection goes idle.
+        let config = EventedConfig::default();
+        let shared = Shared::new(&config);
+        let (mut listeners, addr) = bind_listeners(&"127.0.0.1:0", 1, false).unwrap();
+        let (_wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        wake_rx.set_nonblocking(true).unwrap();
+        let mut event_loop = EventLoop::new(listeners.remove(0), wake_rx, config, 0).unwrap();
+        let handler = VerifierHandler::new(Arc::new(Verifier::new(2, DetectorConfig::default())));
+
+        let count = 16u64;
+        let mut burst = Vec::new();
+        let mut writer = ropuf_proto::FrameWriter::new(&mut burst);
+        for id in 0..count {
+            writer
+                .write_request(&Request::QueryVerdict { device_id: id })
+                .unwrap();
+        }
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&burst).unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_loop.conns.iter().flatten().count() == 0 {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            event_loop.accept_ready(&shared);
+        }
+        while shared.telemetry.requests_served() < count {
+            assert!(Instant::now() < deadline, "burst never served");
+            event_loop.service(0, false, Instant::now(), &handler, &shared);
+        }
+        let mut reader = ropuf_proto::FrameReader::new(&client);
+        for _ in 0..count {
+            assert!(matches!(
+                reader.read_response().unwrap(),
+                Some(Response::Error {
+                    code: ErrorCode::UnknownDevice,
+                    ..
+                })
+            ));
+        }
+
+        let conn = event_loop.conns[0].as_ref().expect("still open");
+        assert!(!conn.accum.mid_frame());
+        assert_eq!(
+            conn.accum.scratch_capacity(),
+            0,
+            "idle conn holds a read buffer"
+        );
+        assert_eq!(
+            event_loop.read_buf.capacity(),
+            READ_BUF,
+            "the loop took its buffer back"
+        );
     }
 }

@@ -24,8 +24,8 @@
 //!   buffers, slow-client eviction, and graceful shutdown. Same
 //!   handler, same wire semantics, proven equivalent by the
 //!   `equivalence` test suite.
-//! * [`sys`] (Linux) — the in-tree `epoll`, `SO_REUSEPORT`, and
-//!   `writev` syscall wrappers (no `libc` crate; the workspace stays
+//! * [`sys`] (Linux) — the in-tree `epoll` and `SO_REUSEPORT`
+//!   syscall wrappers (no `libc` crate; the workspace stays
 //!   dependency-free).
 //! * [`telemetry`] — [`ServerTelemetry`]: backend-labeled request and
 //!   connection metrics, per-message-type phase latency histograms,

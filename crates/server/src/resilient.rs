@@ -200,26 +200,23 @@ impl FaultyTcpTransport {
         // are absorbed here, resets surface as io errors.
         io::Write::write_all(&mut self.stream, &self.out).map_err(FrameError::Io)?;
         ropuf_proto::frame::bound_scratch(&mut self.out);
-        self.accum.finish_frame();
-        loop {
-            match self.accum.poll(&mut self.stream)? {
-                FramePoll::Frame => {
-                    let payload = self.accum.payload().to_vec();
-                    self.accum.finish_frame();
-                    return Ok(payload);
-                }
-                // A deadline expiring surfaces as WouldBlock/TimedOut
-                // from the kernel; `poll` maps hard errors already, and
-                // Pending only means "no complete frame yet" on a
-                // stream that made progress — keep pulling.
-                FramePoll::Pending => continue,
-                FramePoll::Eof => {
-                    return Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-exchange",
-                    )))
-                }
+        match self.accum.poll(&mut self.stream)? {
+            FramePoll::Frame => {
+                let payload = self.accum.payload().to_vec();
+                self.accum.finish_frame();
+                Ok(payload)
             }
+            // This stream blocks, so Pending only comes from an expired
+            // read deadline (`SO_RCVTIMEO` reads fail with EAGAIN on
+            // Linux): the exchange is over.
+            FramePoll::Pending => Err(FrameError::Io(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "read deadline expired before the answer arrived",
+            ))),
+            FramePoll::Eof => Err(FrameError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-exchange",
+            ))),
         }
     }
 }
@@ -563,5 +560,37 @@ mod tests {
             "{err}"
         );
         assert_eq!(client.retries_total(), 2);
+    }
+
+    #[test]
+    fn read_deadline_ends_an_exchange_with_a_silent_server() {
+        // The listener accepts (the kernel completes the handshake) but
+        // nobody ever answers: each attempt must end at the read
+        // deadline, and the budget must end the call.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let policy = RetryPolicy {
+            budget: 1,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            seed: 3,
+        };
+        let deadlines = Deadlines {
+            read: Some(Duration::from_millis(100)),
+            ..Deadlines::default()
+        };
+        let mut client =
+            ResilientClient::new(silent.local_addr().unwrap(), policy, deadlines).unwrap();
+        let started = std::time::Instant::now();
+        let err = client.hello("anyone-there").unwrap_err();
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "took {:?}",
+            started.elapsed()
+        );
+        assert!(
+            err.to_string().contains("retry budget (1) exhausted"),
+            "{err}"
+        );
+        assert_eq!(client.retries_total(), 1);
     }
 }

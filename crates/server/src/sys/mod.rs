@@ -4,8 +4,9 @@
 //! `libc`/`mio`/`tokio`. [`epoll`] declares the four `epoll` syscall
 //! entry points itself (they live in the C library every Linux `std`
 //! binary already links) and wraps them in a safe, minimal readiness
-//! API; [`net`] does the same for `SO_REUSEPORT` listener binding and
-//! vectored writes (`writev`). Apart from the SHA-256 hardware kernel
+//! API; [`net`] does the same for `SO_REUSEPORT` listener binding.
+//! Socket reads and writes need no wrapper: they go through `std`'s
+//! `TcpStream`. Apart from the SHA-256 hardware kernel
 //! (`ropuf_hash`'s `sha256::shani`, whose loads and stores stay inside
 //! fixed-size arrays), these are the **only** modules in the workspace
 //! that contain `unsafe` code, and the unsafety is confined to the FFI

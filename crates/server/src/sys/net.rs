@@ -1,28 +1,23 @@
-//! Safe minimal wrappers over the two socket syscalls the evented
-//! server's tail-latency work needs: `SO_REUSEPORT` listener binding
-//! and vectored writes (`writev`).
+//! Safe minimal wrapper over the socket syscalls `std` does not
+//! expose: binding a listener with `SO_REUSEPORT` set.
 //!
 //! No `libc` crate, same as [`epoll`](super::epoll): the syscall entry
 //! points are declared directly and resolve against the C library
 //! `std` already links on Linux.
 //!
-//! * [`bind_reuseport`] builds an IPv4 listener with `SO_REUSEPORT`
-//!   set **before** `bind`, so N event loops can each own an
-//!   independent kernel accept queue on the same address — the kernel
-//!   load-balances incoming connections across the queues instead of
-//!   waking every loop for every connection (no thundering herd, no
-//!   shared accept lock).
-//! * [`writev`] submits many response frames to a socket in a single
-//!   syscall — the evented server's out-queue keeps one buffer per
-//!   encoded frame and drains a whole pipelined burst per readiness
-//!   with one gather write instead of one `write` per frame.
+//! [`bind_reuseport`] builds an IPv4 listener with `SO_REUSEPORT` set
+//! **before** `bind`, so N event loops can each own an independent
+//! kernel accept queue on the same address — the kernel load-balances
+//! incoming connections across the queues instead of waking every
+//! loop for every connection (no thundering herd, no shared accept
+//! lock).
 
 #![allow(unsafe_code)]
 
 use std::ffi::{c_int, c_void};
 use std::io;
 use std::net::{SocketAddrV4, TcpListener};
-use std::os::fd::{FromRawFd, RawFd};
+use std::os::fd::FromRawFd;
 
 const AF_INET: c_int = 2;
 const SOCK_STREAM: c_int = 1;
@@ -45,18 +40,6 @@ struct SockAddrIn {
     zero: [u8; 8],
 }
 
-/// One gather-write segment, mirroring the kernel's `struct iovec`.
-#[repr(C)]
-struct IoVec {
-    base: *const u8,
-    len: usize,
-}
-
-/// Most segments a single [`writev`] call submits. Bursts longer than
-/// this simply take another call on the next loop pass — well under
-/// the kernel's `UIO_MAXIOV` (1024).
-pub const MAX_IOVECS: usize = 64;
-
 extern "C" {
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn setsockopt(
@@ -68,8 +51,6 @@ extern "C" {
     ) -> c_int;
     fn bind(fd: c_int, addr: *const SockAddrIn, addrlen: u32) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
-    #[link_name = "writev"]
-    fn sys_writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -134,48 +115,10 @@ pub fn bind_reuseport(addr: SocketAddrV4) -> io::Result<TcpListener> {
     }
 }
 
-/// Gather-writes up to [`MAX_IOVECS`] buffers to `fd` in one syscall,
-/// returning how many bytes the socket accepted (possibly landing
-/// mid-buffer — the caller's queue advances by byte count). Empty
-/// buffers are skipped; an all-empty call returns `Ok(0)` without
-/// entering the kernel.
-///
-/// # Errors
-///
-/// The raw `writev` failure — `WouldBlock` and `Interrupted` surface
-/// as their usual [`io::ErrorKind`]s for the caller to handle.
-pub fn writev(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-    let mut vecs: [IoVec; MAX_IOVECS] = std::array::from_fn(|_| IoVec {
-        base: std::ptr::null(),
-        len: 0,
-    });
-    let mut count = 0;
-    for buf in bufs.iter().filter(|b| !b.is_empty()).take(MAX_IOVECS) {
-        vecs[count] = IoVec {
-            base: buf.as_ptr(),
-            len: buf.len(),
-        };
-        count += 1;
-    }
-    if count == 0 {
-        return Ok(0);
-    }
-    // SAFETY: the first `count` entries point at live slices that
-    // outlive the call; the kernel only reads them.
-    let n = unsafe { sys_writev(fd, vecs.as_ptr(), count as c_int) };
-    if n < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(n as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
     use std::net::{Ipv4Addr, TcpStream};
-    use std::os::fd::AsRawFd;
 
     #[test]
     fn reuseport_listeners_share_an_address() {
@@ -223,24 +166,5 @@ mod tests {
             Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
             Ok(_) => panic!("accept succeeded with no peer"),
         }
-    }
-
-    #[test]
-    fn writev_gathers_many_buffers_in_one_call() {
-        let (a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
-        let bufs: Vec<&[u8]> = vec![b"one-", b"", b"two-", b"three"];
-        let n = writev(a.as_raw_fd(), &bufs).expect("writev");
-        assert_eq!(n, 13, "all non-empty bytes accepted at once");
-        let mut read = vec![0u8; 13];
-        b.read_exact(&mut read).unwrap();
-        assert_eq!(&read, b"one-two-three");
-    }
-
-    #[test]
-    fn writev_of_nothing_is_a_no_op() {
-        let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
-        assert_eq!(writev(a.as_raw_fd(), &[]).unwrap(), 0);
-        let empty: Vec<&[u8]> = vec![b"", b""];
-        assert_eq!(writev(a.as_raw_fd(), &empty).unwrap(), 0);
     }
 }

@@ -76,7 +76,7 @@ fn replay_sequential(plan: &TrafficPlan, addr: SocketAddr) -> Vec<Vec<u8>> {
     let mut responses = Vec::new();
     for (_, requests) in device_requests(plan) {
         let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay"); // two small writes per frame
+        stream.set_nodelay(true).expect("nodelay"); // small frames: no Nagle wait
         let write_half = stream.try_clone().expect("clone");
         let mut writer = FrameWriter::new(write_half);
         let mut reader = FrameReader::new(stream);

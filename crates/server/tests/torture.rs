@@ -232,6 +232,51 @@ fn pipelined_requests_are_answered_in_order() {
     });
 }
 
+#[test]
+fn half_closed_pipeline_is_answered_in_full_before_the_close() {
+    for_each_backend(|backend, addr| {
+        // The whole pipeline and the FIN arrive together: the server
+        // reads the frames and the EOF in the same pass, and must still
+        // answer every frame it already holds, in order, then close.
+        let count = 48u64;
+        let mut burst = Vec::new();
+        {
+            let mut writer = FrameWriter::new(&mut burst);
+            for id in 0..count {
+                writer
+                    .write_request(&Request::QueryVerdict {
+                        device_id: 5000 + id,
+                    })
+                    .unwrap();
+            }
+        }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&burst).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        let mut reader = FrameReader::new(&stream);
+        for id in 0..count {
+            match reader.read_response() {
+                Ok(Some(Response::Error { code, detail })) => {
+                    assert_eq!(code, ErrorCode::UnknownDevice);
+                    assert!(
+                        detail.contains(&(5000 + id).to_string()),
+                        "[{backend}] answer {id} out of order: {detail:?}"
+                    );
+                }
+                other => panic!("[{backend}] answer {id}: {other:?}"),
+            }
+        }
+        assert!(
+            matches!(reader.read_response(), Ok(None)),
+            "[{backend}] the server closes after the last answer"
+        );
+    });
+}
+
 // ── Evented-only resource policies ──────────────────────────────────
 
 fn spawn_evented(config: EventedConfig) -> EventedServer {
