@@ -244,13 +244,14 @@ fn main() {
     );
 
     // ── Registry snapshot roundtrip ────────────────────────────────
-    let snapshot = verifier.registry().snapshot_json();
-    let restored = Verifier::from_snapshot(&snapshot, config).expect("own snapshot must load");
-    let roundtrip_ok = restored.registry().snapshot_json() == snapshot
+    let snapshot = verifier.snapshot_v2();
+    let restored = Verifier::from_snapshot_v2(&snapshot, config).expect("own snapshot must load");
+    let roundtrip_ok = restored.snapshot_v2() == snapshot
         && restored.registry().len() == verifier.registry().len();
     println!(
-        "\nsnapshot: {} bytes (ropuf-verifier/v1), reload roundtrip byte-identical: {roundtrip_ok}",
-        snapshot.len()
+        "\nsnapshot: {} bytes (binary, layout v{}), reload roundtrip byte-identical: {roundtrip_ok}",
+        snapshot.len(),
+        ropuf_verifier::store::snapshot::VERSION
     );
     assert!(roundtrip_ok, "snapshot roundtrip violated");
 

@@ -13,7 +13,7 @@
 //!    per-device memory of the fully loaded slab registry.
 //! 2. **wal recovery** — the process "crashes" (store dropped without
 //!    compaction) and cold-starts by replaying the whole WAL.
-//! 3. **compaction** — time to fold the registry into a v2 snapshot
+//! 3. **compaction** — time to fold the registry into a snapshot
 //!    and prune the log, plus the snapshot's size on disk.
 //! 4. **snapshot recovery** — a second cold start, now from the
 //!    compacted snapshot instead of the raw log.
@@ -120,7 +120,7 @@ fn main() {
 
     ropuf_bench::header(
         "PERF_REGISTRY — durable million-device registry benchmark",
-        "slab registry + WAL sustains batched durable enrollment at scale; cold recovery replays the log (or the compacted v2 snapshot) back to the exact fleet; steady-state auth stays compute-bound",
+        "slab registry + WAL sustains batched durable enrollment at scale; cold recovery replays the log (or the compacted snapshot) back to the exact fleet; steady-state auth stays compute-bound",
     );
     println!("\nconfig: {devices} devices, {shards} shards, batch {batch}, store {dir:?}");
 
@@ -192,12 +192,12 @@ fn main() {
     println!("\n[recovery/wal] cold start replaying the full log");
     println!("  time       : {wal_recovery_secs:>12.2} s  ({wal_recovery_ops:.0} devices/s)");
 
-    // ── 3. compaction into a v2 snapshot ───────────────────────────
+    // ── 3. compaction into a snapshot ──────────────────────────────
     let t0 = Instant::now();
     verifier.compact().expect("compaction");
     let compact_secs = t0.elapsed().as_secs_f64().max(1e-12);
     let snapshot_bytes = disk_bytes(&dir, "snapshot-");
-    println!("\n[compact] registry -> v2 snapshot + log prune");
+    println!("\n[compact] registry -> snapshot + log prune");
     println!("  time       : {compact_secs:>12.2} s");
     println!(
         "  snapshot   : {:>12.1} MiB ({:.0} B/device)",

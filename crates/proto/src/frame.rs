@@ -630,14 +630,14 @@ mod tests {
                 client: "t".into(),
             })
             .unwrap();
-            w.write_request(&Request::Snapshot).unwrap();
+            w.write_request(&Request::MetricsSnapshot).unwrap();
         }
         let mut r = FrameReader::new(&wire[..]);
         assert!(matches!(
             r.read_request().unwrap(),
             Some(Request::Hello { .. })
         ));
-        assert_eq!(r.read_request().unwrap(), Some(Request::Snapshot));
+        assert_eq!(r.read_request().unwrap(), Some(Request::MetricsSnapshot));
         assert_eq!(r.read_request().unwrap(), None, "clean EOF between frames");
     }
 
@@ -713,13 +713,13 @@ mod tests {
     #[test]
     fn each_frame_leaves_in_one_write() {
         let mut w = FrameWriter::new(CountingSink::default());
-        w.write_request(&Request::Snapshot).unwrap();
+        w.write_request(&Request::MetricsSnapshot).unwrap();
         w.write_response(&Response::Verdict(WireVerdict::Accept))
             .unwrap();
         w.write_frame(b"raw").unwrap();
         assert_eq!(w.inner.writes, 3, "one write per frame, length included");
         let mut expect = Vec::new();
-        append_frame(&mut expect, &Request::Snapshot.encode()).unwrap();
+        append_frame(&mut expect, &Request::MetricsSnapshot.encode()).unwrap();
         append_frame(
             &mut expect,
             &Response::Verdict(WireVerdict::Accept).encode(),

@@ -32,14 +32,16 @@
 //! | direction | message | purpose |
 //! |-----------|---------|---------|
 //! | → | [`Request::Hello`] | version handshake |
-//! | → | [`Request::Enroll`] | store `{scheme tag, helper, key digest}` |
+//! | → | [`Request::Enroll`] | enroll `{scheme tag, helper, key digest}` (the verifier keeps the helper's digest) |
 //! | → | [`Request::Authenticate`] | one nonce/tag attempt |
 //! | → | [`Request::BatchAuthenticate`] | many attempts, amortized locking |
 //! | → | [`Request::QueryVerdict`] | a device's flag state |
-//! | → | [`Request::Snapshot`] | `ropuf-verifier/v1` registry dump (legacy JSON) |
-//! | → | [`Request::SnapshotV2`] | `ropuf-verifier/v2` binary registry snapshot |
-//! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`], [`Response::SnapshotText`], [`Response::SnapshotBin`] | success answers |
+//! | → | [`Request::SnapshotV2`] | binary registry snapshot |
+//! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`], [`Response::SnapshotBin`] | success answers |
 //! | ← | [`Response::Error`] | typed failure ([`ErrorCode`]) — notably [`ErrorCode::DeviceFlagged`]: quarantined devices are rejected at the wire |
+//!
+//! Type bytes `0x06`/`0x86` (a JSON registry snapshot) are retired and
+//! decode as [`DecodeError::UnknownMessage`].
 //!
 //! # Example
 //!

@@ -27,7 +27,7 @@ mod ty {
     pub const AUTHENTICATE: u8 = 0x03;
     pub const BATCH_AUTHENTICATE: u8 = 0x04;
     pub const QUERY_VERDICT: u8 = 0x05;
-    pub const SNAPSHOT: u8 = 0x06;
+    // 0x06 (a JSON registry snapshot) is retired.
     pub const SNAPSHOT_V2: u8 = 0x07;
     pub const METRICS_SNAPSHOT: u8 = 0x08;
     pub const TRACE_DUMP: u8 = 0x09;
@@ -38,7 +38,7 @@ mod ty {
     pub const VERDICT: u8 = 0x83;
     pub const VERDICT_BATCH: u8 = 0x84;
     pub const FLAG_INFO: u8 = 0x85;
-    pub const SNAPSHOT_TEXT: u8 = 0x86;
+    // 0x86 (the JSON snapshot answer) is retired.
     pub const SNAPSHOT_BIN: u8 = 0x87;
     pub const METRICS_BIN: u8 = 0x88;
     pub const TRACE_BIN: u8 = 0x89;
@@ -311,10 +311,9 @@ pub enum Request {
         /// Device to look up.
         device_id: u64,
     },
-    /// Ask for a `ropuf-verifier/v1` registry snapshot.
-    Snapshot,
-    /// Ask for a `ropuf-verifier/v2` binary registry snapshot (the
-    /// compact, CRC-protected, flag-preserving format).
+    /// Ask for the binary registry snapshot (the compact,
+    /// CRC-protected, flag-preserving format the verifier's store
+    /// writes).
     SnapshotV2,
     /// Ask for a `ropuf-metrics/v1` telemetry snapshot covering every
     /// instrumented layer behind this connection (server + verifier).
@@ -361,7 +360,6 @@ impl Request {
             Request::QueryVerdict { device_id } => RequestRef::QueryVerdict {
                 device_id: *device_id,
             },
-            Request::Snapshot => RequestRef::Snapshot,
             Request::SnapshotV2 => RequestRef::SnapshotV2,
             Request::MetricsSnapshot => RequestRef::MetricsSnapshot,
             Request::TraceDump => RequestRef::TraceDump,
@@ -449,8 +447,6 @@ pub enum RequestRef<'a> {
         /// Device to look up.
         device_id: u64,
     },
-    /// See [`Request::Snapshot`].
-    Snapshot,
     /// See [`Request::SnapshotV2`].
     SnapshotV2,
     /// See [`Request::MetricsSnapshot`].
@@ -487,7 +483,6 @@ impl<'a> RequestRef<'a> {
                 items: items.iter().map(AuthItemRef::to_owned).collect(),
             },
             RequestRef::QueryVerdict { device_id } => Request::QueryVerdict { device_id },
-            RequestRef::Snapshot => Request::Snapshot,
             RequestRef::SnapshotV2 => Request::SnapshotV2,
             RequestRef::MetricsSnapshot => Request::MetricsSnapshot,
             RequestRef::TraceDump => Request::TraceDump,
@@ -534,7 +529,6 @@ impl<'a> RequestRef<'a> {
                 out.put_u8(ty::QUERY_VERDICT);
                 out.put_u64(*device_id);
             }
-            RequestRef::Snapshot => out.put_u8(ty::SNAPSHOT),
             RequestRef::SnapshotV2 => out.put_u8(ty::SNAPSHOT_V2),
             RequestRef::MetricsSnapshot => out.put_u8(ty::METRICS_SNAPSHOT),
             RequestRef::TraceDump => out.put_u8(ty::TRACE_DUMP),
@@ -577,7 +571,6 @@ impl<'a> RequestRef<'a> {
             ty::QUERY_VERDICT => RequestRef::QueryVerdict {
                 device_id: r.u64()?,
             },
-            ty::SNAPSHOT => RequestRef::Snapshot,
             ty::SNAPSHOT_V2 => RequestRef::SnapshotV2,
             ty::METRICS_SNAPSHOT => RequestRef::MetricsSnapshot,
             ty::TRACE_DUMP => RequestRef::TraceDump,
@@ -709,12 +702,7 @@ pub enum Response {
         /// device is enrolled and unflagged.
         flagged: Option<(u64, WireFlagReason)>,
     },
-    /// A `ropuf-verifier/v1` registry snapshot.
-    SnapshotText {
-        /// The snapshot JSON document.
-        json: String,
-    },
-    /// A `ropuf-verifier/v2` binary registry snapshot. The payload is
+    /// The binary registry snapshot. The payload is
     /// opaque to the wire layer — it is the self-validating (magic +
     /// version + CRC) blob the verifier's store module defines.
     SnapshotBin {
@@ -802,10 +790,6 @@ impl Response {
                     }
                 }
             }
-            Response::SnapshotText { json } => {
-                out.put_u8(ty::SNAPSHOT_TEXT);
-                out.put_bytes(json.as_bytes());
-            }
             Response::SnapshotBin { bytes } => {
                 out.put_u8(ty::SNAPSHOT_BIN);
                 out.put_bytes(bytes);
@@ -872,12 +856,9 @@ impl Response {
                     }
                 },
             },
-            ty::SNAPSHOT_TEXT => Response::SnapshotText {
+            ty::SNAPSHOT_BIN => Response::SnapshotBin {
                 // Snapshots may legitimately exceed MAX_BYTES; the
                 // frame-size cap is the allocation bound here.
-                json: r.string("snapshot", crate::frame::MAX_FRAME as usize)?,
-            },
-            ty::SNAPSHOT_BIN => Response::SnapshotBin {
                 bytes: r.bytes("snapshot_v2", crate::frame::MAX_FRAME as usize)?,
             },
             ty::METRICS_BIN => Response::MetricsBin {
@@ -943,7 +924,6 @@ mod tests {
                 ],
             },
             Request::QueryVerdict { device_id: 1 },
-            Request::Snapshot,
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
@@ -974,9 +954,6 @@ mod tests {
             Response::FlagInfo { flagged: None },
             Response::FlagInfo {
                 flagged: Some((77, WireFlagReason::FailureStreak)),
-            },
-            Response::SnapshotText {
-                json: "{\"schema\": \"ropuf-verifier/v1\"}".into(),
             },
             Response::SnapshotBin {
                 bytes: b"RPUFSNP2\x02\x00rest-is-opaque-here".to_vec(),
@@ -1011,6 +988,15 @@ mod tests {
             Request::decode(&[0x7F]),
             Err(DecodeError::UnknownMessage(0x7F))
         );
+        // The retired JSON snapshot pair decodes as unknown.
+        assert_eq!(
+            Request::decode(&[0x06]),
+            Err(DecodeError::UnknownMessage(0x06))
+        );
+        assert_eq!(
+            Response::decode(&[0x86, 0, 0, 0, 0]),
+            Err(DecodeError::UnknownMessage(0x86))
+        );
         assert_eq!(
             Response::decode(&[0x02, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(DecodeError::UnknownMessage(0x02)),
@@ -1020,7 +1006,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = Request::Snapshot.encode();
+        let mut bytes = Request::MetricsSnapshot.encode();
         bytes.push(0);
         assert_eq!(Request::decode(&bytes), Err(DecodeError::TrailingBytes(1)));
     }

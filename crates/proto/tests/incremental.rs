@@ -296,7 +296,7 @@ impl Read for Piece<'_> {
 #[test]
 fn pending_keeps_partial_header_and_payload_state() {
     // 2 header bytes, stall, 2 more, stall, then the payload.
-    let request = Request::Snapshot;
+    let request = Request::MetricsSnapshot;
     let wire = framed_stream(&[request.clone()]);
     let mut accum = FrameAccum::new();
     let mut fed = 0;
@@ -359,12 +359,12 @@ fn scratch_is_bounded_across_error_paths() {
 
     // And the accumulator still works after errors: a fresh valid
     // frame decodes normally.
-    let wire = framed_stream(&[Request::Snapshot]);
+    let wire = framed_stream(&[Request::MetricsSnapshot]);
     let mut src = &wire[..];
     assert_eq!(accum.poll(&mut src).unwrap(), FramePoll::Frame);
     assert_eq!(
         RequestRef::decode(accum.payload()).unwrap().into_owned(),
-        Request::Snapshot
+        Request::MetricsSnapshot
     );
 }
 
@@ -377,13 +377,16 @@ fn frame_reader_scratch_is_bounded_after_decode_errors() {
     let mut wire = Vec::new();
     ropuf_proto::append_frame(&mut wire, &garbage).unwrap();
     FrameWriter::new(&mut wire)
-        .write_request(&Request::Snapshot)
+        .write_request(&Request::MetricsSnapshot)
         .unwrap();
 
     let mut reader = FrameReader::new(&wire[..]);
     assert!(matches!(reader.read_request(), Err(FrameError::Decode(_))));
     // Next read consumes the bad frame's buffer and re-bounds it…
-    assert_eq!(reader.read_request().unwrap(), Some(Request::Snapshot));
+    assert_eq!(
+        reader.read_request().unwrap(),
+        Some(Request::MetricsSnapshot)
+    );
     assert!(
         reader.scratch_capacity() <= SCRATCH_RETAIN,
         "decode-error path retained {} bytes",
@@ -509,7 +512,7 @@ fn frame_reader_resumes_a_frame_after_a_read_timeout() {
             protocol: 1,
             client: "resumed-after-a-timeout".into(),
         },
-        Request::Snapshot,
+        Request::MetricsSnapshot,
     ];
     let wire = framed_stream(&requests);
     let cut = 9;

@@ -66,7 +66,7 @@ proptest! {
                 key_digest: [digest_fill; 32],
             },
             Request::QueryVerdict { device_id },
-            Request::Snapshot,
+            Request::LoopInfo,
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
@@ -127,7 +127,6 @@ proptest! {
             Response::VerdictBatch(shapes.iter().map(|&s| verdict_from(s)).collect()),
             Response::FlagInfo { flagged: None },
             Response::FlagInfo { flagged: Some((at, reason_from(reason_code))) },
-            Response::SnapshotText { json: text.clone() },
             Response::SnapshotBin { bytes: blob.clone() },
             Response::MetricsBin { bytes: blob.clone() },
             Response::TraceBin { bytes: blob.clone() },
@@ -165,7 +164,7 @@ proptest! {
                     .collect(),
             },
             Request::Hello { protocol: seed as u16, client: format!("c{seed}") },
-            Request::Snapshot,
+            Request::LoopInfo,
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,

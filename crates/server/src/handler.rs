@@ -201,22 +201,16 @@ impl RequestHandler for VerifierHandler {
                 })
             }
             RequestRef::QueryVerdict { device_id } => {
-                if self.verifier.registry().record(device_id).is_none() {
-                    return Response::Error {
+                match self.verifier.registry().enrolled_flag(device_id) {
+                    None => Response::Error {
                         code: ErrorCode::UnknownDevice,
                         detail: format!("device {device_id} is not enrolled"),
-                    };
-                }
-                Response::FlagInfo {
-                    flagged: self
-                        .verifier
-                        .flag_info(device_id)
-                        .map(|(at, reason)| (at, wire_reason(reason))),
+                    },
+                    Some(flag) => Response::FlagInfo {
+                        flagged: flag.map(|(at, reason)| (at, wire_reason(reason))),
+                    },
                 }
             }
-            RequestRef::Snapshot => Response::SnapshotText {
-                json: self.verifier.registry().snapshot_json(),
-            },
             RequestRef::SnapshotV2 => Response::SnapshotBin {
                 bytes: self.verifier.snapshot_v2(),
             },
@@ -443,20 +437,6 @@ mod tests {
                     verdicts[1],
                     WireVerdict::Flagged(WireFlagReason::MalformedHelper)
                 );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_is_served() {
-        let h = handler();
-        let device = provisioned(4);
-        enroll(&h, &device, 9);
-        match h.handle(Request::Snapshot) {
-            Response::SnapshotText { json } => {
-                assert!(json.contains("ropuf-verifier/v1"));
-                assert!(json.contains("\"device_id\": 9"));
             }
             other => panic!("unexpected {other:?}"),
         }

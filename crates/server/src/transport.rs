@@ -272,21 +272,9 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// A `ropuf-verifier/v1` registry snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Transport/shape failures.
-    pub fn snapshot(&mut self) -> Result<String, ClientError> {
-        match self.exchange(&Request::Snapshot)? {
-            Response::SnapshotText { json } => Ok(json),
-            _ => Err(ClientError::UnexpectedResponse("SnapshotText")),
-        }
-    }
-
-    /// A `ropuf-verifier/v2` binary registry snapshot — the compact,
-    /// CRC-protected, flag-preserving format; the bytes load directly
-    /// via `Verifier::from_snapshot_v2`.
+    /// The binary registry snapshot — the compact, CRC-protected,
+    /// flag-preserving format; the bytes load directly via
+    /// `Verifier::from_snapshot_v2`.
     ///
     /// # Errors
     ///
@@ -400,13 +388,6 @@ mod tests {
         let err = client.query_verdict(12345).unwrap_err();
         assert_eq!(err.error_code(), Some(ErrorCode::UnknownDevice));
         assert!(err.to_string().contains("12345"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_over_loopback() {
-        let mut client = loopback_client();
-        let json = client.snapshot().unwrap();
-        assert!(json.contains("ropuf-verifier/v1"));
     }
 
     #[test]

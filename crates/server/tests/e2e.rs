@@ -16,7 +16,8 @@ use ropuf_server::{
     Client, LoopbackTransport, RequestHandler, TcpServer, TcpTransport, TrafficPlan, TrafficSpec,
     VerifierHandler,
 };
-use ropuf_verifier::{DetectorConfig, Verifier};
+use ropuf_verifier::store::snapshot;
+use ropuf_verifier::{BatchEnrollment, DetectorConfig, FlagReason, Verifier};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,10 +125,18 @@ fn enroll_authenticate_and_flag_over_real_sockets() {
     );
     assert_eq!(second.query_verdict(10).unwrap(), None, "genuine unflagged");
 
-    // Snapshot travels the wire and names both devices.
-    let snapshot = second.snapshot().unwrap();
-    assert!(snapshot.contains("\"device_id\": 10"));
-    assert!(snapshot.contains("\"device_id\": 11"));
+    // The snapshot travels the wire, names both devices and carries
+    // the attacker's quarantine.
+    let snapshot = snapshot::decode(&second.snapshot_v2().unwrap()).unwrap();
+    let devices: Vec<(u64, Option<FlagReason>)> = snapshot
+        .devices
+        .iter()
+        .map(|d| (d.device_id, d.flag.map(|(_, reason)| reason)))
+        .collect();
+    assert_eq!(
+        devices,
+        [(10, None), (11, Some(FlagReason::HelperMismatch))]
+    );
 
     server.shutdown();
 }
@@ -156,9 +165,12 @@ fn concurrent_connections_share_one_registry() {
 
     let mut client = Client::new(TcpTransport::connect(addr).expect("connect"));
     client.hello("checker").unwrap();
-    let snapshot = client.snapshot().unwrap();
-    let enrolled = snapshot.matches("\"device_id\"").count();
-    assert_eq!(enrolled, 80, "all 4 connections' enrollments landed");
+    let snapshot = snapshot::decode(&client.snapshot_v2().unwrap()).unwrap();
+    assert_eq!(
+        snapshot.devices.len(),
+        80,
+        "all 4 connections' enrollments landed"
+    );
     server.shutdown();
 }
 
@@ -204,29 +216,28 @@ fn oversize_snapshot_is_a_typed_error_and_connection_survives() {
     let handler = Arc::new(VerifierHandler::new(Arc::clone(&verifier)));
     let server = TcpServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
 
-    // Enroll enough jumbo helpers that the snapshot JSON (hex doubles
-    // the helper bytes) exceeds the 4 MiB frame cap.
-    for id in 0..40u64 {
-        verifier
-            .registry()
-            .enroll(
-                id,
-                ropuf_verifier::EnrollmentRecord {
-                    scheme_tag: LISA_TAG,
-                    helper: vec![0xAB; 60 * 1024],
-                    key_digest: [1; 32],
-                },
-            )
-            .unwrap();
-    }
+    // A snapshot record is 74 bytes whatever the helper size, so the
+    // fleet itself must be large enough to pass the 4 MiB frame cap.
+    let devices = u64::from(ropuf_proto::MAX_FRAME) / 74 + 512;
+    let results = verifier.enroll_batch(
+        (0..devices)
+            .map(|id| BatchEnrollment {
+                device_id: id,
+                scheme_tag: LISA_TAG,
+                helper: vec![LISA_TAG, 1],
+                key_digest: [1; 32],
+            })
+            .collect(),
+    );
+    assert!(results.iter().all(Result::is_ok));
     assert!(
-        verifier.registry().snapshot_json().len() > ropuf_proto::MAX_FRAME as usize,
+        verifier.snapshot_v2().len() > ropuf_proto::MAX_FRAME as usize,
         "test precondition: snapshot must exceed the frame cap"
     );
 
     let mut client = Client::new(TcpTransport::connect(server.local_addr()).expect("connect"));
     client.hello("jumbo").unwrap();
-    let err = client.snapshot().unwrap_err();
+    let err = client.snapshot_v2().unwrap_err();
     assert_eq!(err.error_code(), Some(ErrorCode::ResponseTooLarge));
     // The connection is still frame-aligned and serviceable.
     assert_eq!(client.query_verdict(0).unwrap(), None);

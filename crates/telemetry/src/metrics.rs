@@ -15,7 +15,9 @@
 //! Latency histograms stripe a [`Histogram`] per cell behind a `Mutex`;
 //! with one writer per stripe in the common case the lock is
 //! uncontended, and a snapshot merges the stripes — exact, by the
-//! histogram's merge property.
+//! histogram's merge property. A stripe's ~15 KiB of buckets is
+//! allocated on its first record, so stripes no thread writes cost
+//! nothing to hold or to merge.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -179,7 +181,8 @@ impl fmt::Debug for Gauge {
 /// A striped, mergeable latency histogram (nanosecond samples).
 #[derive(Clone)]
 pub struct TimerHistogram {
-    stripes: Arc<[Mutex<Histogram>]>,
+    /// `None` until the stripe's first record.
+    stripes: Arc<[Mutex<Option<Histogram>>]>,
 }
 
 impl Default for TimerHistogram {
@@ -188,19 +191,17 @@ impl Default for TimerHistogram {
     }
 }
 
-fn unpoison(stripe: &Mutex<Histogram>) -> MutexGuard<'_, Histogram> {
+fn unpoison(stripe: &Mutex<Option<Histogram>>) -> MutexGuard<'_, Option<Histogram>> {
     // A histogram is valid after any interrupted record; poisoning
     // carries no information here.
     stripe.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl TimerHistogram {
-    /// An empty histogram.
+    /// An empty histogram; no stripe is allocated yet.
     pub fn new() -> Self {
         Self {
-            stripes: (0..HIST_STRIPES)
-                .map(|_| Mutex::new(Histogram::new()))
-                .collect(),
+            stripes: (0..HIST_STRIPES).map(|_| Mutex::new(None)).collect(),
         }
     }
 
@@ -209,17 +210,20 @@ impl TimerHistogram {
     /// record-duration critical section) if every stripe is busy.
     pub fn record(&self, value: u64) {
         let own = stripe_index() % HIST_STRIPES;
+        let record = |stripe: &mut Option<Histogram>| {
+            stripe.get_or_insert_with(Histogram::new).record(value);
+        };
         if let Ok(mut g) = self.stripes[own].try_lock() {
-            g.record(value);
+            record(&mut g);
             return;
         }
         for offset in 1..HIST_STRIPES {
             if let Ok(mut g) = self.stripes[(own + offset) % HIST_STRIPES].try_lock() {
-                g.record(value);
+                record(&mut g);
                 return;
             }
         }
-        unpoison(&self.stripes[own]).record(value);
+        record(&mut unpoison(&self.stripes[own]));
     }
 
     /// Records a [`Duration`] in nanoseconds (saturating).
@@ -227,19 +231,25 @@ impl TimerHistogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Merges every stripe into one exact [`Histogram`] — identical to
-    /// having recorded all samples into a single histogram.
+    /// Merges every written stripe into one exact [`Histogram`] —
+    /// identical to having recorded all samples into a single
+    /// histogram.
     pub fn merged(&self) -> Histogram {
         let mut out = Histogram::new();
         for stripe in self.stripes.iter() {
-            out.merge(&unpoison(stripe));
+            if let Some(h) = &*unpoison(stripe) {
+                out.merge(h);
+            }
         }
         out
     }
 
     /// Total samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.stripes.iter().map(|s| unpoison(s).count()).sum()
+        self.stripes
+            .iter()
+            .map(|s| unpoison(s).as_ref().map_or(0, Histogram::count))
+            .sum()
     }
 }
 
@@ -294,6 +304,20 @@ mod tests {
         assert_eq!(gauge.get(), 0);
         gauge.add(7);
         assert_eq!(gauge.get(), 7);
+    }
+
+    #[test]
+    fn histogram_stripes_allocate_on_first_record() {
+        let hist = TimerHistogram::new();
+        let written =
+            |h: &TimerHistogram| h.stripes.iter().filter(|s| unpoison(s).is_some()).count();
+        assert_eq!(written(&hist), 0);
+        assert_eq!(hist.merged().count(), 0);
+        hist.record(5);
+        hist.record(7);
+        assert_eq!(written(&hist), 1, "one thread writes one stripe");
+        assert_eq!(hist.count(), 2);
+        assert_eq!(hist.merged().count(), 2);
     }
 
     #[test]

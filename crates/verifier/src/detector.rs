@@ -8,9 +8,11 @@
 //! signals into one [`AuthVerdict`] per query, in the spirit of the
 //! evidence-combination calculi for belief functions:
 //!
-//! 1. **Helper integrity** — the presented helper blob is wire-format
-//!    reparsed for the enrolled scheme and digest-compared against the
-//!    enrolled bytes. Any mismatch is the strongest evidence the paper's
+//! 1. **Helper integrity** — the presented helper blob is
+//!    digest-compared against the enrolled helper's digest (the only
+//!    trace of the enrolled bytes the defender keeps) and, on a
+//!    mismatch, wire-format reparsed for the enrolled scheme to name
+//!    the reason. Any mismatch is the strongest evidence the paper's
 //!    attacks exist at all.
 //! 2. **Query-rate budget** — a sliding window over logical time; the
 //!    statistical attacks need hundreds of queries where a benign
@@ -31,8 +33,8 @@ use ropuf_constructions::{helper_digest, validate_helper, SanityPolicy};
 /// Why a device was flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlagReason {
-    /// The presented helper blob parses but differs from the enrolled
-    /// bytes.
+    /// The presented helper blob parses but its digest differs from
+    /// the enrolled helper's.
     HelperMismatch,
     /// The presented helper blob no longer parses for the enrolled
     /// scheme.
@@ -56,7 +58,7 @@ impl FlagReason {
     }
 
     /// Stable one-byte discriminant used by the durable storage layer
-    /// (`ropuf-verifier/v2` snapshots and WAL flag records). Matches
+    /// (snapshots and WAL flag records). Matches
     /// the `ropuf-wire/v1` `WireFlagReason` numbering.
     pub fn code(self) -> u8 {
         match self {
@@ -140,49 +142,132 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Online attack detector for one enrolled device.
-///
-/// `observe` consumes the defender-visible facts of one query —
-/// logical timestamp, presented helper bytes (when the gateway can read
-/// the device's NVM), and whether the response verified — and returns
-/// the combined verdict. Timestamps must be non-decreasing per device.
-#[derive(Debug, Clone)]
-pub struct DeviceDetector {
-    config: DetectorConfig,
-    scheme_tag: u8,
-    enrolled_digest: [u8; 32],
+/// A device's detector runtime state: the rate window, the failure
+/// streak and the quarantine latch. What the detector judges against —
+/// the thresholds, the scheme tag and the enrolled helper's digest — is
+/// passed in on each query, so a registry holds one [`DetectorConfig`]
+/// for every device and each entry holds only its own digest.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DetectorState {
     recent: VecDeque<u64>,
     consecutive_failures: u32,
     flagged: Option<(u64, FlagReason)>,
 }
 
-impl DeviceDetector {
-    /// Creates the detector for a device enrolled with `enrolled_helper`
-    /// under the scheme identified by `scheme_tag`.
-    pub fn new(config: DetectorConfig, scheme_tag: u8, enrolled_helper: &[u8]) -> Self {
-        Self {
-            config,
-            scheme_tag,
-            enrolled_digest: helper_digest(enrolled_helper),
-            recent: VecDeque::new(),
-            consecutive_failures: 0,
-            flagged: None,
-        }
-    }
-
+impl DetectorState {
     /// `(timestamp, reason)` of the first flag, once flagged.
-    pub fn flagged(&self) -> Option<(u64, FlagReason)> {
+    pub(crate) fn flagged(&self) -> Option<(u64, FlagReason)> {
         self.flagged
     }
 
     /// Re-latches a flag recorded by the durable storage layer, so a
     /// recovered registry quarantines exactly the devices the crashed
     /// process had quarantined. First flag wins, like the live latch:
-    /// restoring onto an already-flagged detector is a no-op.
-    pub fn restore_flag(&mut self, at: u64, reason: FlagReason) {
+    /// restoring onto an already-flagged device is a no-op.
+    pub(crate) fn restore_flag(&mut self, at: u64, reason: FlagReason) {
         if self.flagged.is_none() {
             self.flagged = Some((at, reason));
         }
+    }
+
+    /// Judges one query of a device enrolled under `scheme_tag` with a
+    /// helper whose digest is `enrolled_digest` (see
+    /// [`DeviceDetector::observe`]).
+    pub(crate) fn observe(
+        &mut self,
+        config: &DetectorConfig,
+        scheme_tag: u8,
+        enrolled_digest: &[u8; 32],
+        now: u64,
+        presented_helper: Option<&[u8]>,
+        auth_ok: bool,
+    ) -> AuthVerdict {
+        // Quarantine latch: a flagged device stays flagged.
+        if let Some((_, reason)) = self.flagged {
+            return AuthVerdict::Flagged(reason);
+        }
+
+        // Signal 1: helper integrity (digest compare + wire reparse).
+        if config.integrity_check {
+            if let Some(helper) = presented_helper {
+                if helper_digest(helper) != *enrolled_digest {
+                    let reason =
+                        if validate_helper(scheme_tag, helper, SanityPolicy::Lenient).is_err() {
+                            FlagReason::MalformedHelper
+                        } else {
+                            FlagReason::HelperMismatch
+                        };
+                    return self.flag(now, reason);
+                }
+            }
+        }
+
+        // Signal 2: sliding-window query-rate budget.
+        while self
+            .recent
+            .front()
+            .is_some_and(|&t| t + config.rate_window <= now)
+        {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(now);
+        if self.recent.len() > config.rate_budget as usize {
+            return self.flag(now, FlagReason::RateBudget);
+        }
+
+        // Signal 3: consecutive-failure streak.
+        if auth_ok {
+            self.consecutive_failures = 0;
+            AuthVerdict::Accept
+        } else {
+            self.consecutive_failures += 1;
+            if self.consecutive_failures >= config.failure_streak {
+                self.flag(now, FlagReason::FailureStreak)
+            } else {
+                AuthVerdict::Reject
+            }
+        }
+    }
+
+    fn flag(&mut self, now: u64, reason: FlagReason) -> AuthVerdict {
+        self.flagged = Some((now, reason));
+        AuthVerdict::Flagged(reason)
+    }
+}
+
+/// Online attack detector for one enrolled device.
+///
+/// `observe` consumes the defender-visible facts of one query —
+/// logical timestamp, presented helper bytes (when the gateway can read
+/// the device's NVM), and whether the response verified — and returns
+/// the combined verdict. Timestamps must be non-decreasing per device.
+///
+/// The registry runs the same detector on its entries' state with one
+/// shared config; this standalone form carries its own.
+#[derive(Debug, Clone)]
+pub struct DeviceDetector {
+    config: DetectorConfig,
+    scheme_tag: u8,
+    enrolled_digest: [u8; 32],
+    state: DetectorState,
+}
+
+impl DeviceDetector {
+    /// Creates the detector for a device enrolled with `enrolled_helper`
+    /// under the scheme identified by `scheme_tag`. Only the helper's
+    /// digest is kept.
+    pub fn new(config: DetectorConfig, scheme_tag: u8, enrolled_helper: &[u8]) -> Self {
+        Self {
+            config,
+            scheme_tag,
+            enrolled_digest: helper_digest(enrolled_helper),
+            state: DetectorState::default(),
+        }
+    }
+
+    /// `(timestamp, reason)` of the first flag, once flagged.
+    pub fn flagged(&self) -> Option<(u64, FlagReason)> {
+        self.state.flagged()
     }
 
     /// Judges one query. `presented_helper` is the device's current
@@ -195,57 +280,14 @@ impl DeviceDetector {
         presented_helper: Option<&[u8]>,
         auth_ok: bool,
     ) -> AuthVerdict {
-        // Quarantine latch: a flagged device stays flagged.
-        if let Some((_, reason)) = self.flagged {
-            return AuthVerdict::Flagged(reason);
-        }
-
-        // Signal 1: helper integrity (digest compare + wire reparse).
-        if self.config.integrity_check {
-            if let Some(helper) = presented_helper {
-                if helper_digest(helper) != self.enrolled_digest {
-                    let reason = if validate_helper(self.scheme_tag, helper, SanityPolicy::Lenient)
-                        .is_err()
-                    {
-                        FlagReason::MalformedHelper
-                    } else {
-                        FlagReason::HelperMismatch
-                    };
-                    return self.flag(now, reason);
-                }
-            }
-        }
-
-        // Signal 2: sliding-window query-rate budget.
-        while self
-            .recent
-            .front()
-            .is_some_and(|&t| t + self.config.rate_window <= now)
-        {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(now);
-        if self.recent.len() > self.config.rate_budget as usize {
-            return self.flag(now, FlagReason::RateBudget);
-        }
-
-        // Signal 3: consecutive-failure streak.
-        if auth_ok {
-            self.consecutive_failures = 0;
-            AuthVerdict::Accept
-        } else {
-            self.consecutive_failures += 1;
-            if self.consecutive_failures >= self.config.failure_streak {
-                self.flag(now, FlagReason::FailureStreak)
-            } else {
-                AuthVerdict::Reject
-            }
-        }
-    }
-
-    fn flag(&mut self, now: u64, reason: FlagReason) -> AuthVerdict {
-        self.flagged = Some((now, reason));
-        AuthVerdict::Flagged(reason)
+        self.state.observe(
+            &self.config,
+            self.scheme_tag,
+            &self.enrolled_digest,
+            now,
+            presented_helper,
+            auth_ok,
+        )
     }
 }
 

@@ -13,30 +13,28 @@
 //!
 //! # Pieces
 //!
-//! * [`registry`] — [`ShardedRegistry`]: device-id → [`EnrollmentRecord`]
-//!   `{scheme tag, helper bytes, key digest}`, hashed across N shards
+//! * [`registry`] — [`ShardedRegistry`]: device-id → [`StoredRecord`]
+//!   `{scheme tag, helper digest, key digest}`, hashed across N shards
 //!   with per-shard locks so concurrent enrollment and authentication
-//!   scale across threads. Entries live in per-shard slabs indexed by
-//!   compact `u32` handles. Snapshots save as `ropuf-verifier/v2`
-//!   binary ([`ShardedRegistry::snapshot_v2`]); the legacy
-//!   `ropuf-verifier/v1` JSON format still loads.
-//! * [`store`] — the durable storage layer: the v2 binary snapshot
+//!   scale across threads. Enrollment takes an [`EnrollmentRecord`]
+//!   and keeps only the helper's digest. Entries live in per-shard
+//!   chunked slabs indexed by compact `u32` handles. Snapshots save as
+//!   binary ([`ShardedRegistry::snapshot_v2`]).
+//! * [`store`] — the durable storage layer: the binary snapshot
 //!   codec, the CRC-framed write-ahead log of enrollments and flag
 //!   transitions, fsync'd segment rotation, compaction, and
 //!   crash-recovery replay ([`store::recover`]). Opened through
 //!   [`Verifier::open_durable`].
 //! * [`detector`] — [`DeviceDetector`]: the per-device online attack
 //!   detector combining three weak signals into one [`AuthVerdict`] —
-//!   a helper-data integrity check against the enrolled blob
-//!   (wire-format reparse + digest compare), a sliding-window
+//!   a helper-data integrity check against the enrolled blob's digest
+//!   (digest compare + wire-format reparse), a sliding-window
 //!   query-rate budget, and a consecutive-failure counter.
 //! * [`service`] — [`Verifier`]: the authentication service API,
 //!   [`Verifier::authenticate`] plus the batched
 //!   [`Verifier::authenticate_batch`] variant, serving mixed fleets of
 //!   all four constructions; also the client-side helpers that turn a
 //!   [`Device`](ropuf_constructions::Device) into verifier traffic.
-//! * [`json`] — the minimal JSON reader the snapshot loader uses (the
-//!   offline crate set has no `serde`).
 //!
 //! # Authentication protocol
 //!
@@ -86,15 +84,13 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-pub mod json;
 pub mod registry;
 pub mod service;
 pub mod store;
 
 pub use detector::{AuthVerdict, DetectorConfig, DeviceDetector, FlagReason};
 pub use registry::{
-    shard_for, DeviceHandle, EnrollmentRecord, RegistryError, ShardedRegistry, SnapshotError,
-    SCHEMA,
+    shard_for, DeviceHandle, EnrollmentRecord, RegistryError, ShardedRegistry, StoredRecord,
 };
 pub use service::{
     auth_key, client_tag, device_auth_response, AuthQuery, AuthRequest, BatchEnrollment,

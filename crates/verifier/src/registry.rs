@@ -1,38 +1,36 @@
 //! The sharded enrollment registry.
 //!
-//! One record per enrolled device: `{scheme tag, helper bytes, key
-//! digest}`. Records are hashed across N shards, each behind its own
-//! lock, so concurrent enrollment and authentication scale across
-//! threads instead of serializing on one registry-wide mutex — the
-//! ROADMAP's "heavy traffic from millions of users" shape. Each entry
-//! also carries its device's [`DeviceDetector`] runtime state, so one
-//! shard lock covers a whole authenticate step (lookup + detect).
+//! One [`StoredRecord`] per enrolled device: `{scheme tag, helper
+//! digest, key digest}`. Enrollment takes the helper blob
+//! ([`EnrollmentRecord`]), digests it and drops it: the detector judges
+//! a presented helper against the enrolled digest only, which is the
+//! paper's countermeasure (helper-data integrity) and all that serving
+//! and recovery read. Records are hashed across N shards, each behind
+//! its own lock, so concurrent enrollment and authentication scale
+//! across threads instead of serializing on one registry-wide mutex.
+//! Each entry also carries its device's detector runtime state, so one
+//! shard lock covers a whole authenticate step (lookup + detect); the
+//! detector thresholds ([`DetectorConfig`]) are held once per registry.
 //!
-//! # Entry layout: slab + compact handles
+//! # Entry layout: chunked slab + compact handles
 //!
 //! A shard is **not** a `HashMap<u64, DeviceEntry>`. Entries live in a
-//! contiguous per-shard slab (`Vec<DeviceEntry>`) indexed by a compact
-//! `u32` [`DeviceHandle`], and a side map resolves device id → handle.
-//! The hot auth path resolves the handle once and then works on the
-//! slab slot; at fleet scale (the ROADMAP's 10M-device target) this
-//! keeps the id map small and dense — 12 bytes of key material per
-//! device instead of a map entry dragging the whole ~300-byte record +
-//! detector around — and gives batched authentication cache-friendly
-//! sequential slab walks instead of pointer-chasing a big map.
+//! per-shard slab indexed by a compact `u32` [`DeviceHandle`], and a
+//! side map resolves device id → handle. The slab grows in fixed-size
+//! chunks of [`SLAB_CHUNK`] entries, so growth never copies the entries
+//! already stored (a doubling `Vec` would briefly hold two copies of
+//! the shard, under its lock). The hot auth path resolves the handle
+//! once and then works on the slab slot; the id map stays small and
+//! dense — 12 bytes of key material per device instead of a map entry
+//! dragging the ~190-byte entry around — and batched authentication
+//! walks the slab instead of pointer-chasing a big map.
 //!
 //! # Persistence
 //!
-//! Two snapshot formats and a write-ahead log:
-//!
-//! * `ropuf-verifier/v1` — the legacy hand-rolled JSON snapshot
-//!   ([`ShardedRegistry::snapshot_json`] /
-//!   [`ShardedRegistry::from_snapshot`]). Still loads; **new saves
-//!   should emit v2** (see [`crate::store`]), and
-//!   [`ShardedRegistry::load_snapshot_auto`] sniffs either format, so
-//!   migration is "load whatever you have, save v2".
-//! * `ropuf-verifier/v2` — the length-prefixed, CRC-protected binary
-//!   format in [`crate::store::snapshot`], which also persists flag
-//!   state (v1 silently reset detectors on load).
+//! * Snapshots — the length-prefixed, CRC-protected binary format in
+//!   [`crate::store::snapshot`] ([`ShardedRegistry::snapshot_v2`] /
+//!   [`ShardedRegistry::from_snapshot_v2`]), which persists the stored
+//!   records and the flag state.
 //! * The WAL ([`crate::store::wal`]) — when a registry is opened
 //!   durably ([`crate::Verifier::open_durable`]), every enrollment and
 //!   every flag transition is appended to an fsync-rotated segment log
@@ -44,22 +42,21 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use ropuf_constructions::scheme_name_of_tag;
+use ropuf_constructions::helper_digest;
 use ropuf_hash::HmacKey;
 use ropuf_numeric::splitmix64 as mix;
 
-use crate::detector::{DetectorConfig, DeviceDetector, FlagReason};
-use crate::json::{self, JsonValue};
-use crate::store::snapshot::{self, SnapshotV2Error};
+use crate::detector::{AuthVerdict, DetectorConfig, DetectorState, FlagReason};
+use crate::store::snapshot::{self, SnapshotDevice, SnapshotV2Error};
 use crate::store::DeviceStore;
-
-/// Version tag embedded in every v1 (JSON) registry snapshot.
-pub const SCHEMA: &str = "ropuf-verifier/v1";
 
 /// Largest shard count a snapshot may request — a hard cap against
 /// resource exhaustion via a forged `shards` field (snapshots are
 /// operator-supplied input, same rationale as `wire::MAX_COUNT`).
 pub const MAX_SHARDS: u64 = 1 << 16;
+
+/// Entries per slab chunk: a shard's slab grows one chunk at a time.
+pub const SLAB_CHUNK: usize = 256;
 
 /// Compact per-shard slab index of an enrolled device. Stable for the
 /// life of the registry (devices are never evicted), so hot paths can
@@ -80,19 +77,46 @@ pub fn shard_for(device_id: u64, shards: usize) -> usize {
     (mix(device_id) % shards as u64) as usize
 }
 
-/// What the defender stores per enrolled device.
+/// What a device is enrolled with: the input to
+/// [`ShardedRegistry::enroll`] and [`ShardedRegistry::enroll_batch`].
 ///
 /// The `key_digest` is the derived verification credential (see the
 /// crate-level protocol notes) — the registry never holds the PUF
-/// master key itself.
+/// master key itself. The helper blob is digested at enrollment and
+/// not kept: what the registry stores is a [`StoredRecord`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnrollmentRecord {
     /// Wire tag of the scheme the device was enrolled under.
     pub scheme_tag: u8,
-    /// The helper blob as enrolled (integrity reference).
+    /// The helper blob as enrolled (digested into the integrity
+    /// reference).
     pub helper: Vec<u8>,
     /// SHA-256 of the enrolled key bytes — the HMAC verification key.
     pub key_digest: [u8; 32],
+}
+
+/// What the registry stores, snapshots and logs per enrolled device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredRecord {
+    /// Wire tag of the scheme the device was enrolled under.
+    pub scheme_tag: u8,
+    /// Digest of the enrolled helper blob
+    /// ([`ropuf_constructions::helper_digest`]) — the integrity
+    /// reference a presented helper is checked against.
+    pub helper_digest: [u8; 32],
+    /// SHA-256 of the enrolled key bytes — the HMAC verification key.
+    pub key_digest: [u8; 32],
+}
+
+impl From<&EnrollmentRecord> for StoredRecord {
+    /// Digests the helper blob.
+    fn from(record: &EnrollmentRecord) -> Self {
+        Self {
+            scheme_tag: record.scheme_tag,
+            helper_digest: helper_digest(&record.helper),
+            key_digest: record.key_digest,
+        }
+    }
 }
 
 /// Registry operation errors.
@@ -122,85 +146,86 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// Snapshot load errors (v1 JSON; v2 loads report
-/// [`SnapshotV2Error`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotError {
-    /// The document is not valid JSON.
-    Json(String),
-    /// The document parses but violates the `ropuf-verifier/v1` shape.
-    Schema(&'static str),
-    /// A hex field failed to decode.
-    Hex(&'static str),
-    /// Two devices share an id.
-    Duplicate(u64),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Json(e) => write!(f, "snapshot is not valid JSON: {e}"),
-            SnapshotError::Schema(what) => write!(f, "snapshot schema violation: {what}"),
-            SnapshotError::Hex(field) => write!(f, "snapshot field {field} is not valid hex"),
-            SnapshotError::Duplicate(id) => write!(f, "snapshot enrolls device {id} twice"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// One slab entry: the durable record plus the device's detector
+/// One slab entry: the stored record plus the device's detector
 /// runtime state, co-located so a single shard lock covers an entire
 /// authenticate step. Also caches the precomputed HMAC key schedule
 /// ([`HmacKey`]) of the stored credential, so serving an
 /// authentication never re-derives it — tag verification is two
-/// midstate clones per request instead of a full key schedule.
+/// midstate clones per request instead of a full key schedule. The
+/// `key_digest` stays beside it because snapshots persist it and the
+/// midstates cannot be inverted to recover it.
 #[derive(Debug, Clone)]
 pub(crate) struct DeviceEntry {
     pub(crate) device_id: u64,
-    pub(crate) record: EnrollmentRecord,
-    pub(crate) detector: DeviceDetector,
+    pub(crate) record: StoredRecord,
     pub(crate) hmac_key: HmacKey,
+    pub(crate) detector: DetectorState,
 }
 
 impl DeviceEntry {
-    /// Builds the entry, deriving the detector and the cached HMAC
-    /// midstates from the record. The only place the key schedule is
-    /// computed — everything after enrollment clones midstates.
+    /// Builds the entry, deriving the cached HMAC midstates from the
+    /// record — the only place the key schedule is computed.
     /// `restored_flag` re-latches a flag recovered from durable
     /// storage.
     pub(crate) fn new(
         device_id: u64,
-        record: EnrollmentRecord,
-        config: DetectorConfig,
+        record: StoredRecord,
         restored_flag: Option<(u64, FlagReason)>,
     ) -> Self {
-        let mut detector = DeviceDetector::new(config, record.scheme_tag, &record.helper);
+        let mut detector = DetectorState::default();
         if let Some((at, reason)) = restored_flag {
             detector.restore_flag(at, reason);
         }
-        let hmac_key = HmacKey::new(&record.key_digest);
         Self {
             device_id,
+            hmac_key: HmacKey::new(&record.key_digest),
             record,
             detector,
-            hmac_key,
         }
+    }
+
+    /// Feeds one query to the device's detector. The second element is
+    /// `Some((at, reason))` exactly when this query latched the flag,
+    /// which is what the durable layer records in the WAL. (The verdict
+    /// alone cannot tell — a quarantined device answers `Flagged` on
+    /// every query.)
+    pub(crate) fn observe(
+        &mut self,
+        config: &DetectorConfig,
+        now: u64,
+        presented_helper: Option<&[u8]>,
+        auth_ok: bool,
+    ) -> (AuthVerdict, Option<(u64, FlagReason)>) {
+        let before = self.detector.flagged().is_some();
+        let verdict = self.detector.observe(
+            config,
+            self.record.scheme_tag,
+            &self.record.helper_digest,
+            now,
+            presented_helper,
+            auth_ok,
+        );
+        let newly = if before {
+            None
+        } else {
+            self.detector.flagged()
+        };
+        (verdict, newly)
     }
 }
 
-/// One shard: the entry slab plus the id → handle index. Entries sit
-/// contiguously in enrollment order; the index map carries only
-/// `(u64, u32)` pairs.
+/// One shard: the chunked entry slab plus the id → handle index.
+/// Entries sit in enrollment order, handle `h` in chunk
+/// `h / SLAB_CHUNK`; the index map carries only `(u64, u32)` pairs.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    slots: Vec<DeviceEntry>,
+    chunks: Vec<Vec<DeviceEntry>>,
     index: HashMap<u64, DeviceHandle>,
 }
 
 impl Shard {
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 
     /// Resolves a device id to its slab handle.
@@ -210,7 +235,8 @@ impl Shard {
 
     /// Direct slab access by handle (the post-resolution hot path).
     pub(crate) fn entry_at(&mut self, handle: DeviceHandle) -> &mut DeviceEntry {
-        &mut self.slots[handle as usize]
+        let h = handle as usize;
+        &mut self.chunks[h / SLAB_CHUNK][h % SLAB_CHUNK]
     }
 
     /// Resolve + index in one step.
@@ -223,25 +249,32 @@ impl Shard {
         self.index.contains_key(&device_id)
     }
 
-    /// Appends an entry to the slab and indexes it. The caller has
-    /// already rejected duplicates.
+    /// Appends an entry to the slab and indexes it, opening a new chunk
+    /// when the last one is full. The caller has already rejected
+    /// duplicates.
     fn insert(&mut self, entry: DeviceEntry) -> DeviceHandle {
-        let handle =
-            DeviceHandle::try_from(self.slots.len()).expect("shard slab exceeds u32 handles");
+        let len = self.index.len();
+        let handle = DeviceHandle::try_from(len).expect("shard slab exceeds u32 handles");
+        if len.is_multiple_of(SLAB_CHUNK) {
+            self.chunks.push(Vec::with_capacity(SLAB_CHUNK));
+        }
         self.index.insert(entry.device_id, handle);
-        self.slots.push(entry);
+        self.chunks
+            .last_mut()
+            .expect("a chunk with room")
+            .push(entry);
         handle
     }
 
     /// Iterates the slab in enrollment order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &DeviceEntry> {
-        self.slots.iter()
+        self.chunks.iter().flatten()
     }
 }
 
-/// Device-id → [`EnrollmentRecord`] map, hashed across N independently
-/// locked shards, each a slab of entries indexed by compact `u32`
-/// handles.
+/// Device-id → [`StoredRecord`] map, hashed across N independently
+/// locked shards, each a chunked slab of entries indexed by compact
+/// `u32` handles.
 #[derive(Debug)]
 pub struct ShardedRegistry {
     shards: Vec<Mutex<Shard>>,
@@ -251,8 +284,7 @@ pub struct ShardedRegistry {
 
 impl ShardedRegistry {
     /// Creates an empty registry with `shards` shards (`0` is promoted
-    /// to 1). Every enrolled device gets a [`DeviceDetector`] built
-    /// from `detector_config`.
+    /// to 1). Every enrolled device is judged with `detector_config`.
     pub fn new(shards: usize, detector_config: DetectorConfig) -> Self {
         let n = shards.max(1);
         Self {
@@ -278,7 +310,7 @@ impl ShardedRegistry {
         self.shards.len()
     }
 
-    /// The detector thresholds new enrollments receive.
+    /// The detector thresholds every enrolled device is judged with.
     pub fn detector_config(&self) -> DetectorConfig {
         self.detector_config
     }
@@ -288,8 +320,15 @@ impl ShardedRegistry {
         shard_for(device_id, self.shards.len())
     }
 
-    /// Enrolls a device. When a durable store is attached, the
-    /// enrollment record hits the WAL **before** the in-memory state
+    fn lock(&self, shard_index: usize) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[shard_index]
+            .lock()
+            .expect("shard lock poisoned")
+    }
+
+    /// Enrolls a device. The helper is digested and dropped before the
+    /// shard lock is taken. When a durable store is attached, the
+    /// stored record hits the WAL **before** the in-memory state
     /// (write-ahead): a crash either shows the device in the log or
     /// never acknowledged it.
     ///
@@ -304,20 +343,16 @@ impl ShardedRegistry {
     /// Panics if the shard lock is poisoned (a previous holder
     /// panicked).
     pub fn enroll(&self, device_id: u64, record: EnrollmentRecord) -> Result<(), RegistryError> {
-        let entry = DeviceEntry::new(device_id, record, self.detector_config, None);
-        let mut shard = self.shards[self.shard_of(device_id)]
-            .lock()
-            .expect("shard lock poisoned");
-        if shard.contains(device_id) {
-            return Err(RegistryError::Duplicate { device_id });
-        }
-        if let Some(store) = &self.store {
-            store
-                .log_enrolls(std::iter::once((device_id, &entry.record)))
-                .map_err(|e| RegistryError::Storage(e.to_string()))?;
-        }
-        shard.insert(entry);
-        Ok(())
+        self.enroll_stored(device_id, StoredRecord::from(&record))
+    }
+
+    /// [`ShardedRegistry::enroll`] from an already digested record.
+    pub(crate) fn enroll_stored(
+        &self,
+        device_id: u64,
+        record: StoredRecord,
+    ) -> Result<(), RegistryError> {
+        self.insert_one(DeviceEntry::new(device_id, record, None), true)
     }
 
     /// Inserts a device recovered from durable storage: no WAL append
@@ -326,15 +361,24 @@ impl ShardedRegistry {
     pub(crate) fn enroll_recovered(
         &self,
         device_id: u64,
-        record: EnrollmentRecord,
+        record: StoredRecord,
         flag: Option<(u64, FlagReason)>,
     ) -> Result<(), RegistryError> {
-        let entry = DeviceEntry::new(device_id, record, self.detector_config, flag);
-        let mut shard = self.shards[self.shard_of(device_id)]
-            .lock()
-            .expect("shard lock poisoned");
+        self.insert_one(DeviceEntry::new(device_id, record, flag), false)
+    }
+
+    /// Inserts a built entry under its shard lock, write-ahead logging
+    /// it first when `log` is set and a store is attached.
+    fn insert_one(&self, entry: DeviceEntry, log: bool) -> Result<(), RegistryError> {
+        let device_id = entry.device_id;
+        let mut shard = self.lock(self.shard_of(device_id));
         if shard.contains(device_id) {
             return Err(RegistryError::Duplicate { device_id });
+        }
+        if let Some(store) = self.store.as_ref().filter(|_| log) {
+            store
+                .log_enrolls(std::iter::once((device_id, entry.record)))
+                .map_err(|e| RegistryError::Storage(e.to_string()))?;
         }
         shard.insert(entry);
         Ok(())
@@ -350,6 +394,12 @@ impl ShardedRegistry {
     /// durable store attached, each shard's accepted records are
     /// written ahead in one WAL append batch.
     ///
+    /// Every helper is digested first, in input order, and freed as it
+    /// is digested (in allocation order, so the frees coalesce cheaply).
+    /// Entries are then built and inserted one shard at a time, each
+    /// shard's outside its lock: the call never stages more than one
+    /// shard's new entries.
+    ///
     /// # Panics
     ///
     /// Panics if a shard lock is poisoned (a previous holder panicked).
@@ -357,27 +407,16 @@ impl ShardedRegistry {
         &self,
         entries: Vec<(u64, EnrollmentRecord)>,
     ) -> Vec<Result<(), RegistryError>> {
-        let mut results: Vec<Result<(), RegistryError>> = Vec::with_capacity(entries.len());
-        results.resize_with(entries.len(), || Ok(()));
+        let records: Vec<(u64, StoredRecord)> = entries
+            .into_iter()
+            .map(|(device_id, record)| (device_id, StoredRecord::from(&record)))
+            .collect();
+        let mut results: Vec<Result<(), RegistryError>> = vec![Ok(()); records.len()];
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count()];
-        for (i, (device_id, _)) in entries.iter().enumerate() {
+        for (i, (device_id, _)) in records.iter().enumerate() {
             buckets[self.shard_of(*device_id)].push(i);
         }
-        // Build the entries (helper digest + HMAC key schedule) *before*
-        // taking any shard lock, like the sequential path — concurrent
-        // serving traffic must not stall behind a bulk load.
-        let mut entries: Vec<Option<DeviceEntry>> = entries
-            .into_iter()
-            .map(|(device_id, record)| {
-                Some(DeviceEntry::new(
-                    device_id,
-                    record,
-                    self.detector_config,
-                    None,
-                ))
-            })
-            .collect();
-        let mut accepted: Vec<usize> = Vec::new();
+        let mut staged: Vec<(usize, DeviceEntry)> = Vec::new();
         // Ids accepted so far in the current shard's batch: the first
         // occurrence wins, later ones are duplicates. Default hasher,
         // since the ids come from outside the program.
@@ -386,37 +425,40 @@ impl ShardedRegistry {
             if indices.is_empty() {
                 continue;
             }
-            accepted.clear();
+            // Build this shard's entries (HMAC key schedules) *before*
+            // taking its lock, like the sequential path — concurrent
+            // serving traffic must not stall behind a bulk load.
+            staged.clear();
+            staged.extend(indices.iter().map(|&i| {
+                let (device_id, record) = records[i];
+                (i, DeviceEntry::new(device_id, record, None))
+            }));
             batch_ids.clear();
             batch_ids.reserve(indices.len());
-            let mut shard = self.shards[shard_index]
-                .lock()
-                .expect("shard lock poisoned");
-            for &i in indices {
-                let device_id = entries[i].as_ref().expect("entry pending").device_id;
+            let mut shard = self.lock(shard_index);
+            staged.retain(|(i, entry)| {
+                let device_id = entry.device_id;
                 if shard.contains(device_id) || !batch_ids.insert(device_id) {
-                    results[i] = Err(RegistryError::Duplicate { device_id });
-                    continue;
+                    results[*i] = Err(RegistryError::Duplicate { device_id });
+                    return false;
                 }
-                accepted.push(i);
-            }
+                true
+            });
             // Write-ahead: the whole shard batch is logged in one WAL
             // append before any of it becomes visible.
             if let Some(store) = &self.store {
-                let log = store.log_enrolls(accepted.iter().map(|&i| {
-                    let e = entries[i].as_ref().expect("entry pending");
-                    (e.device_id, &e.record)
-                }));
+                let log = store.log_enrolls(staged.iter().map(|(_, e)| (e.device_id, e.record)));
                 if let Err(e) = log {
                     let msg = e.to_string();
-                    for &i in &accepted {
-                        results[i] = Err(RegistryError::Storage(msg.clone()));
+                    for (i, _) in &staged {
+                        results[*i] = Err(RegistryError::Storage(msg.clone()));
                     }
                     continue;
                 }
             }
-            for &i in &accepted {
-                shard.insert(entries[i].take().expect("each entry consumed once"));
+            shard.index.reserve(staged.len());
+            for (_, entry) in staged.drain(..) {
+                shard.insert(entry);
             }
         }
         results
@@ -424,10 +466,7 @@ impl ShardedRegistry {
 
     /// Total enrolled devices (locks every shard once).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").len())
-            .sum()
+        self.shard_lens().into_iter().sum()
     }
 
     /// `true` when no device is enrolled.
@@ -438,10 +477,7 @@ impl ShardedRegistry {
     /// Enrolled devices per shard, in shard order (locks each shard
     /// once) — the source for the `verifier.registry.entries` gauges.
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").len())
-            .collect()
+        (0..self.shards.len()).map(|i| self.lock(i).len()).collect()
     }
 
     /// Runs `f` on the device's entry under its shard lock.
@@ -450,19 +486,15 @@ impl ShardedRegistry {
         device_id: u64,
         f: impl FnOnce(&mut DeviceEntry) -> R,
     ) -> Option<R> {
-        let mut shard = self.shards[self.shard_of(device_id)]
-            .lock()
-            .expect("shard lock poisoned");
-        shard.get_mut(device_id).map(f)
+        self.lock(self.shard_of(device_id))
+            .get_mut(device_id)
+            .map(f)
     }
 
     /// Grants `f` direct access to one locked shard (the batched
     /// authentication path locks each shard once per batch).
     pub(crate) fn with_shard<R>(&self, shard_index: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
-        let mut shard = self.shards[shard_index]
-            .lock()
-            .expect("shard lock poisoned");
-        f(&mut shard)
+        f(&mut self.lock(shard_index))
     }
 
     /// Appends a flag transition to the WAL, best-effort: serving must
@@ -475,9 +507,9 @@ impl ShardedRegistry {
         }
     }
 
-    /// Copy of a device's enrollment record.
-    pub fn record(&self, device_id: u64) -> Option<EnrollmentRecord> {
-        self.with_entry(device_id, |e| e.record.clone())
+    /// A device's stored record.
+    pub fn record(&self, device_id: u64) -> Option<StoredRecord> {
+        self.with_entry(device_id, |e| e.record)
     }
 
     /// The compact slab handle a device id resolves to inside its
@@ -485,25 +517,29 @@ impl ShardedRegistry {
     /// the registry.
     pub fn handle(&self, device_id: u64) -> Option<(usize, DeviceHandle)> {
         let shard_index = self.shard_of(device_id);
-        let shard = self.shards[shard_index]
-            .lock()
-            .expect("shard lock poisoned");
-        shard.handle_of(device_id).map(|h| (shard_index, h))
+        self.lock(shard_index)
+            .handle_of(device_id)
+            .map(|h| (shard_index, h))
+    }
+
+    /// A device's flag state from one lookup: `None` when the device is
+    /// not enrolled, `Some(None)` while it is unflagged, and
+    /// `Some(Some((timestamp, reason)))` once flagged.
+    pub fn enrolled_flag(&self, device_id: u64) -> Option<Option<(u64, FlagReason)>> {
+        self.with_entry(device_id, |e| e.detector.flagged())
     }
 
     /// `(timestamp, reason)` of the device's first flag, if flagged.
     pub fn flag_info(&self, device_id: u64) -> Option<(u64, FlagReason)> {
-        self.with_entry(device_id, |e| e.detector.flagged())
-            .flatten()
+        self.enrolled_flag(device_id).flatten()
     }
 
     /// Device ids currently flagged, ascending.
     pub fn flagged_devices(&self) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard lock poisoned");
+        for i in 0..self.shards.len() {
             out.extend(
-                shard
+                self.lock(i)
                     .iter()
                     .filter(|e| e.detector.flagged().is_some())
                     .map(|e| e.device_id),
@@ -513,63 +549,32 @@ impl ShardedRegistry {
         out
     }
 
-    /// Dumps every device sorted by id: `(id, record, flag)` — the
-    /// shared source for both snapshot encoders.
-    pub(crate) fn dump(&self) -> Vec<(u64, EnrollmentRecord, Option<(u64, FlagReason)>)> {
-        let mut devices: Vec<(u64, EnrollmentRecord, Option<(u64, FlagReason)>)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard lock poisoned");
-            devices.extend(
-                shard
-                    .iter()
-                    .map(|e| (e.device_id, e.record.clone(), e.detector.flagged())),
-            );
+    /// Dumps every device sorted by id — the snapshot encoder's input.
+    fn dump(&self) -> Vec<SnapshotDevice> {
+        let mut devices: Vec<SnapshotDevice> = Vec::new();
+        for i in 0..self.shards.len() {
+            devices.extend(self.lock(i).iter().map(|e| SnapshotDevice {
+                device_id: e.device_id,
+                record: e.record,
+                flag: e.detector.flagged(),
+            }));
         }
-        devices.sort_unstable_by_key(|(id, _, _)| *id);
+        devices.sort_unstable_by_key(|d| d.device_id);
         devices
     }
 
-    /// Serializes the registry under the legacy `ropuf-verifier/v1`
-    /// JSON schema (fixed key order, devices sorted by id —
-    /// byte-identical for the same enrolled set regardless of
-    /// enrollment order or shard count, apart from the recorded
-    /// `shards` field itself). Flag state is **not** representable in
-    /// v1; new saves should use [`ShardedRegistry::snapshot_v2`].
-    pub fn snapshot_json(&self) -> String {
-        let devices = self.dump();
-        let mut out = String::with_capacity(128 + 160 * devices.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards.len()));
-        out.push_str("  \"devices\": [\n");
-        for (i, (id, record, _)) in devices.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"device_id\": {id}, \"scheme\": \"{}\", \"scheme_tag\": {}, \"helper\": \"{}\", \"key_digest\": \"{}\"}}",
-                scheme_name_of_tag(record.scheme_tag).unwrap_or("unknown"),
-                record.scheme_tag,
-                json::to_hex(&record.helper),
-                json::to_hex(&record.key_digest),
-            ));
-            if i + 1 < devices.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Serializes the registry as a `ropuf-verifier/v2` binary
-    /// snapshot — the save format: compact, CRC-protected, and
-    /// flag-preserving. See [`crate::store::snapshot`] for the layout.
+    /// Serializes the registry as a binary snapshot — compact,
+    /// CRC-protected, flag-preserving, and canonical (devices sorted by
+    /// id, so the same enrolled set emits the same bytes regardless of
+    /// enrollment order). See [`crate::store::snapshot`] for the
+    /// layout.
     pub fn snapshot_v2(&self) -> Vec<u8> {
         snapshot::encode(self.shard_count(), &self.dump())
     }
 
-    /// Loads a `ropuf-verifier/v2` binary snapshot, restoring flag
-    /// state (detector rate windows and streaks start fresh — they are
-    /// runtime state of one serving epoch; the quarantine latch is
-    /// not).
+    /// Loads a binary snapshot, restoring flag state (detector rate
+    /// windows and streaks start fresh — they are runtime state of one
+    /// serving epoch; the quarantine latch is not).
     ///
     /// # Errors
     ///
@@ -585,97 +590,6 @@ impl ShardedRegistry {
             registry
                 .enroll_recovered(device.device_id, device.record, device.flag)
                 .map_err(|_| SnapshotV2Error::DuplicateDevice(device.device_id))?;
-        }
-        Ok(registry)
-    }
-
-    /// Loads a snapshot in either format, sniffing the magic bytes:
-    /// the explicit migration path from v1 deployments ("load whatever
-    /// is on disk, save v2").
-    ///
-    /// # Errors
-    ///
-    /// The v2 decoder's error when the magic matches v2, otherwise the
-    /// v1 JSON loader's error boxed into [`SnapshotError`].
-    pub fn load_snapshot_auto(
-        bytes: &[u8],
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        if snapshot::looks_like_v2(bytes) {
-            return Self::from_snapshot_v2(bytes, detector_config)
-                .map_err(|e| SnapshotError::Json(format!("v2 snapshot: {e}")));
-        }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| SnapshotError::Json("snapshot is neither v2 binary nor UTF-8".into()))?;
-        Self::from_snapshot(text, detector_config)
-    }
-
-    /// Loads a legacy `ropuf-verifier/v1` JSON snapshot. The shard
-    /// count comes from the snapshot; detectors start fresh (v1 cannot
-    /// carry flag state — migrate to v2 to keep quarantines across
-    /// restarts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] for malformed JSON, a schema
-    /// violation, bad hex, or duplicate device ids.
-    pub fn from_snapshot(
-        snapshot: &str,
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        let doc = json::parse(snapshot).map_err(|e| SnapshotError::Json(e.to_string()))?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some(s) if s == SCHEMA => {}
-            _ => return Err(SnapshotError::Schema("missing or unsupported schema tag")),
-        }
-        let shards = doc
-            .get("shards")
-            .and_then(JsonValue::as_u64)
-            .filter(|&n| n <= MAX_SHARDS)
-            .ok_or(SnapshotError::Schema("missing or implausible shard count"))?
-            as usize;
-        let devices = doc
-            .get("devices")
-            .and_then(JsonValue::as_array)
-            .ok_or(SnapshotError::Schema("missing devices array"))?;
-
-        let registry = Self::new(shards, detector_config);
-        for device in devices {
-            let device_id = device
-                .get("device_id")
-                .and_then(JsonValue::as_u64)
-                .ok_or(SnapshotError::Schema("device without device_id"))?;
-            let scheme_tag = device
-                .get("scheme_tag")
-                .and_then(JsonValue::as_u64)
-                .filter(|&t| t <= u8::MAX as u64)
-                .ok_or(SnapshotError::Schema("device without scheme_tag"))?
-                as u8;
-            let helper_hex = device
-                .get("helper")
-                .and_then(JsonValue::as_str)
-                .ok_or(SnapshotError::Schema("device without helper"))?;
-            let helper = json::from_hex(helper_hex).map_err(|_| SnapshotError::Hex("helper"))?;
-            let digest_hex = device
-                .get("key_digest")
-                .and_then(JsonValue::as_str)
-                .ok_or(SnapshotError::Schema("device without key_digest"))?;
-            let digest_bytes =
-                json::from_hex(digest_hex).map_err(|_| SnapshotError::Hex("key_digest"))?;
-            let key_digest: [u8; 32] = digest_bytes
-                .try_into()
-                .map_err(|_| SnapshotError::Schema("key_digest is not 32 bytes"))?;
-            registry
-                .enroll_recovered(
-                    device_id,
-                    EnrollmentRecord {
-                        scheme_tag,
-                        helper,
-                        key_digest,
-                    },
-                    None,
-                )
-                .map_err(|_| SnapshotError::Duplicate(device_id))?;
         }
         Ok(registry)
     }
@@ -802,24 +716,51 @@ mod tests {
     }
 
     #[test]
+    fn slab_chunks_keep_handles_dense_across_chunk_boundaries() {
+        let r = ShardedRegistry::new(1, DetectorConfig::default());
+        let n = 2 * SLAB_CHUNK as u64 + 3;
+        let batch: Vec<(u64, EnrollmentRecord)> = (0..n).map(|id| (id, record(id as u8))).collect();
+        assert!(r.enroll_batch(batch).iter().all(Result::is_ok));
+        r.enroll(n, record(1)).unwrap();
+        for id in 0..=n {
+            assert_eq!(r.handle(id), Some((0, id as DeviceHandle)), "device {id}");
+        }
+        for id in 0..n {
+            assert_eq!(r.record(id).unwrap().key_digest, [id as u8; 32]);
+        }
+        assert_eq!(r.len(), n as usize + 1);
+    }
+
+    #[test]
     fn snapshot_roundtrip_is_lossless_and_deterministic() {
         let r = ShardedRegistry::new(4, DetectorConfig::default());
         // Enroll out of order: the snapshot must sort by id.
         r.enroll(9, record(9)).unwrap();
         r.enroll(2, record(2)).unwrap();
         r.enroll(700, record(3)).unwrap();
-        let snap = r.snapshot_json();
-        assert!(snap.contains("\"schema\": \"ropuf-verifier/v1\""));
-        assert!(snap.find("\"device_id\": 2").unwrap() < snap.find("\"device_id\": 9").unwrap());
+        let snap = r.snapshot_v2();
+        let ids: Vec<u64> = snapshot::decode(&snap)
+            .unwrap()
+            .devices
+            .iter()
+            .map(|d| d.device_id)
+            .collect();
+        assert_eq!(ids, [2, 9, 700]);
 
-        let loaded = ShardedRegistry::from_snapshot(&snap, DetectorConfig::default()).unwrap();
+        let loaded = ShardedRegistry::from_snapshot_v2(&snap, DetectorConfig::default()).unwrap();
         assert_eq!(loaded.shard_count(), 4);
         assert_eq!(loaded.len(), 3);
         for id in [2u64, 9, 700] {
             assert_eq!(loaded.record(id), r.record(id), "device {id}");
         }
-        // Emit → load → emit is byte-identical.
-        assert_eq!(loaded.snapshot_json(), snap);
+        // Emit → load → emit is byte-identical, and the enrollment
+        // order does not reach the bytes.
+        assert_eq!(loaded.snapshot_v2(), snap);
+        let reordered = ShardedRegistry::new(4, DetectorConfig::default());
+        for (id, fill) in [(700u64, 3u8), (2, 2), (9, 9)] {
+            reordered.enroll(id, record(fill)).unwrap();
+        }
+        assert_eq!(reordered.snapshot_v2(), snap);
     }
 
     #[test]
@@ -828,58 +769,39 @@ mod tests {
         r.enroll(3, record(3)).unwrap();
         r.enroll(11, record(11)).unwrap();
         let v2 = r.snapshot_v2();
+        // The container magic, then the current layout version.
+        assert_eq!(v2[..8], snapshot::MAGIC);
+        assert_eq!(v2[8..10], snapshot::VERSION.to_le_bytes());
         let loaded = ShardedRegistry::from_snapshot_v2(&v2, DetectorConfig::default()).unwrap();
         assert_eq!(loaded.shard_count(), 4);
         assert_eq!(loaded.record(3), r.record(3));
         assert_eq!(loaded.record(11), r.record(11));
         assert_eq!(loaded.snapshot_v2(), v2, "emit → load → emit is stable");
-        // The auto loader takes both formats.
-        let via_auto = ShardedRegistry::load_snapshot_auto(&v2, DetectorConfig::default()).unwrap();
-        assert_eq!(via_auto.record(3), r.record(3));
-        let via_auto_v1 = ShardedRegistry::load_snapshot_auto(
-            r.snapshot_json().as_bytes(),
-            DetectorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(via_auto_v1.record(11), r.record(11));
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
         let cfg = DetectorConfig::default();
         assert!(matches!(
-            ShardedRegistry::from_snapshot("not json", cfg),
-            Err(SnapshotError::Json(_))
+            ShardedRegistry::from_snapshot_v2(b"not a snapshot", cfg),
+            Err(SnapshotV2Error::TooShort { .. })
         ));
-        assert!(matches!(
-            ShardedRegistry::from_snapshot("{\"schema\": \"other/v9\"}", cfg),
-            Err(SnapshotError::Schema(_))
-        ));
+        let mut bad_magic = ShardedRegistry::new(1, cfg).snapshot_v2();
+        bad_magic[0] ^= 0xFF;
+        assert_eq!(
+            ShardedRegistry::from_snapshot_v2(&bad_magic, cfg).unwrap_err(),
+            SnapshotV2Error::BadMagic
+        );
         // A forged giant shard count must be a typed error, not an
-        // allocation abort.
-        let forged_shards =
-            format!("{{\"schema\": \"{SCHEMA}\", \"shards\": 99999999999999, \"devices\": []}}");
-        assert!(matches!(
-            ShardedRegistry::from_snapshot(&forged_shards, cfg),
-            Err(SnapshotError::Schema(_))
-        ));
-        let bad_hex = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"shards\": 1, \"devices\": [{{\"device_id\": 0, \"scheme\": \"lisa\", \"scheme_tag\": 76, \"helper\": \"zz\", \"key_digest\": \"00\"}}]}}"
+        // allocation abort (CRC re-sealed so the count is what fails).
+        let mut forged = ShardedRegistry::new(1, cfg).snapshot_v2();
+        forged[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = forged.len() - 4;
+        let crc = crate::store::crc32(&forged[..body]);
+        forged[body..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            ShardedRegistry::from_snapshot_v2(&forged, cfg).unwrap_err(),
+            SnapshotV2Error::ShardCountOutOfRange(u32::MAX)
         );
-        assert!(matches!(
-            ShardedRegistry::from_snapshot(&bad_hex, cfg),
-            Err(SnapshotError::Hex("helper"))
-        ));
-        let dup = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"shards\": 1, \"devices\": [\
-             {{\"device_id\": 3, \"scheme\": \"lisa\", \"scheme_tag\": 76, \"helper\": \"4c01\", \"key_digest\": \"{}\"}},\
-             {{\"device_id\": 3, \"scheme\": \"lisa\", \"scheme_tag\": 76, \"helper\": \"4c01\", \"key_digest\": \"{}\"}}]}}",
-            "00".repeat(32),
-            "00".repeat(32)
-        );
-        assert!(matches!(
-            ShardedRegistry::from_snapshot(&dup, cfg),
-            Err(SnapshotError::Duplicate(3))
-        ));
     }
 }

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ropuf_constructions::{Device, DeviceResponse};
+use ropuf_constructions::{helper_digest, Device, DeviceResponse};
 use ropuf_hash::{hmac_sha256, sha256};
 use ropuf_numeric::BitVec;
 use ropuf_sim::Environment;
@@ -22,7 +22,7 @@ use ropuf_telemetry::{Counter, Registry as TelemetryRegistry, Snapshot as Teleme
 
 use crate::detector::{AuthVerdict, DetectorConfig, FlagReason};
 use crate::registry::{
-    DeviceEntry, EnrollmentRecord, RegistryError, ShardedRegistry, SnapshotError,
+    DeviceEntry, EnrollmentRecord, RegistryError, ShardedRegistry, StoredRecord,
 };
 use crate::store::faults::StoreFaults;
 use crate::store::snapshot::SnapshotV2Error;
@@ -62,7 +62,8 @@ pub struct BatchEnrollment {
     pub device_id: u64,
     /// Wire tag of the scheme the device was enrolled with.
     pub scheme_tag: u8,
-    /// The helper blob as enrolled (integrity reference).
+    /// The helper blob as enrolled (digested into the integrity
+    /// reference).
     pub helper: Vec<u8>,
     /// The derived verification credential ([`auth_key`]).
     pub key_digest: [u8; 32],
@@ -213,24 +214,8 @@ impl Verifier {
         Self::assemble(ShardedRegistry::new(shards, detector_config))
     }
 
-    /// Restores a verifier from a legacy `ropuf-verifier/v1` registry
-    /// snapshot (detectors start fresh — v1 cannot carry flag state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] from the registry loader.
-    pub fn from_snapshot(
-        snapshot: &str,
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        Ok(Self::assemble(ShardedRegistry::from_snapshot(
-            snapshot,
-            detector_config,
-        )?))
-    }
-
-    /// Restores a verifier from a `ropuf-verifier/v2` binary snapshot,
-    /// including persisted quarantine flags.
+    /// Restores a verifier from a binary registry snapshot, including
+    /// persisted quarantine flags.
     ///
     /// # Errors
     ///
@@ -240,23 +225,6 @@ impl Verifier {
         detector_config: DetectorConfig,
     ) -> Result<Self, SnapshotV2Error> {
         Ok(Self::assemble(ShardedRegistry::from_snapshot_v2(
-            bytes,
-            detector_config,
-        )?))
-    }
-
-    /// Restores a verifier from a snapshot in either format (sniffed by
-    /// magic bytes) — the migration entry point: load whatever is on
-    /// disk, save v2 via [`Verifier::snapshot_v2`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the loader's error for whichever format was sniffed.
-    pub fn load_snapshot_auto(
-        bytes: &[u8],
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        Ok(Self::assemble(ShardedRegistry::load_snapshot_auto(
             bytes,
             detector_config,
         )?))
@@ -334,8 +302,8 @@ impl Verifier {
         Ok((verifier, report))
     }
 
-    /// The registry as a `ropuf-verifier/v2` binary snapshot — the
-    /// save format (compact, CRC-protected, flag-preserving).
+    /// The registry as a binary snapshot (compact, CRC-protected,
+    /// flag-preserving).
     pub fn snapshot_v2(&self) -> Vec<u8> {
         self.registry.snapshot_v2()
     }
@@ -402,8 +370,8 @@ impl Verifier {
     }
 
     /// Enrolls a device from its enrollment outputs: stores the scheme
-    /// tag, the helper blob as integrity reference, and the derived
-    /// key digest — not the key.
+    /// tag, the helper blob's digest as integrity reference, and the
+    /// derived key digest — not the helper, not the key.
     ///
     /// # Errors
     ///
@@ -415,11 +383,11 @@ impl Verifier {
         helper: &[u8],
         key: &BitVec,
     ) -> Result<(), RegistryError> {
-        self.registry.enroll(
+        self.registry.enroll_stored(
             device_id,
-            EnrollmentRecord {
+            StoredRecord {
                 scheme_tag,
-                helper: helper.to_vec(),
+                helper_digest: helper_digest(helper),
                 key_digest: auth_key(key),
             },
         )
@@ -462,11 +430,12 @@ impl Verifier {
     /// zero-copy entry the wire handler uses: shard lock once, cached
     /// HMAC-midstate tag verification, detector update.
     pub fn authenticate_query(&self, query: AuthQuery<'_>) -> AuthVerdict {
+        let config = self.registry.detector_config();
         let mut latched: Option<(u64, FlagReason)> = None;
         let verdict = self
             .registry
             .with_entry(query.device_id, |entry| {
-                let (verdict, newly) = Self::judge_tracked(entry, &query);
+                let (verdict, newly) = Self::judge(&config, entry, &query);
                 latched = newly;
                 verdict
             })
@@ -514,6 +483,7 @@ impl Verifier {
             scratch.buckets[self.registry.shard_of(query.device_id)].push(i);
         }
         scratch.latched.clear();
+        let config = self.registry.detector_config();
         for (shard_index, indices) in scratch.buckets.iter().enumerate() {
             if indices.is_empty() {
                 continue;
@@ -523,7 +493,7 @@ impl Verifier {
                 for &i in indices {
                     let query = &queries[i];
                     if let Some(entry) = shard.get_mut(query.device_id) {
-                        let (verdict, newly) = Self::judge_tracked(entry, query);
+                        let (verdict, newly) = Self::judge(&config, entry, query);
                         verdicts[i] = verdict;
                         if let Some((at, reason)) = newly {
                             latched.push((query.device_id, at, reason));
@@ -553,6 +523,7 @@ impl Verifier {
             buckets[self.registry.shard_of(request.device_id)].push(i);
         }
         let mut latched: Vec<(u64, u64, FlagReason)> = Vec::new();
+        let config = self.registry.detector_config();
         for (shard_index, indices) in buckets.iter().enumerate() {
             if indices.is_empty() {
                 continue;
@@ -568,16 +539,15 @@ impl Verifier {
                             }
                             DeviceResponse::Failure => false,
                         };
-                        let before = entry.detector.flagged().is_some();
-                        verdicts[i] = entry.detector.observe(
+                        let (verdict, newly) = entry.observe(
+                            &config,
                             request.now,
                             request.presented_helper.as_deref(),
                             auth_ok,
                         );
-                        if !before {
-                            if let Some((at, reason)) = entry.detector.flagged() {
-                                latched.push((request.device_id, at, reason));
-                            }
+                        verdicts[i] = verdict;
+                        if let Some((at, reason)) = newly {
+                            latched.push((request.device_id, at, reason));
                         }
                     }
                 }
@@ -603,15 +573,13 @@ impl Verifier {
         presented_helper: Option<&[u8]>,
         auth_ok: bool,
     ) -> AuthVerdict {
+        let config = self.registry.detector_config();
         let mut latched: Option<(u64, FlagReason)> = None;
         let verdict = self
             .registry
             .with_entry(device_id, |entry| {
-                let before = entry.detector.flagged().is_some();
-                let verdict = entry.detector.observe(now, presented_helper, auth_ok);
-                if !before {
-                    latched = entry.detector.flagged();
-                }
+                let (verdict, newly) = entry.observe(&config, now, presented_helper, auth_ok);
+                latched = newly;
                 verdict
             })
             .unwrap_or(AuthVerdict::Reject);
@@ -627,36 +595,21 @@ impl Verifier {
         self.registry.flag_info(device_id)
     }
 
-    /// Record lookup + tag verification + detection under one held
-    /// shard lock. Tag verification runs from the entry's cached HMAC
-    /// midstates — no key-schedule derivation, no allocation.
-    fn judge(entry: &mut DeviceEntry, query: &AuthQuery<'_>) -> AuthVerdict {
+    /// Tag verification + detection on an entry whose shard lock the
+    /// caller holds. Tag verification runs from the entry's cached HMAC
+    /// midstates — no key-schedule derivation, no allocation. The
+    /// second element is the flag this query latched, if any (see
+    /// [`DeviceEntry::observe`]).
+    fn judge(
+        config: &DetectorConfig,
+        entry: &mut DeviceEntry,
+        query: &AuthQuery<'_>,
+    ) -> (AuthVerdict, Option<(u64, FlagReason)>) {
         let auth_ok = match &query.response {
             DeviceResponse::Tag(tag) => entry.hmac_key.verify(query.nonce, tag),
             DeviceResponse::Failure => false,
         };
-        entry
-            .detector
-            .observe(query.now, query.presented_helper, auth_ok)
-    }
-
-    /// [`Verifier::judge`] plus flag-transition tracking: the second
-    /// element is `Some((at, reason))` exactly when this query latched
-    /// the device's flag, which is what the durable layer records in
-    /// the WAL. (The verdict alone cannot tell — an already-quarantined
-    /// device answers `Flagged` on every query.)
-    fn judge_tracked(
-        entry: &mut DeviceEntry,
-        query: &AuthQuery<'_>,
-    ) -> (AuthVerdict, Option<(u64, FlagReason)>) {
-        let before = entry.detector.flagged().is_some();
-        let verdict = Self::judge(entry, query);
-        let newly = if before {
-            None
-        } else {
-            entry.detector.flagged()
-        };
-        (verdict, newly)
+        entry.observe(config, query.now, query.presented_helper, auth_ok)
     }
 }
 
@@ -938,8 +891,8 @@ mod tests {
         let v = Verifier::new(4, DetectorConfig::default());
         v.enroll(42, LISA_TAG, device.helper(), device.enrolled_key())
             .unwrap();
-        let snap = v.registry().snapshot_json();
-        let restored = Verifier::from_snapshot(&snap, DetectorConfig::default()).unwrap();
+        let snap = v.snapshot_v2();
+        let restored = Verifier::from_snapshot_v2(&snap, DetectorConfig::default()).unwrap();
         let req = genuine_request(&mut device, 42, 0, b"after-restore");
         assert!(restored.authenticate(&req).is_accept());
     }

@@ -1,4 +1,5 @@
-//! Durable storage for the registry: v2 snapshots + write-ahead log.
+//! Durable storage for the registry: binary snapshots + write-ahead
+//! log.
 //!
 //! A durable registry lives in one directory:
 //!
@@ -49,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::detector::{DetectorConfig, FlagReason};
-use crate::registry::{EnrollmentRecord, RegistryError, ShardedRegistry};
+use crate::registry::{RegistryError, ShardedRegistry, StoredRecord};
 use faults::StoreFaults;
 use snapshot::SnapshotV2Error;
 use wal::{WalDecodeError, WalReader, WalRecord};
@@ -393,21 +394,24 @@ impl DeviceStore {
         Ok(())
     }
 
-    /// Write-ahead logs a batch of enrollments as one append.
+    /// Write-ahead logs a batch of enrollments as one append. Items are
+    /// [`StoredRecord`]s or anything that converts into one — an
+    /// [`EnrollmentRecord`](crate::EnrollmentRecord) is digested on the
+    /// way in.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] — the caller must then *not* apply the batch
     /// (no record, no state).
-    pub fn log_enrolls<'a>(
+    pub fn log_enrolls<R: Into<StoredRecord>>(
         &self,
-        items: impl Iterator<Item = (u64, &'a EnrollmentRecord)>,
+        items: impl Iterator<Item = (u64, R)>,
     ) -> Result<(), StoreError> {
         let mut buf = Vec::with_capacity(256);
         for (device_id, record) in items {
             WalRecord::Enroll {
                 device_id,
-                record: record.clone(),
+                record: record.into(),
             }
             .encode_into(&mut buf);
         }
@@ -715,8 +719,8 @@ mod tests {
         std::env::temp_dir().join(format!("ropuf-store-faults-{tag}-{}", std::process::id()))
     }
 
-    fn record() -> EnrollmentRecord {
-        EnrollmentRecord {
+    fn record() -> crate::EnrollmentRecord {
+        crate::EnrollmentRecord {
             scheme_tag: 1,
             helper: vec![7; 16],
             key_digest: [9; 32],

@@ -1,4 +1,5 @@
-//! The `ropuf-verifier/v2` binary snapshot codec.
+//! The binary registry snapshot codec (`RPUFSNP2` container, layout
+//! version 3).
 //!
 //! A snapshot is one self-validating blob:
 //!
@@ -14,9 +15,13 @@
 //!
 //! ```text
 //! device_id u64 · scheme_tag u8 · flag u8 (0 = none,
-//! 1 = flagged → at u64 · reason u8) · helper (u32 len + bytes) ·
+//! 1 = flagged → at u64 · reason u8) · helper_digest [32] ·
 //! key_digest [32]
 //! ```
+//!
+//! An unflagged record is 74 bytes whatever the helper size. Only
+//! version 3 is read: a helper-carrying version-2 snapshot fails
+//! closed as [`SnapshotV2Error::UnsupportedVersion`].
 //!
 //! The trailing CRC-32 (IEEE) covers every preceding byte, so a
 //! truncated or bit-flipped snapshot fails closed before any of it is
@@ -25,33 +30,33 @@
 //! actually present *before* allocation, every malformed input maps to
 //! a typed [`SnapshotV2Error`], and nothing panics.
 //!
-//! Unlike the legacy v1 JSON snapshot, v2 carries the detector's
-//! quarantine latch — a restart no longer silently un-flags devices
-//! the crashed process had caught manipulating helper data.
+//! A snapshot carries the detector's quarantine latch, so a restart
+//! never un-flags devices the crashed process had caught manipulating
+//! helper data.
 
 use std::fmt;
 
-use ropuf_proto::codec::{Reader, Writer, MAX_BYTES};
+use ropuf_proto::codec::{Reader, Writer};
 
 use crate::detector::FlagReason;
-use crate::registry::{EnrollmentRecord, MAX_SHARDS};
+use crate::registry::{StoredRecord, MAX_SHARDS};
 use crate::store::crc32;
 
-/// Leading magic of every v2 snapshot.
+/// Leading magic of every snapshot.
 pub const MAGIC: [u8; 8] = *b"RPUFSNP2";
 
-/// Format version this module reads and writes.
-pub const VERSION: u16 = 2;
+/// Layout version this module reads and writes (the only one).
+pub const VERSION: u16 = 3;
 
 /// Fixed prefix: magic + version + shards + device count.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8;
 
 /// Smallest possible device record: id(8) + tag(1) + flag marker(1) +
-/// helper length prefix(4) + digest(32). Bounds how many devices a
+/// helper digest(32) + key digest(32). Bounds how many devices a
 /// declared count can plausibly promise for the bytes present.
-const MIN_DEVICE_LEN: usize = 8 + 1 + 1 + 4 + 32;
+const MIN_DEVICE_LEN: usize = 8 + 1 + 1 + 32 + 32;
 
-/// Typed v2 snapshot decode failure — the complete list of ways a
+/// Typed snapshot decode failure — the complete list of ways a
 /// snapshot can be malformed. Decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotV2Error {
@@ -103,7 +108,7 @@ impl fmt::Display for SnapshotV2Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotV2Error::TooShort { len } => {
-                write!(f, "{len} bytes is shorter than a v2 snapshot header")
+                write!(f, "{len} bytes is shorter than a snapshot header")
             }
             SnapshotV2Error::BadMagic => write!(f, "missing RPUFSNP2 magic"),
             SnapshotV2Error::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
@@ -138,14 +143,14 @@ impl From<ropuf_proto::DecodeError> for SnapshotV2Error {
     }
 }
 
-/// One decoded device: enrollment record plus the persisted quarantine
+/// One decoded device: stored record plus the persisted quarantine
 /// flag, if any.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotDevice {
     /// The enrolled device id.
     pub device_id: u64,
-    /// The durable enrollment record.
-    pub record: EnrollmentRecord,
+    /// The stored record.
+    pub record: StoredRecord,
     /// `(timestamp, reason)` of the persisted flag latch.
     pub flag: Option<(u64, FlagReason)>,
 }
@@ -159,31 +164,27 @@ pub struct SnapshotV2 {
     pub devices: Vec<SnapshotDevice>,
 }
 
-/// `true` when the bytes start with the v2 magic — the format sniff
-/// behind [`crate::ShardedRegistry::load_snapshot_auto`]. (A v1
-/// snapshot starts with `{`, so the formats cannot collide.)
-pub fn looks_like_v2(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
-/// Encodes a fleet as a v2 snapshot. `devices` must be sorted
-/// ascending by id (the registry's dump already is).
+/// Encodes a fleet as a snapshot — the inverse of [`decode`].
+/// `devices` must be sorted ascending by id (the registry's dump
+/// already is).
 ///
 /// # Panics
 ///
 /// Panics if `devices` is not strictly ascending by id — encoder
 /// misuse, not input data.
-pub fn encode(
-    shards: usize,
-    devices: &[(u64, EnrollmentRecord, Option<(u64, FlagReason)>)],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 4 + devices.len() * 96);
+pub fn encode(shards: usize, devices: &[SnapshotDevice]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + 4 + devices.len() * MIN_DEVICE_LEN);
     out.extend_from_slice(&MAGIC);
     out.put_u16(VERSION);
     out.put_u32(u32::try_from(shards).expect("shard count fits u32"));
     out.put_u64(devices.len() as u64);
     let mut prev: Option<u64> = None;
-    for (device_id, record, flag) in devices {
+    for SnapshotDevice {
+        device_id,
+        record,
+        flag,
+    } in devices
+    {
         if let Some(p) = prev {
             assert!(
                 *device_id > p,
@@ -201,7 +202,7 @@ pub fn encode(
                 out.put_u8(reason.code());
             }
         }
-        out.put_bytes(&record.helper);
+        out.extend_from_slice(&record.helper_digest);
         out.extend_from_slice(&record.key_digest);
     }
     let crc = crc32(&out);
@@ -209,18 +210,18 @@ pub fn encode(
     out
 }
 
-/// Decodes and fully validates a v2 snapshot.
+/// Decodes and fully validates a snapshot.
 ///
 /// # Errors
 ///
 /// A typed [`SnapshotV2Error`] for any malformed input; never panics,
-/// never over-allocates (device count and helper lengths are checked
-/// against the bytes actually present before any allocation).
+/// never over-allocates (the device count is checked against the bytes
+/// actually present before any allocation).
 pub fn decode(bytes: &[u8]) -> Result<SnapshotV2, SnapshotV2Error> {
     if bytes.len() < HEADER_LEN + 4 {
         return Err(SnapshotV2Error::TooShort { len: bytes.len() });
     }
-    if !looks_like_v2(bytes) {
+    if bytes[..MAGIC.len()] != MAGIC {
         return Err(SnapshotV2Error::BadMagic);
     }
     // CRC first: nothing past the magic is believed until the whole
@@ -270,13 +271,13 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotV2, SnapshotV2Error> {
             }
             other => return Err(SnapshotV2Error::BadFlagMarker(other)),
         };
-        let helper = r.bytes("helper", MAX_BYTES)?;
+        let helper_digest = r.digest()?;
         let key_digest = r.digest()?;
         devices.push(SnapshotDevice {
             device_id,
-            record: EnrollmentRecord {
+            record: StoredRecord {
                 scheme_tag,
-                helper,
+                helper_digest,
                 key_digest,
             },
             flag,
@@ -294,26 +295,26 @@ mod tests {
     use super::*;
     use ropuf_constructions::pairing::lisa::LISA_TAG;
 
-    fn fleet() -> Vec<(u64, EnrollmentRecord, Option<(u64, FlagReason)>)> {
+    fn fleet() -> Vec<SnapshotDevice> {
         vec![
-            (
-                3,
-                EnrollmentRecord {
+            SnapshotDevice {
+                device_id: 3,
+                record: StoredRecord {
                     scheme_tag: LISA_TAG,
-                    helper: vec![LISA_TAG, 1, 2, 3],
+                    helper_digest: [3; 32],
                     key_digest: [7; 32],
                 },
-                None,
-            ),
-            (
-                9,
-                EnrollmentRecord {
+                flag: None,
+            },
+            SnapshotDevice {
+                device_id: 9,
+                record: StoredRecord {
                     scheme_tag: LISA_TAG,
-                    helper: vec![LISA_TAG, 1, 9],
+                    helper_digest: [9; 32],
                     key_digest: [9; 32],
                 },
-                Some((42, FlagReason::HelperMismatch)),
-            ),
+                flag: Some((42, FlagReason::HelperMismatch)),
+            },
         ]
     }
 
@@ -321,16 +322,12 @@ mod tests {
     fn roundtrip_preserves_records_and_flags() {
         let devices = fleet();
         let bytes = encode(4, &devices);
-        assert!(looks_like_v2(&bytes));
+        assert!(bytes.starts_with(&MAGIC));
+        // Header, one unflagged 74-byte record, one flagged (+9), CRC.
+        assert_eq!(bytes.len(), HEADER_LEN + 74 + 83 + 4);
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.shards, 4);
-        assert_eq!(decoded.devices.len(), 2);
-        assert_eq!(decoded.devices[0].flag, None);
-        assert_eq!(
-            decoded.devices[1].flag,
-            Some((42, FlagReason::HelperMismatch))
-        );
-        assert_eq!(decoded.devices[1].record, devices[1].1);
+        assert_eq!(decoded.devices, devices);
     }
 
     #[test]
@@ -385,7 +382,7 @@ mod tests {
             out.put_u64(id);
             out.put_u8(LISA_TAG);
             out.put_u8(0);
-            out.put_bytes(&[LISA_TAG, 1]);
+            out.extend_from_slice(&[0u8; 32]);
             out.extend_from_slice(&[0u8; 32]);
         }
         let crc = crc32(&out);

@@ -16,8 +16,13 @@
 //!
 //! | type byte | record | fields |
 //! |-----------|--------|--------|
-//! | `0x01` | Enroll | `device_id u64 · scheme_tag u8 · helper (u32 len + bytes) · key_digest [32]` |
+//! | `0x03` | Enroll | `device_id u64 · scheme_tag u8 · helper_digest [32] · key_digest [32]` |
 //! | `0x02` | Flag   | `device_id u64 · at u64 · reason u8` |
+//!
+//! An enroll frame is 82 bytes. A helper-carrying `0x01` enroll frame
+//! stops replay ([`WalDecodeError::UnknownRecordType`]): an old frame
+//! of a 28-byte helper is exactly as long as a new one, so the new
+//! layout cannot reuse its type byte.
 //!
 //! A crash mid-append leaves a *torn* final record — a short header, a
 //! short body, or a body that fails its CRC. The reader stops at the
@@ -29,14 +34,14 @@
 
 use std::fmt;
 
-use ropuf_proto::codec::{Reader, Writer, MAX_BYTES};
+use ropuf_proto::codec::{Reader, Writer};
 
 use crate::detector::FlagReason;
-use crate::registry::EnrollmentRecord;
+use crate::registry::StoredRecord;
 use crate::store::crc32;
 
 /// Type byte of an enrollment record.
-pub const RECORD_ENROLL: u8 = 0x01;
+pub const RECORD_ENROLL: u8 = 0x03;
 /// Type byte of a flag-transition record.
 pub const RECORD_FLAG: u8 = 0x02;
 
@@ -44,8 +49,8 @@ pub const RECORD_FLAG: u8 = 0x02;
 pub const FRAME_HEADER: usize = 8;
 
 /// Largest payload a frame may declare. Generous against real records
-/// (an enrollment is tens of bytes + the helper blob, itself capped at
-/// [`MAX_BYTES`]) while bounding what a corrupt length can allocate.
+/// (at most 74 bytes) while bounding what a corrupt length can
+/// allocate.
 pub const MAX_RECORD: usize = 128 * 1024;
 
 /// One durable registry mutation.
@@ -55,8 +60,8 @@ pub enum WalRecord {
     Enroll {
         /// The enrolled id.
         device_id: u64,
-        /// The durable enrollment record.
-        record: EnrollmentRecord,
+        /// The stored record.
+        record: StoredRecord,
     },
     /// A device's detector latched a flag.
     Flag {
@@ -145,7 +150,7 @@ impl WalRecord {
                 out.put_u8(RECORD_ENROLL);
                 out.put_u64(*device_id);
                 out.put_u8(record.scheme_tag);
-                out.put_bytes(&record.helper);
+                out.extend_from_slice(&record.helper_digest);
                 out.extend_from_slice(&record.key_digest);
             }
             WalRecord::Flag {
@@ -164,7 +169,7 @@ impl WalRecord {
     /// Appends the record as one framed entry (`len · crc · payload`)
     /// to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(64);
+        let mut payload = Vec::with_capacity(80);
         self.encode_payload(&mut payload);
         debug_assert!(payload.len() <= MAX_RECORD, "record exceeds MAX_RECORD");
         out.put_u32(u32::try_from(payload.len()).expect("payload fits u32"));
@@ -186,15 +191,13 @@ impl WalRecord {
             RECORD_ENROLL => {
                 let device_id = r.u64().map_err(WalDecodeError::BadRecord)?;
                 let scheme_tag = r.u8().map_err(WalDecodeError::BadRecord)?;
-                let helper = r
-                    .bytes("helper", MAX_BYTES)
-                    .map_err(WalDecodeError::BadRecord)?;
+                let helper_digest = r.digest().map_err(WalDecodeError::BadRecord)?;
                 let key_digest = r.digest().map_err(WalDecodeError::BadRecord)?;
                 WalRecord::Enroll {
                     device_id,
-                    record: EnrollmentRecord {
+                    record: StoredRecord {
                         scheme_tag,
-                        helper,
+                        helper_digest,
                         key_digest,
                     },
                 }
@@ -288,9 +291,9 @@ mod tests {
     fn enroll(id: u64) -> WalRecord {
         WalRecord::Enroll {
             device_id: id,
-            record: EnrollmentRecord {
+            record: StoredRecord {
                 scheme_tag: LISA_TAG,
-                helper: vec![LISA_TAG, 1, id as u8],
+                helper_digest: [!(id as u8); 32],
                 key_digest: [id as u8; 32],
             },
         }
@@ -314,6 +317,12 @@ mod tests {
                 Some(Err(e)) => return (records, Some(e)),
             }
         }
+    }
+
+    #[test]
+    fn enroll_frames_are_82_bytes() {
+        assert_eq!(enroll(1).encode().len(), 82);
+        assert_eq!(flag(1).encode().len(), FRAME_HEADER + 18);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! resurrects a flag whose record was dropped. Plus: the same sweep on
 //! top of a compacted snapshot base, corruption (not just truncation)
 //! stopping replay, a corrupt snapshot falling back to an older valid
-//! one, and a recovered fleet whose replayed traffic verdicts are
-//! identical to the never-crashed fleet's.
+//! one, old store layouts failing closed, and a recovered fleet whose
+//! replayed traffic verdicts are identical to the never-crashed
+//! fleet's.
+
+mod legacy;
 
 use std::fs;
 use std::path::PathBuf;
@@ -19,7 +22,7 @@ use ropuf_verifier::store::wal::{WalDecodeError, WalReader, WalRecord, FRAME_HEA
 use ropuf_verifier::store::{self, StoreOptions};
 use ropuf_verifier::{
     client_tag, AuthRequest, AuthVerdict, DetectorConfig, EnrollmentRecord, FlagReason,
-    ShardedRegistry, Verifier,
+    ShardedRegistry, StoredRecord, Verifier,
 };
 
 const LISA_TAG: u8 = b'L';
@@ -39,6 +42,10 @@ fn record(fill: u8) -> EnrollmentRecord {
     }
 }
 
+fn stored(fill: u8) -> StoredRecord {
+    StoredRecord::from(&record(fill))
+}
+
 /// The scripted mutation history the raw truncation sweep uses: a mix
 /// of enrollments and flag transitions with differing record sizes, so
 /// cuts land in headers, bodies, and boundaries of both kinds.
@@ -46,11 +53,11 @@ fn script() -> Vec<WalRecord> {
     vec![
         WalRecord::Enroll {
             device_id: 1,
-            record: record(1),
+            record: stored(1),
         },
         WalRecord::Enroll {
             device_id: 2,
-            record: record(2),
+            record: stored(2),
         },
         WalRecord::Flag {
             device_id: 1,
@@ -59,7 +66,7 @@ fn script() -> Vec<WalRecord> {
         },
         WalRecord::Enroll {
             device_id: 3,
-            record: record(3),
+            record: stored(3),
         },
         WalRecord::Flag {
             device_id: 3,
@@ -304,6 +311,56 @@ fn corrupt_newest_snapshot_falls_back_to_older_valid_one() {
     assert_eq!(report.snapshots_skipped, 1);
     assert_eq!(registry.len(), 1);
     assert!(registry.record(1).is_some());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Stores written before the registry kept helper digests fail
+/// closed: the version-2 snapshot is skipped (counted), and WAL replay
+/// stops, typed, at the first `0x01` enroll frame. The frame of a
+/// 28-byte helper is exactly as long as a new one, which is why the new
+/// layout has its own type byte: read as one, it would carry a wrong
+/// helper digest and quarantine a benign device on its first auth.
+#[test]
+fn old_store_layouts_are_skipped_or_stop_replay() {
+    let dir = scratch("oldlayouts");
+    fs::create_dir_all(&dir).unwrap();
+    let old = |device_id: u64, helper_len: usize| legacy::OldDevice {
+        device_id,
+        scheme_tag: LISA_TAG,
+        helper: vec![LISA_TAG; helper_len],
+        key_digest: [device_id as u8; 32],
+    };
+    fs::write(
+        dir.join("snapshot-00000000000000000001.v2"),
+        legacy::v2_snapshot(2, &[old(1, 4), old(2, 28)]),
+    )
+    .unwrap();
+    let mut wal = Vec::new();
+    WalRecord::Enroll {
+        device_id: 5,
+        record: stored(5),
+    }
+    .encode_into(&mut wal);
+    let boundary = wal.len();
+    let old_frame = legacy::enroll_frame_0x01(&old(6, 28));
+    assert_eq!(old_frame.len(), boundary, "as long as a new enroll frame");
+    wal.extend_from_slice(&old_frame);
+    WalRecord::Enroll {
+        device_id: 7,
+        record: stored(7),
+    }
+    .encode_into(&mut wal);
+    fs::write(dir.join("wal-00000000000000000002.log"), &wal).unwrap();
+
+    let (registry, report) = store::recover(&dir, 4, DetectorConfig::default()).unwrap();
+    assert_eq!(report.snapshot_seq, None);
+    assert_eq!(report.snapshots_skipped, 1);
+    assert_eq!(report.enrolls_applied, 1);
+    assert_eq!(registry.len(), 1);
+    assert_eq!(registry.record(5), Some(stored(5)));
+    let torn = report.torn_tail.expect("the old frame stops replay");
+    assert_eq!(torn.offset, boundary);
+    assert_eq!(torn.error, WalDecodeError::UnknownRecordType(0x01));
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,65 +1,78 @@
 //! Property tests for the durable codecs, mirroring the wire-protocol
 //! suite in `crates/proto/tests/wire_props.rs`:
 //!
-//! 1. **Roundtrip** — arbitrary fleets survive the v2 snapshot codec
-//!    and WAL record sequences survive the frame codec, bit for bit.
+//! 1. **Roundtrip** — arbitrary fleets survive the snapshot codec and
+//!    WAL record sequences survive the frame codec, bit for bit.
 //! 2. **Hostility** — byte soup, strict prefixes and point mutations
 //!    of valid encodings produce typed errors; the decoders never
-//!    panic and never over-allocate from forged lengths.
-//! 3. **Equivalence** — loading the same fleet through the v2 binary
-//!    path and the v1 JSON path yields semantically equal registries,
-//!    with the documented difference (v1 resets detector state, v2
-//!    preserves flags) pinned down, plus the v1 → v2 migration path.
+//!    panic, never over-allocate from forged lengths, and never yield a
+//!    record that was not written.
+//! 3. **Old layouts fail closed** — a version-2 snapshot and a `0x01`
+//!    WAL enroll frame (both carried helper bytes) are typed errors,
+//!    never a silently misread record.
+//! 4. **Digest-only storage** — enrolling arbitrary helpers stores and
+//!    snapshots exactly their digests.
+
+mod legacy;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use ropuf_verifier::store::snapshot::{self, SnapshotV2Error};
+use ropuf_constructions::helper_digest;
+use ropuf_verifier::store::snapshot::{self, SnapshotDevice, SnapshotV2Error};
 use ropuf_verifier::store::wal::{WalDecodeError, WalReader, WalRecord};
-use ropuf_verifier::{DetectorConfig, EnrollmentRecord, FlagReason, ShardedRegistry};
+use ropuf_verifier::{DetectorConfig, EnrollmentRecord, FlagReason, ShardedRegistry, StoredRecord};
 
-type FleetEntry = (u64, EnrollmentRecord, Option<(u64, FlagReason)>);
+use legacy::OldDevice;
+
+/// The enrollment input behind seed byte `s`: varied helper sizes.
+fn enrollment(s: u8) -> EnrollmentRecord {
+    EnrollmentRecord {
+        scheme_tag: s % 5,
+        helper: vec![s; usize::from(s % 41)],
+        key_digest: [s.wrapping_mul(31); 32],
+    }
+}
 
 /// Deterministically expands per-device seed bytes into a fleet with
-/// strictly ascending ids, varied helper sizes and a mix of flagged /
+/// strictly ascending ids, varied helpers and a mix of flagged /
 /// unflagged devices (the vendored proptest has no composite
 /// strategies, so structure is derived from flat byte vectors).
-fn fleet_from(seeds: &[u8]) -> Vec<FleetEntry> {
+fn fleet_from(seeds: &[u8]) -> Vec<SnapshotDevice> {
     let mut id = 0u64;
     seeds
         .iter()
         .map(|&s| {
             id += 1 + u64::from(s % 7) * 1000;
-            let record = EnrollmentRecord {
-                scheme_tag: s % 5,
-                helper: vec![s; usize::from(s % 41)],
-                key_digest: [s.wrapping_mul(31); 32],
-            };
             let flag = (s % 3 == 0).then(|| {
                 let reason = FlagReason::from_code(s % 4).expect("codes 0..=3 are valid");
                 (u64::from(s) * 977, reason)
             });
-            (id, record, flag)
+            SnapshotDevice {
+                device_id: id,
+                record: StoredRecord::from(&enrollment(s)),
+                flag,
+            }
         })
         .collect()
 }
 
 /// The fleet's mutation history as WAL records: every enrollment, then
 /// a flag record per flagged device.
-fn wal_records(fleet: &[FleetEntry]) -> Vec<WalRecord> {
+fn wal_records(fleet: &[SnapshotDevice]) -> Vec<WalRecord> {
     let mut records = Vec::new();
-    for (id, record, _) in fleet {
+    for device in fleet {
         records.push(WalRecord::Enroll {
-            device_id: *id,
-            record: record.clone(),
+            device_id: device.device_id,
+            record: device.record,
         });
     }
-    for (id, _, flag) in fleet {
-        if let Some((at, reason)) = flag {
+    for device in fleet {
+        if let Some((at, reason)) = device.flag {
             records.push(WalRecord::Flag {
-                device_id: *id,
-                at: *at,
-                reason: *reason,
+                device_id: device.device_id,
+                at,
+                reason,
             });
         }
     }
@@ -67,7 +80,7 @@ fn wal_records(fleet: &[FleetEntry]) -> Vec<WalRecord> {
 }
 
 proptest! {
-    /// v2 snapshot roundtrip: decode(encode(fleet)) reproduces every
+    /// Snapshot roundtrip: decode(encode(fleet)) reproduces every
     /// device, record and flag, and a load → re-encode is
     /// byte-identical (the format is canonical).
     #[test]
@@ -80,19 +93,14 @@ proptest! {
 
         let decoded = snapshot::decode(&bytes).expect("own encoding decodes");
         prop_assert_eq!(decoded.shards, shards);
-        prop_assert_eq!(decoded.devices.len(), fleet.len());
-        for (device, (id, record, flag)) in decoded.devices.iter().zip(&fleet) {
-            prop_assert_eq!(device.device_id, *id);
-            prop_assert_eq!(&device.record, record);
-            prop_assert_eq!(device.flag, *flag);
-        }
+        prop_assert_eq!(&decoded.devices, &fleet);
 
         let registry = ShardedRegistry::from_snapshot_v2(&bytes, DetectorConfig::default())
             .expect("own encoding loads");
         prop_assert_eq!(registry.snapshot_v2(), bytes);
     }
 
-    /// Every strict prefix of a v2 snapshot fails with a typed error —
+    /// Every strict prefix of a snapshot fails with a typed error —
     /// the trailing CRC makes any cut detectable.
     #[test]
     fn v2_strict_prefixes_are_typed_errors(seeds in vec(any::<u8>(), 1..12)) {
@@ -106,7 +114,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte change to a v2 snapshot is rejected: CRC-32
+    /// Any single-byte change to a snapshot is rejected: CRC-32
     /// detects every one-byte corruption, including in the CRC itself.
     #[test]
     fn v2_point_mutations_are_rejected(
@@ -190,8 +198,8 @@ proptest! {
     }
 
     /// WAL byte soup: the reader terminates without panicking, and a
-    /// mutated valid stream fails with a typed error at or before the
-    /// mutated frame.
+    /// mutated valid stream fails with a typed error at the mutated
+    /// frame, having yielded exactly the records before it.
     #[test]
     fn wal_byte_soup_and_mutations_never_panic(
         soup in vec(any::<u8>(), 0..400),
@@ -206,16 +214,24 @@ proptest! {
             }
         }
 
+        let records = wal_records(&fleet_from(&seeds));
         let mut bytes = Vec::new();
-        for r in wal_records(&fleet_from(&seeds)) {
+        let mut boundaries = vec![0usize];
+        for r in &records {
             r.encode_into(&mut bytes);
+            boundaries.push(bytes.len());
         }
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] ^= flip | 1;
+        let hit = boundaries.iter().filter(|&&b| b <= pos).count() - 1;
         let mut reader = WalReader::new(&bytes);
+        let mut read = 0;
         while let Some(next) = reader.next() {
             match next {
-                Ok(_) => {}
+                Ok(r) => {
+                    prop_assert_eq!(&r, &records[read]);
+                    read += 1;
+                }
                 Err(
                     WalDecodeError::CrcMismatch { .. }
                     | WalDecodeError::IncompleteHeader { .. }
@@ -227,48 +243,66 @@ proptest! {
                 ) => break,
             }
         }
+        prop_assert_eq!(read, hit);
     }
 
-    /// Loading the same fleet through the v2 binary snapshot and the
-    /// v1 JSON snapshot yields the same enrollment records, and the
-    /// documented difference holds: v2 preserves flags, v1 resets
-    /// detector state. The v1 → v2 migration path (`load v1, save v2`)
-    /// then re-enters the durable world losslessly for records.
+    /// Enrolling arbitrary helpers through the batch path stores, and
+    /// snapshots, exactly each helper's digest next to the key digest,
+    /// and a load of that snapshot stores the same records.
     #[test]
-    fn v1_and_v2_loads_are_semantically_equivalent(
+    fn enrolled_helpers_are_stored_as_digests(
         seeds in vec(any::<u8>(), 0..16),
         shards in 1usize..8,
     ) {
-        let fleet = fleet_from(&seeds);
-        let v2 = ShardedRegistry::from_snapshot_v2(
-            &snapshot::encode(shards, &fleet),
+        let registry = ShardedRegistry::new(shards, DetectorConfig::default());
+        let batch: Vec<(u64, EnrollmentRecord)> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (i as u64, enrollment(s)))
+            .collect();
+        prop_assert!(registry.enroll_batch(batch.clone()).iter().all(Result::is_ok));
+        let loaded = ShardedRegistry::from_snapshot_v2(
+            &registry.snapshot_v2(),
             DetectorConfig::default(),
-        ).expect("v2 loads");
-        let v1 = ShardedRegistry::from_snapshot(&v2.snapshot_json(), DetectorConfig::default())
-            .expect("v1 loads its own emission");
-
-        prop_assert_eq!(v1.len(), v2.len());
-        for (id, record, flag) in &fleet {
-            prop_assert_eq!(v1.record(*id), Some(record.clone()));
-            prop_assert_eq!(v2.record(*id), Some(record.clone()));
-            // v2 preserves flags; v1 (documented) resets detector state.
-            prop_assert_eq!(v2.flag_info(*id), *flag);
-            prop_assert_eq!(v1.flag_info(*id), None);
+        ).expect("own snapshot loads");
+        for (id, input) in &batch {
+            let want = StoredRecord {
+                scheme_tag: input.scheme_tag,
+                helper_digest: helper_digest(&input.helper),
+                key_digest: input.key_digest,
+            };
+            prop_assert_eq!(registry.record(*id), Some(want));
+            prop_assert_eq!(loaded.record(*id), Some(want));
         }
+    }
 
-        // Migration: v1-loaded registry saved as v2 and reloaded keeps
-        // every record; the auto-loader sniffs both formats.
-        let migrated = ShardedRegistry::load_snapshot_auto(
-            &v1.snapshot_v2(),
-            DetectorConfig::default(),
-        ).expect("migrated v2 loads");
-        let via_json = ShardedRegistry::load_snapshot_auto(
-            v1.snapshot_json().as_bytes(),
-            DetectorConfig::default(),
-        ).expect("auto-loader still takes v1");
-        for (id, record, _) in &fleet {
-            prop_assert_eq!(migrated.record(*id), Some(record.clone()));
-            prop_assert_eq!(via_json.record(*id), Some(record.clone()));
+    /// Old layouts fail closed whatever they hold: a version-2
+    /// snapshot is `UnsupportedVersion(2)`, and a `0x01` enroll frame
+    /// is `UnknownRecordType(0x01)` with nothing read.
+    #[test]
+    fn old_layouts_are_typed_errors(seeds in vec(any::<u8>(), 0..12)) {
+        let old: Vec<OldDevice> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let e = enrollment(s);
+                OldDevice {
+                    device_id: i as u64,
+                    scheme_tag: e.scheme_tag,
+                    helper: e.helper,
+                    key_digest: e.key_digest,
+                }
+            })
+            .collect();
+        prop_assert_eq!(
+            snapshot::decode(&legacy::v2_snapshot(3, &old)),
+            Err(SnapshotV2Error::UnsupportedVersion(2))
+        );
+        for device in &old {
+            let frame = legacy::enroll_frame_0x01(device);
+            let mut reader = WalReader::new(&frame);
+            prop_assert_eq!(reader.next(), Some(Err(WalDecodeError::UnknownRecordType(0x01))));
+            prop_assert_eq!(reader.offset(), 0);
         }
     }
 }
