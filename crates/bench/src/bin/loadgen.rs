@@ -2,10 +2,10 @@
 //! serving surface, with throughput and tail-latency reporting.
 //!
 //! ```text
-//! loadgen [--server loopback|blocking|evented] [--devices N]
+//! loadgen [--server loopback|evented] [--devices N]
 //!         [--rounds R] [--seed S] [--shards M] [--threads T]
-//!         [--workers W] [--loops L] [--busy-poll] [--connections C]
-//!         [--churn] [--smoke] [--loopback] [--json PATH] [--telemetry]
+//!         [--loops L] [--connections C] [--churn] [--smoke]
+//!         [--loopback] [--json PATH] [--telemetry]
 //!         [--telemetry-json PATH] [--trace-threshold-us U] [--port P]
 //!         [--assert-p999-us U] [--chaos SEED [--fault-rate R]]
 //! ```
@@ -14,29 +14,29 @@
 //! real LISA attack trajectories; the rest: benign authentication
 //! across the other three constructions), enrolls the fleet through
 //! one shard-partitioned `Verifier::enroll_batch` call, spawns the
-//! chosen backend on an ephemeral localhost port, and replays the plan
-//! from `T` client threads — each request timed into a per-thread
-//! log-bucketed histogram, merged at the end.
+//! evented server on an ephemeral localhost port (the default;
+//! `--smoke` and `--loopback` pick the in-process loopback transport
+//! instead), and replays the plan from `T` client threads — each
+//! request timed into a per-thread log-bucketed histogram, merged at
+//! the end.
 //!
-//! Connection shapes (TCP backends):
+//! Connection shapes (evented server):
 //!
 //! * default — one long-lived connection per client thread;
 //! * `--connections C` — `C` connections opened up-front and **held
 //!   established for the whole replay**, requests round-robined across
 //!   them (the many-concurrent-connections shape the evented server
-//!   exists for; the blocking pool refuses `C > W` because its workers
-//!   own one connection each until EOF);
+//!   exists for);
 //! * `--churn` — a fresh connection per device replay (accept/teardown
 //!   pressure).
 //!
-//! `--loops L` sizes the evented backend's event-loop fleet; the
+//! `--loops L` sizes the evented server's event-loop fleet; the
 //! default is `min(available_parallelism, 4)` — the committed tail
 //! numbers were once silently measured at `loops: 1`, so the resolved
-//! value is printed and recorded in the JSON artifact. `--busy-poll`
-//! arms each loop's short zero-timeout spin before the blocking wait.
+//! value is printed and recorded in the JSON artifact.
 //!
-//! In the held-connection evented shape every connection is probed
-//! with `LoopInfo` after its handshake and auth traffic is routed
+//! In the held-connection shape every connection is probed with
+//! `LoopInfo` after its handshake and auth traffic is routed
 //! loop-affine: a device's requests prefer connections that landed on
 //! `shard_for(id, shards) % loops` — the loop whose registry shard
 //! owns the device — falling back to plain round-robin when the probe
@@ -56,7 +56,7 @@
 //! `--json PATH` writes a `ropuf-bench-loadgen/v1` artifact so CI can
 //! track the serving-throughput trajectory per run.
 //!
-//! `--telemetry` (TCP backends only) holds one extra scraper
+//! `--telemetry` (evented server only) holds one extra scraper
 //! connection that pulls `MetricsSnapshot` off the live server
 //! mid-run, then takes a final scrape plus a `TraceDump` after the
 //! replay and asserts the server-side `server.requests` counter equals
@@ -69,7 +69,7 @@
 //!
 //! `--trace-threshold-us U` sets the server's slow-trace threshold
 //! (default under `--telemetry`: 100 µs for full runs, 0 — trace
-//! everything — for `--smoke`; the backends' own 1 ms default
+//! everything — for `--smoke`; the server's own 1 ms default
 //! otherwise). With telemetry enabled the run *asserts* the trace ring
 //! is non-empty, so the artifact's slowest-requests section can never
 //! silently degenerate to zero traces.
@@ -95,8 +95,8 @@ use ropuf_constructions::pairing::lisa::LisaConfig;
 use ropuf_numeric::Histogram;
 use ropuf_proto::ErrorCode;
 use ropuf_server::{
-    Client, DeviceTraffic, LoopbackTransport, RequestHandler, Role, TcpServer, TcpTransport,
-    TrafficPlan, TrafficSpec, Transport, VerifierHandler,
+    Client, DeviceTraffic, LoopbackTransport, RequestHandler, Role, TcpTransport, TrafficPlan,
+    TrafficSpec, Transport, VerifierHandler,
 };
 #[cfg(target_os = "linux")]
 use ropuf_server::{EventedConfig, EventedServer};
@@ -115,7 +115,6 @@ fn default_loops() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
     Loopback,
-    Blocking,
     Evented,
 }
 
@@ -123,7 +122,6 @@ impl Backend {
     fn name(self) -> &'static str {
         match self {
             Backend::Loopback => "loopback",
-            Backend::Blocking => "blocking",
             Backend::Evented => "evented",
         }
     }
@@ -313,17 +311,17 @@ where
 }
 
 /// Opens `count` TCP connections, completes the handshake on each, and
-/// partitions them round-robin into `threads` pools. With `affine`
-/// (`(shards, loops)` — the evented backend), every connection is
-/// additionally probed with `LoopInfo` so replay can route each
-/// device's traffic to a connection on its owning loop. Returns the
-/// pools plus the number of probe ops issued (they count toward the
-/// exact telemetry gate).
+/// partitions them round-robin into `threads` pools. Every connection
+/// is additionally probed with `LoopInfo` so replay can route each
+/// device's traffic to a connection on its owning loop
+/// (`shard_for(id, shards) % loops`). Returns the pools plus the
+/// number of probe ops issued (they count toward the exact telemetry
+/// gate).
 fn open_held_pools(
     addr: std::net::SocketAddr,
     count: usize,
     threads: usize,
-    affine: Option<(usize, usize)>,
+    (shards, loops): (usize, usize),
 ) -> (Vec<ClientPool<TcpTransport>>, u64) {
     let mut pools: Vec<Vec<Client<TcpTransport>>> =
         (0..threads.max(1)).map(|_| Vec::new()).collect();
@@ -338,9 +336,6 @@ fn open_held_pools(
     // Fewer connections than threads leaves trailing pools empty; a
     // pool-less thread has nothing to replay with, so shed it.
     pools.retain(|pool| !pool.is_empty());
-    let Some((shards, loops)) = affine else {
-        return (pools.into_iter().map(ClientPool::plain).collect(), 0);
-    };
     let loops = loops.max(1);
     let mut probe_ops = 0u64;
     let mut per_loop = vec![0u64; loops];
@@ -496,9 +491,7 @@ fn main() {
         "seed",
         "shards",
         "threads",
-        "workers",
         "loops",
-        "busy-poll",
         "assert-p999-us",
         "smoke",
         "loopback",
@@ -534,26 +527,23 @@ fn main() {
     let threads = flags
         .get_usize("threads")
         .unwrap_or(if smoke { 2 } else { 4 });
-    let mut workers = flags.get_usize("workers").unwrap_or(4);
     let loops = flags.get_usize("loops").unwrap_or_else(default_loops);
-    let busy_poll = flags.has("busy-poll");
     let connections = flags.get_usize("connections");
     let churn = flags.has("churn");
     let port = flags.get_usize("port");
     let backend = match flags.get("server") {
         Some("loopback") => Backend::Loopback,
-        Some("blocking") => Backend::Blocking,
         Some("evented") => Backend::Evented,
-        Some(other) => panic!("--server expects loopback|blocking|evented, got {other:?}"),
+        Some(other) => panic!("--server expects loopback|evented, got {other:?}"),
         None if flags.has("loopback") => Backend::Loopback,
         None if smoke => Backend::Loopback,
-        None => Backend::Blocking,
+        None => Backend::Evented,
     };
     let telemetry_json = flags.get_required_value("telemetry-json");
     let telemetry_enabled = flags.has("telemetry") || telemetry_json.is_some();
     // Slow-trace threshold for the server under test. Telemetry runs
     // default low enough that the trace ring is provably non-empty
-    // (asserted below); plain runs keep the backends' 1 ms default.
+    // (asserted below); plain runs keep the server's 1 ms default.
     let trace_threshold = flags
         .get_u64("trace-threshold-us")
         .map(std::time::Duration::from_micros)
@@ -565,43 +555,16 @@ fn main() {
             std::time::Duration::from_millis(1)
         });
     if connections.is_some() && backend == Backend::Loopback {
-        panic!("--connections needs a TCP backend; pass --server evented (or blocking)");
+        panic!("--connections needs a TCP server; pass --server evented");
     }
     if port.is_some() && backend == Backend::Loopback {
-        panic!("--port binds a TCP listener; pass --server evented (or blocking)");
+        panic!("--port binds a TCP listener; pass --server evented");
     }
-    if telemetry_enabled {
-        assert!(
-            backend != Backend::Loopback,
-            "--telemetry scrapes over the wire; pass --server evented (or blocking)"
-        );
-        if backend == Backend::Blocking && !churn {
-            // The blocking pool parks one worker per connection until
-            // EOF, and --telemetry holds one extra scraper connection
-            // for the whole run: too few workers would deadlock the
-            // scrape loop behind the replay pools. Bump instead of
-            // dying — the operator asked for telemetry, not a puzzle.
-            let held = connections.unwrap_or(threads.max(1));
-            let needed = held + 1;
-            if workers < needed {
-                eprintln!(
-                    "loadgen: --telemetry holds a scraper connection on the blocking pool: \
-                     {held} replay connections + 1 scraper need {needed} workers; \
-                     bumping --workers {workers} -> {needed}"
-                );
-                workers = needed;
-            }
-        }
+    if telemetry_enabled && backend == Backend::Loopback {
+        panic!("--telemetry scrapes over the wire; pass --server evented");
     }
     if churn && connections.is_some() {
         panic!("--churn and --connections are different connection shapes; pick one");
-    }
-    if let (Backend::Blocking, Some(c)) = (backend, connections) {
-        assert!(
-            c <= workers,
-            "the blocking pool serves one connection per worker until EOF: \
-             {c} held connections need >= {c} workers (or --server evented)"
-        );
     }
 
     ropuf_bench::header(
@@ -680,48 +643,12 @@ fn main() {
                 .collect();
             run_pools(&plan, pools)
         }
-        Backend::Blocking => {
-            let server = TcpServer::spawn_traced(
-                bind_addr.as_str(),
-                Arc::clone(&handler),
-                workers,
-                trace_threshold,
-                2048,
-                sample_interval,
-                2048,
-            )
-            .expect("bind localhost");
-            let addr = server.local_addr();
-            let scraper = telemetry_enabled.then(|| Scraper::start(addr));
-            let result = run_tcp(
-                &plan,
-                addr,
-                threads,
-                connections,
-                churn,
-                "blocking",
-                None,
-                exact_gates,
-                None,
-                &mut probe_ops,
-            );
-            scrape_report = scraper.map(|s| s.finish(addr));
-            server_stats = Some(ServerStats {
-                accepted: server.accepted_total(),
-                requests: server.requests_served(),
-                evicted_idle: 0,
-                evicted_slow: 0,
-            });
-            server.shutdown();
-            result
-        }
         #[cfg(not(target_os = "linux"))]
         Backend::Evented => panic!("--server evented requires Linux (epoll)"),
         #[cfg(target_os = "linux")]
         Backend::Evented => {
             let config = EventedConfig {
                 loops,
-                busy_poll,
                 slow_trace_threshold: trace_threshold,
                 trace_capacity: 2048,
                 sample_interval,
@@ -729,10 +656,9 @@ fn main() {
                 ..EventedConfig::default()
             };
             println!(
-                "evented topology: {loops} event loop(s) (default min(available_parallelism, 4) = {}), reuseport {}, busy-poll {}",
+                "evented topology: {loops} event loop(s) (default min(available_parallelism, 4) = {}), reuseport {}",
                 default_loops(),
                 if config.reuseport { "on" } else { "off" },
-                if busy_poll { "on" } else { "off" },
             );
             let server = EventedServer::spawn(bind_addr.as_str(), Arc::clone(&handler), config)
                 .expect("bind localhost");
@@ -748,10 +674,9 @@ fn main() {
                 threads,
                 connections,
                 churn,
-                "evented",
-                Some(&gauge),
+                &gauge,
                 exact_gates,
-                Some((shards, loops)),
+                (shards, loops),
                 &mut probe_ops,
             );
             scrape_report = scraper.map(|s| s.finish(addr));
@@ -768,13 +693,13 @@ fn main() {
     };
     let wall = t0.elapsed().as_secs_f64();
 
-    /// Dispatches the chosen connection shape against a bound TCP
-    /// address; asserts the held-connection gauge when the evented
-    /// server handle is available (`exact_gauge` false — a fixed
-    /// `--port` with external observers attached — weakens equality to
-    /// a lower bound). `affine` (`(shards, loops)`, evented held shape
-    /// only) arms the LoopInfo probe + loop-affine routing; the probe
-    /// op count accumulates into `probe_ops`.
+    /// Dispatches the chosen connection shape against the evented
+    /// server's address; in the held shape, asserts the server's
+    /// open-connection gauge (`exact_gauge` false — a fixed `--port`
+    /// with external observers attached — weakens equality to a lower
+    /// bound) and arms the LoopInfo probe + loop-affine routing over
+    /// `affine` (`(shards, loops)`); the probe op count accumulates
+    /// into `probe_ops`.
     #[allow(clippy::too_many_arguments)]
     fn run_tcp(
         plan: &TrafficPlan,
@@ -782,15 +707,14 @@ fn main() {
         threads: usize,
         connections: Option<usize>,
         churn: bool,
-        backend_name: &str,
-        held_gauge: Option<&dyn Fn() -> usize>,
+        held_gauge: &dyn Fn() -> usize,
         exact_gauge: bool,
-        affine: Option<(usize, usize)>,
+        affine: (usize, usize),
         probe_ops: &mut u64,
     ) -> (Vec<DeviceOutcome>, Histogram) {
         if churn {
             println!(
-                "transport: TCP {addr} ({backend_name}), connection churn — one connection per device replay, {threads} client thread(s)"
+                "transport: TCP {addr} (evented), connection churn — one connection per device replay, {threads} client thread(s)"
             );
             return run_churn(plan, threads, || {
                 Client::new(TcpTransport::connect(addr).expect("churn connect"))
@@ -799,7 +723,7 @@ fn main() {
         match connections {
             None => {
                 println!(
-                    "transport: TCP {addr} ({backend_name}), one connection per client thread, {threads} thread(s)"
+                    "transport: TCP {addr} (evented), one connection per client thread, {threads} thread(s)"
                 );
                 let pools = (0..threads.max(1))
                     .map(|_| {
@@ -817,23 +741,21 @@ fn main() {
                 let (pools, probes) = open_held_pools(addr, count, threads, affine);
                 *probe_ops += probes;
                 println!(
-                    "transport: TCP {addr} ({backend_name}), {count} connections held concurrently (opened + handshaken in {:.0} ms), {threads} client thread(s)",
+                    "transport: TCP {addr} (evented), {count} connections held concurrently (opened + handshaken in {:.0} ms), {threads} client thread(s)",
                     t0.elapsed().as_secs_f64() * 1e3,
                 );
-                if let Some(gauge) = held_gauge {
-                    let open = gauge();
-                    if exact_gauge {
-                        assert_eq!(
-                            open, count,
-                            "every held connection must be established simultaneously"
-                        );
-                    } else {
-                        assert!(
-                            open >= count,
-                            "every held connection must be established simultaneously \
-                             (gauge {open} < {count}; external observers only add connections)"
-                        );
-                    }
+                let open = held_gauge();
+                if exact_gauge {
+                    assert_eq!(
+                        open, count,
+                        "every held connection must be established simultaneously"
+                    );
+                } else {
+                    assert!(
+                        open >= count,
+                        "every held connection must be established simultaneously \
+                         (gauge {open} < {count}; external observers only add connections)"
+                    );
                 }
                 run_pools(plan, pools)
             }
@@ -1121,7 +1043,7 @@ fn main() {
             None => "null".to_string(),
         };
         let artifact = format!(
-            "{{\n  \"schema\": \"ropuf-bench-loadgen/v1\",\n  \"mode\": \"{}\",\n  \"server\": \"{}\",\n  \"connection_shape\": \"{}\",\n  \"config\": {{\"devices\": {devices}, \"rounds\": {rounds}, \"seed\": {master_seed}, \"shards\": {shards}, \"threads\": {threads}, \"workers\": {workers}, \"loops\": {loops}, \"busy_poll\": {busy_poll}, \"connections\": {}}},\n  \"requests\": {total},\n  \"ops_per_s\": {ops:.0},\n  \"latency_us\": {{\"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"p999\": {:.1}, \"max\": {:.1}}},\n  \"server_stats\": {stats_json}\n}}\n",
+            "{{\n  \"schema\": \"ropuf-bench-loadgen/v1\",\n  \"mode\": \"{}\",\n  \"server\": \"{}\",\n  \"connection_shape\": \"{}\",\n  \"config\": {{\"devices\": {devices}, \"rounds\": {rounds}, \"seed\": {master_seed}, \"shards\": {shards}, \"threads\": {threads}, \"loops\": {loops}, \"connections\": {}}},\n  \"requests\": {total},\n  \"ops_per_s\": {ops:.0},\n  \"latency_us\": {{\"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"p999\": {:.1}, \"max\": {:.1}}},\n  \"server_stats\": {stats_json}\n}}\n",
             if smoke { "smoke" } else { "full" },
             backend.name(),
             if churn {
@@ -1343,7 +1265,6 @@ mod chaos {
 
         let config = EventedConfig {
             loops,
-            busy_poll: flags.has("busy-poll"),
             overload: overload_policy(),
             ..EventedConfig::default()
         };

@@ -324,11 +324,11 @@ pub enum Request {
     /// Ask for the server's retained time-series history (periodic
     /// delta snapshots) as a `ropuf-timeseries/v1` blob.
     TimeSeriesDump,
-    /// Ask which event loop owns this connection. Multi-loop evented
-    /// servers answer with the accepting loop's id; single-threaded
-    /// backends (blocking, loopback) answer `(0, 1)`. Topology-aware
-    /// clients use this to route a device's traffic to a connection on
-    /// the loop that owns the device's registry shard.
+    /// Ask which event loop owns this connection. The evented server
+    /// answers with the accepting loop's id; loopback answers
+    /// `(0, 1)`. Topology-aware clients use this to route a device's
+    /// traffic to a connection on the loop that owns the device's
+    /// registry shard.
     LoopInfo,
 }
 

@@ -3,9 +3,9 @@
 //! An overloaded verifier must degrade *predictably*: answer cheap
 //! typed errors fast instead of queueing unboundedly, and shed the
 //! traffic that matters least first. The policy here is two
-//! thresholds over one backend-supplied pressure signal (queued
-//! out-buffer bytes on the evented backend, in-flight connections on
-//! the blocking one):
+//! thresholds over one pressure signal, [`evented_pressure`]: a
+//! connection's queued out-buffer bytes plus the event loop's
+//! ready-list backlog, in byte equivalents:
 //!
 //! * **brown-out** (`brownout_pressure`): observability scrapes
 //!   (metrics/trace/time-series/snapshots) and `QueryVerdict` lookups
@@ -23,8 +23,6 @@
 //! `server.shed{class}`. The default policy is disabled (infinite
 //! budgets) so existing deployments and the equivalence suites are
 //! byte-for-byte unaffected until a budget is configured.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ropuf_proto::{overload_detail, ErrorCode, Response};
 use ropuf_telemetry::Counter;
@@ -122,9 +120,8 @@ pub fn evented_pressure(pending_out_bytes: u64, ready_backlog: u64) -> u64 {
     )
 }
 
-/// Overload thresholds. Pressure is whatever unit the backend
-/// measures: queued out-buffer bytes (evented) or in-flight
-/// connections (blocking).
+/// Overload thresholds, in the pending-out-byte equivalents
+/// [`evented_pressure`] measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
     /// At or above this pressure, scrapes and verdict lookups are
@@ -158,24 +155,21 @@ impl Default for OverloadPolicy {
     }
 }
 
-/// One backend's admission gate: the policy, an in-flight tally for
-/// backends that meter by request, and the shed counters. Shareable
-/// across serving threads; every decision is a couple of relaxed
-/// atomic loads.
+/// The server's admission gate: the policy and the shed counters.
+/// Shareable across event loops; a decision compares the pressure
+/// against the two thresholds.
 #[derive(Debug)]
 pub struct Admission {
     policy: OverloadPolicy,
-    inflight: AtomicU64,
     shed: [Counter; CLASSES.len()],
 }
 
 impl Admission {
     /// Builds the gate, registering `server.shed{class}` counters in
-    /// the backend's telemetry.
+    /// the server's telemetry.
     pub fn new(policy: OverloadPolicy, telemetry: &ServerTelemetry) -> Self {
         Self {
             policy,
-            inflight: AtomicU64::new(0),
             shed: CLASSES.map(|class| telemetry.shed_counter(class.label())),
         }
     }
@@ -185,7 +179,7 @@ impl Admission {
         &self.policy
     }
 
-    /// Decides one request given the backend's current pressure.
+    /// Decides one request given the current pressure.
     /// `None` admits; `Some(response)` is the shed answer to write
     /// back (already counted in `server.shed{class}`).
     pub fn check(&self, class: RequestClass, pressure: u64) -> Option<Response> {
@@ -206,28 +200,6 @@ impl Admission {
         })
     }
 
-    /// Convenience for request-metered backends: [`Admission::check`]
-    /// against the internal in-flight tally.
-    pub fn check_inflight(&self, class: RequestClass) -> Option<Response> {
-        self.check(class, self.inflight.load(Ordering::Relaxed))
-    }
-
-    /// Marks one request (or connection) in flight; pair with
-    /// [`Admission::end`].
-    pub fn begin(&self) {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Ends one in-flight request (or connection).
-    pub fn end(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The current in-flight tally.
-    pub fn inflight(&self) -> u64 {
-        self.inflight.load(Ordering::Relaxed)
-    }
-
     /// Total requests shed so far, all classes.
     pub fn shed_total(&self) -> u64 {
         self.shed.iter().map(Counter::get).sum()
@@ -240,7 +212,7 @@ mod tests {
     use std::time::Duration;
 
     fn telemetry() -> std::sync::Arc<ServerTelemetry> {
-        ServerTelemetry::new("test", Duration::ZERO, 8, 16, Duration::ZERO)
+        ServerTelemetry::new(Duration::ZERO, 8, 16, Duration::ZERO)
     }
 
     #[test]
@@ -346,29 +318,9 @@ mod tests {
         // The sheds are attributable by class.
         let snap = t.snapshot();
         assert_eq!(snap.counter_total("server.shed"), 4);
-        match snap.find("server.shed", &[("backend", "test"), ("class", "auth")]) {
+        match snap.find("server.shed", &[("backend", "evented"), ("class", "auth")]) {
             Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, 1),
             other => panic!("expected auth shed counter, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn inflight_tally_pairs() {
-        let t = telemetry();
-        let gate = Admission::new(
-            OverloadPolicy {
-                brownout_pressure: 2,
-                max_pressure: 3,
-                retry_after_ms: 1,
-            },
-            &t,
-        );
-        gate.begin();
-        gate.begin();
-        assert_eq!(gate.inflight(), 2);
-        assert!(gate.check_inflight(RequestClass::Scrape).is_some());
-        assert_eq!(gate.check_inflight(RequestClass::Auth), None);
-        gate.end();
-        assert_eq!(gate.check_inflight(RequestClass::Scrape), None);
     }
 }

@@ -29,22 +29,20 @@
 //!   └────────────────────────────────────────────────────────────┘
 //!        │ all loops share one Arc<dyn RequestHandler>
 //!        ▼
-//!   shared Verifier (per-shard locks, exactly as the blocking pool)
+//!   shared Verifier (per-shard locks)
 //! ```
 //!
-//! Where the blocking [`TcpServer`](crate::tcp::TcpServer) dedicates a
-//! worker thread to one connection at a time (concurrency capped by
-//! the pool size, one slow client stalls a worker), this server
-//! multiplexes **thousands of connections per loop thread**: each
-//! connection is a small state machine that only runs when the kernel
-//! says its socket is ready. Connections support pipelining (many
-//! requests in flight back-to-back on one socket; responses come back
-//! in order), per-connection buffers are bounded (the 64 KiB
-//! [`SCRATCH_RETAIN`](ropuf_proto::SCRATCH_RETAIN) retention rule plus
-//! a configurable write-buffer high-water mark that pauses reading —
-//! backpressure instead of unbounded queueing), and two timers evict
-//! hostile or dead peers: an idle timeout between requests and a
-//! stricter mid-frame timeout that defeats slow-loris trickles.
+//! The server multiplexes **thousands of connections per loop
+//! thread**: each connection is a small state machine that only runs
+//! when the kernel says its socket is ready. Connections support
+//! pipelining (many requests in flight back-to-back on one socket;
+//! responses come back in order), per-connection buffers are bounded
+//! (the 64 KiB [`SCRATCH_RETAIN`](ropuf_proto::SCRATCH_RETAIN)
+//! retention rule plus a configurable write-buffer high-water mark
+//! that pauses reading — backpressure instead of unbounded queueing),
+//! and two timers evict hostile or dead peers: an idle timeout between
+//! requests and a stricter mid-frame timeout that defeats slow-loris
+//! trickles.
 //!
 //! # Tail-latency discipline
 //!
@@ -71,14 +69,16 @@
 //!   served identically — affinity is an optimization, never a
 //!   correctness requirement.
 //!
-//! Protocol semantics are **identical** to the blocking server: both
-//! funnel decoded [`RequestRef`]s through the same shared
-//! [`RequestHandler`], malformed frames are answered with a typed
-//! [`ErrorCode::MalformedRequest`] before the connection closes, and
-//! oversized responses degrade to [`ErrorCode::ResponseTooLarge`]. The
-//! equivalence suite replays identical traffic through both backends —
-//! and through every loop/reuseport topology — and asserts bit-for-bit
-//! identical response bytes.
+//! Protocol semantics are **identical** to the in-process
+//! [`LoopbackTransport`](crate::LoopbackTransport), the semantic
+//! oracle: both funnel decoded [`RequestRef`]s through the same shared
+//! [`RequestHandler`]. On top of that, malformed frames are answered
+//! with a typed [`ErrorCode::MalformedRequest`] before the connection
+//! closes, and oversized responses degrade to
+//! [`ErrorCode::ResponseTooLarge`]. The equivalence suite replays
+//! identical traffic through the server — in every loop/reuseport
+//! topology — and through loopback, and asserts bit-for-bit identical
+//! response bytes.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -115,12 +115,6 @@ pub struct EventedConfig {
     /// address is IPv6, or the reuseport bind is refused — all loops
     /// fall back to sharing one listener.
     pub reuseport: bool,
-    /// Spin briefly on zero-timeout polls before parking in
-    /// `epoll_wait`: readiness surfaces without a sleep/wake
-    /// transition, shaving scheduler latency off the tail at the price
-    /// of burning idle CPU. For latency-critical deployments with
-    /// cores to spare.
-    pub busy_poll: bool,
     /// A connection with no complete frame for this long — and no
     /// frame in progress — is evicted.
     pub idle_timeout: Duration,
@@ -153,12 +147,11 @@ pub struct EventedConfig {
     /// overwritten). At the default 1 s interval, 512 points is
     /// ~8.5 minutes of history in ~140 KiB.
     pub series_capacity: usize,
-    /// Admission budget. On this backend pressure is a connection's
-    /// pending out-buffer bytes plus the loop's remaining ready-event
-    /// backlog (see
-    /// [`evented_pressure`]) — the
-    /// direct measures of a peer that asks faster than it reads and a
-    /// loop that wakes to more work than it can finish. Sensible
+    /// Admission budget. Pressure is a connection's pending out-buffer
+    /// bytes plus the loop's remaining ready-event backlog (see
+    /// [`evented_pressure`]) — the direct measures of a peer that asks
+    /// faster than it reads and a loop that wakes to more work than it
+    /// can finish. Sensible
     /// budgets sit below [`EventedConfig::max_write_buffer`], so cheap
     /// `Overloaded` answers go out *before* backpressure stops reading
     /// entirely. Disabled by default.
@@ -170,7 +163,6 @@ impl Default for EventedConfig {
         Self {
             loops: 1,
             reuseport: true,
-            busy_poll: false,
             idle_timeout: Duration::from_secs(60),
             frame_timeout: Duration::from_secs(10),
             max_write_buffer: 1024 * 1024,
@@ -202,7 +194,6 @@ struct Shared {
 impl Shared {
     fn new(config: &EventedConfig) -> Self {
         let telemetry = ServerTelemetry::new(
-            "evented",
             config.slow_trace_threshold,
             config.trace_capacity,
             config.series_capacity,
@@ -221,9 +212,9 @@ impl Shared {
 
 /// A running event-driven TCP server.
 ///
-/// Like the blocking server, dropping the handle without calling
-/// [`EventedServer::shutdown`] / [`EventedServer::force_shutdown`]
-/// leaks the loop threads until process exit.
+/// Dropping the handle without calling [`EventedServer::shutdown`] /
+/// [`EventedServer::force_shutdown`] leaks the loop threads until
+/// process exit.
 #[derive(Debug)]
 pub struct EventedServer {
     local_addr: SocketAddr,
@@ -607,10 +598,6 @@ const EVENTS_MAX: usize = 4096;
 /// shrinks it.
 const READ_BUF: usize = ropuf_proto::SCRATCH_RETAIN;
 
-/// How long [`EventedConfig::busy_poll`] spins on zero-timeout polls
-/// before parking in a blocking wait.
-const BUSY_POLL_SPIN: Duration = Duration::from_micros(200);
-
 struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
@@ -698,28 +685,6 @@ impl EventLoop {
         ((finest.as_millis() / 4).clamp(1, 50)) as i32
     }
 
-    /// One epoll wait honoring the busy-poll mode: spin on
-    /// zero-timeout polls for [`BUSY_POLL_SPIN`] (readiness surfaces
-    /// without a sleep/wake transition), then park normally. Stop
-    /// requests still land promptly in the spin window — the waker
-    /// write makes the loop's epoll readable.
-    fn wait_ready(&self, events: &mut [Event], tick: i32) -> io::Result<usize> {
-        if self.config.busy_poll {
-            let deadline = Instant::now() + BUSY_POLL_SPIN;
-            loop {
-                let n = self.epoll.wait(events, 0)?;
-                if n > 0 {
-                    return Ok(n);
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        self.epoll.wait(events, tick)
-    }
-
     fn run(&mut self, handler: &dyn RequestHandler, shared: &Shared) {
         self.lane = Some(shared.telemetry.lane(self.loop_id));
         self.affinity = Some(shared.telemetry.affinity_counters());
@@ -728,7 +693,7 @@ impl EventLoop {
         let tick = self.tick_ms();
         loop {
             let wait_start = Instant::now();
-            let n = match self.wait_ready(&mut events, tick) {
+            let n = match self.epoll.wait(&mut events, tick) {
                 Ok(n) => n,
                 Err(_) => break, // epoll itself failed: abandon ship
             };
@@ -799,9 +764,8 @@ impl EventLoop {
                 }
             }
             // Saturation accounting: wall covers the whole iteration
-            // (park and busy-poll spin included), busy only the part
-            // after the kernel returned. busy/wall is the loop's
-            // utilization.
+            // (the park included), busy only the part after the kernel
+            // returned. busy/wall is the loop's utilization.
             if let Some(lane) = &self.lane {
                 let end = Instant::now();
                 lane.busy_ns.add(elapsed_ns(batch_start, end));
@@ -1025,8 +989,7 @@ impl EventLoop {
                                 queued
                             }
                             Err(e) => {
-                                // Same contract as the blocking server: a
-                                // typed answer, then the connection ends.
+                                // A typed answer, then the connection ends.
                                 let t2 = Instant::now();
                                 let answered = queue_response(
                                     conn,
@@ -1230,8 +1193,8 @@ fn reclaim_read_buf(spare: &mut Vec<u8>, accum: &mut FrameAccum) {
 
 /// Encodes `response` and appends it to the connection's out-queue,
 /// advancing `queued_total` by the framed byte count. An oversize
-/// response degrades to the same typed
-/// [`ErrorCode::ResponseTooLarge`] answer the blocking server gives.
+/// response degrades to a typed [`ErrorCode::ResponseTooLarge`]
+/// answer, so the connection stays frame-aligned.
 /// Returns `false` only when even the fallback cannot be queued.
 fn queue_response(conn: &mut Conn, response: &Response, scratch: &mut Vec<u8>) -> bool {
     response.encode_into(scratch);
@@ -1288,8 +1251,7 @@ fn flush_out(conn: &mut Conn) -> bool {
 mod tests {
     use super::*;
     use crate::handler::VerifierHandler;
-    use crate::tcp::TcpTransport;
-    use crate::transport::Client;
+    use crate::transport::{Client, TcpTransport};
     use ropuf_proto::{FaultPlan, FaultyStream, Request, RATE_ONE};
     use ropuf_verifier::{DetectorConfig, Verifier};
     use std::net::TcpStream;

@@ -2,7 +2,7 @@
 //! [`Verifier`].
 //!
 //! [`RequestHandler`] is the transport-independent core of the server:
-//! the TCP worker pool and the in-process loopback transport both
+//! the evented server and the in-process loopback transport both
 //! funnel decoded [`Request`]s through the same `handle` call, so a
 //! scenario exercised over loopback is bit-for-bit the scenario the
 //! socket path serves.

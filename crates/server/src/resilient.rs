@@ -155,7 +155,7 @@ const CAUSES: [&str; 3] = ["connect", "transport", "overloaded"];
 
 /// A framed request/response transport over one TCP connection whose
 /// byte stream runs through a [`FaultPlan`] — the chaos-capable
-/// cousin of [`TcpTransport`](crate::tcp::TcpTransport). With a
+/// cousin of [`TcpTransport`](crate::TcpTransport). With a
 /// transparent (default) plan it is an ordinary deadline-armed
 /// transport.
 #[derive(Debug)]

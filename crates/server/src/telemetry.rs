@@ -1,11 +1,11 @@
-//! Server-side telemetry: backend-labeled request/connection counters,
-//! per-message-type phase latency histograms, per-lane saturation
-//! counters, the slow-request trace ring and the retained time-series
-//! ring — everything a wire scrape merges on top of the verifier's own
+//! Server-side telemetry: request/connection counters, per-message-type
+//! phase latency histograms, per-lane saturation counters, the
+//! slow-request trace ring and the retained time-series ring —
+//! everything a wire scrape merges on top of the verifier's own
 //! metrics.
 //!
-//! Both backends (`TcpServer`, `EventedServer`) own one
-//! [`ServerTelemetry`] and record into it once per served frame with
+//! The [`EventedServer`](crate::EventedServer) owns one
+//! [`ServerTelemetry`] and records into it once per served frame with
 //! five phase durations covering the whole lifecycle the client can
 //! observe: ready-wait (readiness to decode start), decode, handle,
 //! flush, and flush-wait (out-buffer residency until the socket
@@ -59,10 +59,9 @@ fn msg_slot(msg_type: u8) -> usize {
     }
 }
 
-/// Label values for per-lane (event loop / pool worker) saturation
-/// metrics. Lanes at or beyond the table's end share one overflow
-/// bucket, so a huge auto-bumped worker pool cannot mint thousands of
-/// label sets.
+/// Label values for per-lane (event loop) saturation metrics. Lanes at
+/// or beyond the table's end share one overflow bucket, so a huge loop
+/// count cannot mint thousands of label sets.
 const LANE_LABELS: [&str; 33] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
     "17", "18", "19", "20", "21", "22", "23", "24", "25", "26", "27", "28", "29", "30", "31",
@@ -96,8 +95,7 @@ pub(crate) fn request_device_hash(request: &RequestRef<'_>) -> u64 {
     id.map_or(0, ropuf_numeric::splitmix64)
 }
 
-/// Per-lane saturation handles: one event loop (evented backend) or
-/// one pool worker (blocking backend). Utilization is
+/// Per-lane saturation handles: one event loop. Utilization is
 /// `busy_ns / wall_ns` over any scrape interval.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneStats {
@@ -111,14 +109,17 @@ pub(crate) struct LaneStats {
     pub(crate) out_highwater: Gauge,
 }
 
-/// One backend's worth of server metrics plus the slow-request ring
-/// and the retained time-series ring.
+/// The `backend` label value on every `server.*` metric. It is a
+/// constant: scrapers look metrics up by it.
+const BACKEND: &str = "evented";
+
+/// The server's metrics plus the slow-request ring and the retained
+/// time-series ring.
 ///
 /// Cheap to clone-by-`Arc`; every handle inside is already shareable.
 #[derive(Debug)]
 pub struct ServerTelemetry {
     registry: Registry,
-    backend: String,
     accepted: Counter,
     open: Gauge,
     requests: Counter,
@@ -134,7 +135,7 @@ pub struct ServerTelemetry {
     total: TimerHistogram,
     /// Accept-to-first-frame per connection.
     first_frame: TimerHistogram,
-    /// Ready-list batch sizes per epoll wakeup (evented backend only).
+    /// Ready-list batch sizes per epoll wakeup.
     ready_batch: TimerHistogram,
     ring: TraceRing,
     series: SeriesRing,
@@ -142,27 +143,26 @@ pub struct ServerTelemetry {
 }
 
 impl ServerTelemetry {
-    /// Builds a registry for one backend. `backend` labels every
-    /// metric (`blocking` or `evented`); requests slower than
-    /// `slow_threshold` land in a ring of `trace_capacity` records;
-    /// the time-series sampler (when started) retains
-    /// `series_capacity` points cut every `sample_interval`.
+    /// Builds the server's registry; every metric carries
+    /// `backend="evented"`. Requests slower than `slow_threshold` land
+    /// in a ring of `trace_capacity` records; the time-series sampler
+    /// (when started) retains `series_capacity` points cut every
+    /// `sample_interval`.
     pub fn new(
-        backend: &str,
         slow_threshold: Duration,
         trace_capacity: usize,
         series_capacity: usize,
         sample_interval: Duration,
     ) -> Arc<Self> {
         let registry = Registry::new();
-        let b = [("backend", backend)];
+        let b = [("backend", BACKEND)];
         let accepted = registry.counter("server.connections.accepted", &b);
         let open = registry.gauge("server.connections.open", &b);
         let requests = registry.counter("server.requests", &b);
         let evicted_idle =
-            registry.counter("server.evicted", &[("backend", backend), ("kind", "idle")]);
+            registry.counter("server.evicted", &[("backend", BACKEND), ("kind", "idle")]);
         let evicted_slow =
-            registry.counter("server.evicted", &[("backend", backend), ("kind", "slow")]);
+            registry.counter("server.evicted", &[("backend", BACKEND), ("kind", "slow")]);
         let trace_dropped = registry.gauge("server.trace.dropped", &b);
         let phase = MSG_TYPES
             .iter()
@@ -171,7 +171,7 @@ impl ServerTelemetry {
                 PHASES.map(|phase| {
                     registry.histogram(
                         "server.request.phase_ns",
-                        &[("backend", backend), ("msg", msg), ("phase", phase)],
+                        &[("backend", BACKEND), ("msg", msg), ("phase", phase)],
                     )
                 })
             })
@@ -182,7 +182,6 @@ impl ServerTelemetry {
         let threshold_ns = u64::try_from(slow_threshold.as_nanos()).unwrap_or(u64::MAX);
         Arc::new(Self {
             registry,
-            backend: backend.to_owned(),
             accepted,
             open,
             requests,
@@ -203,10 +202,8 @@ impl ServerTelemetry {
     /// for one admission class. Cold path: called once per class when
     /// the admission gate is built.
     pub(crate) fn shed_counter(&self, class: &'static str) -> Counter {
-        self.registry.counter(
-            "server.shed",
-            &[("backend", self.backend.as_str()), ("class", class)],
-        )
+        self.registry
+            .counter("server.shed", &[("backend", BACKEND), ("class", class)])
     }
 
     /// Registers (idempotently) and returns the pair of
@@ -217,22 +214,19 @@ impl ServerTelemetry {
     pub(crate) fn affinity_counters(&self) -> (Counter, Counter) {
         let local = self.registry.counter(
             "server.affinity",
-            &[("backend", self.backend.as_str()), ("result", "local")],
+            &[("backend", BACKEND), ("result", "local")],
         );
         let remote = self.registry.counter(
             "server.affinity",
-            &[("backend", self.backend.as_str()), ("result", "remote")],
+            &[("backend", BACKEND), ("result", "remote")],
         );
         (local, remote)
     }
 
     /// Registers (idempotently) and returns the saturation handles for
-    /// one lane. Cold path: called once per loop/worker at startup.
+    /// one lane. Cold path: called once per loop at startup.
     pub(crate) fn lane(&self, lane: u32) -> LaneStats {
-        let labels = [
-            ("backend", self.backend.as_str()),
-            ("worker", lane_label(lane)),
-        ];
+        let labels = [("backend", BACKEND), ("worker", lane_label(lane))];
         LaneStats {
             busy_ns: self.registry.counter("server.worker.busy_ns", &labels),
             wall_ns: self.registry.counter("server.worker.wall_ns", &labels),
@@ -244,8 +238,8 @@ impl ServerTelemetry {
 
     /// Starts the time-series sampler thread feeding this telemetry's
     /// ring, or `None` when `sample_interval` was zero. The returned
-    /// [`Sampler`] stops (and joins) on drop — backends hold it for
-    /// their lifetime.
+    /// [`Sampler`] stops (and joins) on drop — the server holds it for
+    /// its lifetime.
     pub(crate) fn start_sampler(self: &Arc<Self>) -> Option<Sampler> {
         let interval_ns = self.series.interval_ns();
         if interval_ns == 0 {
@@ -291,8 +285,7 @@ impl ServerTelemetry {
     /// through flush) the moment its response is queued, returning the
     /// trace candidate. The caller completes the lifecycle with
     /// [`ServerTelemetry::observe_drained`] once the response bytes
-    /// have actually left the out-buffer — immediately, on the
-    /// blocking backend, whose write is synchronous.
+    /// have actually left the out-buffer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn observe_queued(
         &self,
@@ -373,7 +366,7 @@ impl ServerTelemetry {
         (self.evicted_idle.get(), self.evicted_slow.get())
     }
 
-    /// A point-in-time snapshot of this backend's metrics, with the
+    /// A point-in-time snapshot of the server's metrics, with the
     /// trace-drop gauge refreshed first.
     pub fn snapshot(&self) -> Snapshot {
         self.trace_dropped.set(self.ring.dropped());
@@ -385,7 +378,7 @@ impl ServerTelemetry {
         TraceSnapshot::from_ring(&self.ring)
     }
 
-    /// Answers `Request::TraceDump` straight from this backend's ring.
+    /// Answers `Request::TraceDump` straight from the server's ring.
     pub(crate) fn trace_response(&self) -> Response {
         Response::TraceBin {
             bytes: self.trace_snapshot().encode(),
@@ -397,7 +390,7 @@ impl ServerTelemetry {
         TimeSeriesSnapshot::from_ring(&self.series)
     }
 
-    /// Answers `Request::TimeSeriesDump` straight from this backend's
+    /// Answers `Request::TimeSeriesDump` straight from the server's
     /// series ring.
     pub(crate) fn timeseries_response(&self) -> Response {
         Response::TimeSeriesBin {
@@ -406,7 +399,7 @@ impl ServerTelemetry {
     }
 
     /// Answers `Request::MetricsSnapshot`: takes the handler's reply
-    /// (the verifier's `ropuf-metrics/v1` blob), merges this backend's
+    /// (the verifier's `ropuf-metrics/v1` blob), merges the server's
     /// own metrics into it, and re-encodes. Namespaces are disjoint
     /// (`server.*` vs `verifier.*`), so the merge never clashes.
     ///
@@ -437,7 +430,7 @@ mod tests {
     use super::*;
 
     fn test_telemetry(threshold: Duration) -> Arc<ServerTelemetry> {
-        ServerTelemetry::new("test", threshold, 8, 16, Duration::ZERO)
+        ServerTelemetry::new(threshold, 8, 16, Duration::ZERO)
     }
 
     #[test]
@@ -477,7 +470,7 @@ mod tests {
         ] {
             match snap.find(
                 "server.request.phase_ns",
-                &[("backend", "test"), ("msg", "auth"), ("phase", phase)],
+                &[("backend", "evented"), ("msg", "auth"), ("phase", phase)],
             ) {
                 Some(ropuf_telemetry::MetricValue::Histogram(h)) => {
                     assert_eq!(h.count, want, "phase {phase} should have {want} samples")
@@ -485,7 +478,7 @@ mod tests {
                 other => panic!("expected {phase}-phase histogram, got {other:?}"),
             }
         }
-        match snap.find("server.request.total_ns", &[("backend", "test")]) {
+        match snap.find("server.request.total_ns", &[("backend", "evented")]) {
             Some(ropuf_telemetry::MetricValue::Histogram(h)) => {
                 assert_eq!(h.count, 5);
                 assert_eq!(h.max, 105);
@@ -504,7 +497,7 @@ mod tests {
         let snap = t.snapshot();
         match snap.find(
             "server.worker.busy_ns",
-            &[("backend", "test"), ("worker", "0")],
+            &[("backend", "evented"), ("worker", "0")],
         ) {
             Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, 100),
             other => panic!("expected lane-0 busy counter, got {other:?}"),
@@ -512,7 +505,7 @@ mod tests {
         // Every out-of-table lane shares the overflow label.
         match snap.find(
             "server.worker.busy_ns",
-            &[("backend", "test"), ("worker", "32+")],
+            &[("backend", "evented"), ("worker", "32+")],
         ) {
             Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, 10),
             other => panic!("expected overflow busy counter, got {other:?}"),
@@ -521,7 +514,7 @@ mod tests {
 
     #[test]
     fn sampler_feeds_the_series_ring() {
-        let t = ServerTelemetry::new("test", Duration::ZERO, 8, 32, Duration::from_millis(2));
+        let t = ServerTelemetry::new(Duration::ZERO, 8, 32, Duration::from_millis(2));
         let sampler = t.start_sampler().expect("interval > 0 starts a sampler");
         let deadline = Instant::now() + Duration::from_secs(5);
         while t.timeseries_snapshot().points.is_empty() && Instant::now() < deadline {

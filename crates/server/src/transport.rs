@@ -1,19 +1,20 @@
 //! Client-side transports and the typed protocol client.
 //!
 //! [`Transport`] is one request/response exchange; two implementations
-//! exist — [`TcpTransport`](crate::tcp::TcpTransport) over real
-//! sockets and [`LoopbackTransport`] calling a handler in-process.
-//! The loopback path still **encodes and decodes both directions**
-//! through the `ropuf_proto` codec, so a loopback scenario exercises
-//! byte-identical wire behavior (minus the kernel) and replays
-//! bit-for-bit deterministically — which is what the campaign replay
-//! tests assert.
+//! exist — [`TcpTransport`] over real sockets and [`LoopbackTransport`]
+//! calling a handler in-process. The loopback path still **encodes and
+//! decodes both directions** through the `ropuf_proto` codec, so a
+//! loopback scenario exercises byte-identical wire behavior (minus the
+//! kernel) and replays bit-for-bit deterministically — which is what
+//! the campaign replay tests assert.
 
+use std::io;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
 use ropuf_proto::{
-    AuthItem, AuthItemRef, ErrorCode, FrameError, Request, RequestRef, Response, WireFlagReason,
-    WireVerdict, PROTOCOL_VERSION,
+    AuthItem, AuthItemRef, ErrorCode, FrameError, FrameReader, FrameWriter, Request, RequestRef,
+    Response, WireFlagReason, WireVerdict, PROTOCOL_VERSION,
 };
 
 use ropuf_proto::frame::bound_scratch;
@@ -44,12 +45,78 @@ pub trait Transport {
     }
 }
 
-/// In-process transport: the same handler the TCP workers call,
-/// reached through a full encode/decode of both the request and the
-/// response, without sockets. Deterministic and dependency-free — the
-/// campaign/test path. Requests are decoded with the same borrowing
-/// decoder the socket workers use, so a loopback exchange exercises
-/// byte-identical wire behavior (minus the kernel).
+/// Client-side transport over a connected [`TcpStream`].
+#[derive(Debug)]
+pub struct TcpTransport {
+    reader: FrameReader<TcpStream>,
+    writer: FrameWriter<TcpStream>,
+}
+
+impl TcpTransport {
+    /// Connects to a server.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection/clone failures.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        Self::from_stream(stream)
+    }
+
+    /// Connects under [`Deadlines`](crate::resilient::Deadlines): the
+    /// dial, every read, and every write each get a finite budget, so
+    /// a wedged server surfaces as `io::ErrorKind::TimedOut`/
+    /// `WouldBlock` instead of hanging the client forever.
+    ///
+    /// # Errors
+    ///
+    /// Propagates resolution, connection, configuration, and clone
+    /// failures.
+    pub fn connect_with_deadlines(
+        addr: impl ToSocketAddrs,
+        deadlines: &crate::resilient::Deadlines,
+    ) -> io::Result<Self> {
+        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+        })?;
+        let stream = match deadlines.connect {
+            Some(timeout) => TcpStream::connect_timeout(&resolved, timeout)?,
+            None => TcpStream::connect(resolved)?,
+        };
+        stream.set_read_timeout(deadlines.read)?;
+        stream.set_write_timeout(deadlines.write)?;
+        Self::from_stream(stream)
+    }
+
+    fn from_stream(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true).ok(); // latency over batching
+        let write_half = stream.try_clone()?;
+        Ok(Self {
+            reader: FrameReader::new(stream),
+            writer: FrameWriter::new(write_half),
+        })
+    }
+}
+
+impl Transport for TcpTransport {
+    fn roundtrip_frame(&mut self, request_payload: &[u8]) -> Result<Response, FrameError> {
+        self.writer.write_frame(request_payload)?;
+        match self.reader.read_response()? {
+            Some(response) => Ok(response),
+            None => Err(FrameError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-exchange",
+            ))),
+        }
+    }
+}
+
+/// In-process transport: the same handler the server's event loops
+/// call, reached through a full encode/decode of both the request and
+/// the response, without sockets. Deterministic and dependency-free —
+/// the campaign/test path. Requests are decoded with the same
+/// borrowing decoder the event loops use, so a loopback exchange
+/// exercises byte-identical wire behavior (minus the kernel).
 pub struct LoopbackTransport {
     handler: Arc<dyn RequestHandler>,
     /// Reused response-encode buffer (the response's trip through the
@@ -75,7 +142,7 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn roundtrip_frame(&mut self, request_payload: &[u8]) -> Result<Response, FrameError> {
-        // Borrowing decode, exactly as the socket workers do.
+        // Borrowing decode, exactly as the event loops do.
         let decoded = RequestRef::decode(request_payload)?;
         let response = self.handler.handle_ref(decoded);
         // And the response takes the same trip back.
@@ -287,7 +354,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// A live `ropuf-metrics/v1` scrape of the serving stack: the
-    /// server backend's own metrics merged with the verifier's. Decoded
+    /// server's own metrics merged with the verifier's. Decoded
     /// and CRC-verified client-side;
     /// [`Snapshot::render_text`](ropuf_telemetry::Snapshot::render_text)
     /// turns the result into the human view.
@@ -307,7 +374,7 @@ impl<T: Transport> Client<T> {
 
     /// The server's slow-request trace ring as a decoded
     /// `ropuf-trace/v1` snapshot (empty over loopback — traces live in
-    /// the serving backends).
+    /// the server).
     ///
     /// # Errors
     ///
@@ -324,7 +391,7 @@ impl<T: Transport> Client<T> {
 
     /// The server's in-memory time-series history as a decoded
     /// `ropuf-timeseries/v1` snapshot: one delta point per sampler
-    /// interval (empty over loopback, or when the backend's sampler is
+    /// interval (empty over loopback, or when the server's sampler is
     /// disabled).
     ///
     /// # Errors
@@ -345,11 +412,10 @@ impl<T: Transport> Client<T> {
 
     /// Which event loop this connection landed on: `(loop_id, loops)`.
     ///
-    /// Multi-loop evented servers answer with the accepting loop's
-    /// coordinates; single-threaded backends (and loopback) answer
-    /// `(0, 1)`. Topology-aware clients use this to steer device
-    /// traffic onto connections owned by the device's shard-affine
-    /// loop.
+    /// The evented server answers with the accepting loop's
+    /// coordinates; loopback answers `(0, 1)`. Topology-aware clients
+    /// use this to steer device traffic onto connections owned by the
+    /// device's shard-affine loop.
     ///
     /// # Errors
     ///

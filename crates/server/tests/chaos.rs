@@ -3,9 +3,9 @@
 //! answers** as a fault-free run.
 //!
 //! The reference `TrafficPlan` (8 devices, benign + real LISA attack
-//! trajectories) is replayed four times — fault-free and under chaos,
-//! on both the blocking worker-pool backend and the evented epoll
-//! backend. The chaos runs inject, deterministically from seeds:
+//! trajectories) is replayed four times against the evented server —
+//! fault-free and under chaos, for each of two fault seeds. The chaos
+//! runs inject, deterministically from seeds:
 //!
 //! * **client-side**: partial reads/writes (re-chunking every frame),
 //!   injected delays, a connection reset pinned mid-request-write
@@ -31,8 +31,8 @@ use std::sync::Arc;
 
 use ropuf_proto::{derive_seed, ErrorCode, FaultPlan, Request, RATE_ONE};
 use ropuf_server::{
-    Deadlines, EventedConfig, EventedServer, RequestHandler, ResilientClient, RetryPolicy, Role,
-    TcpServer, TrafficPlan, TrafficSpec, VerifierHandler,
+    Deadlines, EventedConfig, EventedServer, ResilientClient, RetryPolicy, Role, TrafficPlan,
+    TrafficSpec, VerifierHandler,
 };
 use ropuf_verifier::{DetectorConfig, StoreFaults, StoreOptions, Verifier};
 
@@ -192,61 +192,44 @@ fn replay_resilient(
     (responses, retries, reconnects)
 }
 
-/// One backend's full fault-free + chaos comparison, returning both
-/// byte streams for the cross-backend assertions.
-fn run_backend(plan: &TrafficPlan, evented: bool) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let tag = if evented { "evented" } else { "blocking" };
+/// One fault seed's full fault-free + chaos comparison, returning the
+/// fault-free byte stream for the cross-seed assertions.
+fn run_seed(plan: &TrafficPlan, seed: u64) -> Vec<Vec<u8>> {
+    let tag = format!("{seed:x}");
 
     // Fault-free reference.
     let clean_dir = scratch_dir(&format!("{tag}-clean"));
-    let clean_handler = durable_handler(&clean_dir, None);
-    let (clean, clean_addr_used) = serve(plan, clean_handler.clone(), evented, None);
-    assert!(clean_addr_used, "reference replay served");
+    let clean = serve(plan, durable_handler(&clean_dir, None), None);
     let _ = std::fs::remove_dir_all(&clean_dir);
 
     // Chaos run: client faults + pinned WAL flag-append fault.
     let chaos_dir = scratch_dir(&format!("{tag}-chaos"));
-    let chaos_handler = durable_handler(&chaos_dir, Some(wal_fault(plan)));
-    let (chaos, _) = serve(
+    let chaos = serve(
         plan,
-        chaos_handler.clone(),
-        evented,
-        Some(0xFA_57 + u64::from(evented)),
+        durable_handler(&chaos_dir, Some(wal_fault(plan))),
+        Some(seed),
     );
     let _ = std::fs::remove_dir_all(&chaos_dir);
 
     assert_eq!(
         clean.len(),
         chaos.len(),
-        "{tag}: both runs answer every auth + flag query"
+        "seed {tag}: both runs answer every auth + flag query"
     );
     assert_eq!(
         clean, chaos,
-        "{tag}: chaos must not change a single served byte"
+        "seed {tag}: chaos must not change a single served byte"
     );
-    (clean, chaos)
+    clean
 }
 
-/// Spawns the chosen backend, replays, asserts the chaos-only
+/// Spawns the evented server, replays, asserts the chaos-only
 /// postconditions (read-only latch at the wire and in the metrics),
 /// and shuts down. Returns the response byte stream.
-fn serve(
-    plan: &TrafficPlan,
-    handler: Arc<VerifierHandler>,
-    evented: bool,
-    chaos: Option<u64>,
-) -> (Vec<Vec<u8>>, bool) {
-    let dyn_handler: Arc<dyn RequestHandler> = handler.clone();
-    let (addr, shutdown): (SocketAddr, Box<dyn FnOnce()>) = if evented {
-        let server = EventedServer::spawn("127.0.0.1:0", dyn_handler, EventedConfig::default())
-            .expect("bind evented");
-        let addr = server.local_addr();
-        (addr, Box::new(move || server.shutdown()))
-    } else {
-        let server = TcpServer::spawn("127.0.0.1:0", dyn_handler, 3).expect("bind blocking");
-        let addr = server.local_addr();
-        (addr, Box::new(move || server.shutdown()))
-    };
+fn serve(plan: &TrafficPlan, handler: Arc<VerifierHandler>, chaos: Option<u64>) -> Vec<Vec<u8>> {
+    let server = EventedServer::spawn("127.0.0.1:0", handler.clone(), EventedConfig::default())
+        .expect("bind evented");
+    let addr = server.local_addr();
 
     let (responses, retries, reconnects) = replay_resilient(plan, addr, chaos);
 
@@ -297,12 +280,12 @@ fn serve(
         assert!(!handler.read_only(), "fault-free run must not latch");
     }
 
-    shutdown();
-    (responses, true)
+    server.shutdown();
+    responses
 }
 
 #[test]
-fn chaos_replay_is_bit_for_bit_identical_on_both_backends() {
+fn chaos_replay_is_bit_for_bit_identical_under_two_fault_seeds() {
     let plan = TrafficPlan::build(&spec());
     assert!(
         plan.attackers().count() >= 2,
@@ -310,18 +293,18 @@ fn chaos_replay_is_bit_for_bit_identical_on_both_backends() {
          transitions drive the faulted WAL append)"
     );
 
-    let (blocking_clean, _) = run_backend(&plan, false);
-    let (evented_clean, _) = run_backend(&plan, true);
+    let clean = run_seed(&plan, 0xFA_57);
+    let clean_again = run_seed(&plan, 0xFA_58);
 
     assert_eq!(
-        blocking_clean, evented_clean,
-        "blocking vs evented response bytes under identical traffic"
+        clean, clean_again,
+        "two fault-free replays of identical traffic must agree"
     );
 
     // The shared byte stream still carries the attack outcome.
     let mut cursor = 0;
     for device in &plan.devices {
-        let span = &blocking_clean[cursor..cursor + device.requests.len() + 1];
+        let span = &clean[cursor..cursor + device.requests.len() + 1];
         cursor += device.requests.len() + 1;
         let flagged = span[..span.len() - 1].iter().any(|payload| {
             matches!(

@@ -1,8 +1,8 @@
 //! End-to-end serving tests.
 //!
-//! 1. **Real sockets** — spawn the TCP server on an ephemeral
-//!    localhost port, then enroll, authenticate, and flag an attacker
-//!    entirely over the wire, from multiple concurrent client
+//! 1. **Real sockets** (Linux) — spawn the evented server on an
+//!    ephemeral localhost port, then enroll, authenticate, and flag an
+//!    attacker entirely over the wire, from multiple concurrent client
 //!    connections.
 //! 2. **Deterministic loopback replay** — the same traffic plan built
 //!    twice and replayed through two fresh loopback stacks must
@@ -11,20 +11,28 @@
 
 use std::sync::Arc;
 
-use ropuf_proto::{AuthItem, ErrorCode, Request, WireAuthResponse, WireFlagReason, WireVerdict};
-use ropuf_server::{
-    Client, LoopbackTransport, RequestHandler, TcpServer, TcpTransport, TrafficPlan, TrafficSpec,
-    VerifierHandler,
-};
-use ropuf_verifier::store::snapshot;
-use ropuf_verifier::{BatchEnrollment, DetectorConfig, FlagReason, Verifier};
+use ropuf_proto::Request;
+use ropuf_server::{LoopbackTransport, RequestHandler, TrafficPlan, TrafficSpec, VerifierHandler};
+use ropuf_verifier::{DetectorConfig, Verifier};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use ropuf_constructions::pairing::lisa::{LisaConfig, LisaScheme, LISA_TAG};
+use ropuf_constructions::pairing::lisa::LisaConfig;
+
+#[cfg(target_os = "linux")]
+use rand::{rngs::StdRng, SeedableRng};
+#[cfg(target_os = "linux")]
+use ropuf_constructions::pairing::lisa::{LisaScheme, LISA_TAG};
+#[cfg(target_os = "linux")]
 use ropuf_constructions::{Device, DeviceResponse};
+#[cfg(target_os = "linux")]
+use ropuf_proto::{AuthItem, ErrorCode, WireAuthResponse, WireFlagReason, WireVerdict};
+#[cfg(target_os = "linux")]
+use ropuf_server::{Client, EventedConfig, EventedServer, TcpTransport};
+#[cfg(target_os = "linux")]
 use ropuf_sim::{ArrayDims, Environment, RoArrayBuilder};
+#[cfg(target_os = "linux")]
+use ropuf_verifier::{store::snapshot, BatchEnrollment, FlagReason};
 
+#[cfg(target_os = "linux")]
 fn provisioned(seed: u64) -> Device {
     let mut rng = StdRng::seed_from_u64(seed);
     let array = RoArrayBuilder::new(ArrayDims::new(16, 8)).build(&mut rng);
@@ -36,6 +44,7 @@ fn provisioned(seed: u64) -> Device {
     .unwrap()
 }
 
+#[cfg(target_os = "linux")]
 fn genuine_item(device: &mut Device, id: u64, now: u64, nonce: &[u8]) -> AuthItem {
     let response = match ropuf_verifier::device_auth_response(device, nonce, Environment::nominal())
     {
@@ -51,11 +60,13 @@ fn genuine_item(device: &mut Device, id: u64, now: u64, nonce: &[u8]) -> AuthIte
     }
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn enroll_authenticate_and_flag_over_real_sockets() {
     let verifier = Arc::new(Verifier::new(4, DetectorConfig::default()));
     let handler = Arc::new(VerifierHandler::new(verifier));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 2).expect("bind ephemeral port");
+    let server = EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default())
+        .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     let mut client = Client::new(TcpTransport::connect(addr).expect("connect"));
@@ -141,11 +152,13 @@ fn enroll_authenticate_and_flag_over_real_sockets() {
     server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn concurrent_connections_share_one_registry() {
     let verifier = Arc::new(Verifier::new(8, DetectorConfig::default()));
     let handler = Arc::new(VerifierHandler::new(verifier));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 4).expect("bind");
+    let server =
+        EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     std::thread::scope(|scope| {
@@ -174,13 +187,15 @@ fn concurrent_connections_share_one_registry() {
     server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn malformed_frames_get_a_typed_error_not_a_crash() {
     use std::io::{Read, Write};
 
     let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
     let handler = Arc::new(VerifierHandler::new(verifier));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
+    let server =
+        EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     // Hand-rolled hostile frame: valid length prefix, garbage payload.
@@ -210,11 +225,13 @@ fn malformed_frames_get_a_typed_error_not_a_crash() {
     server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn oversize_snapshot_is_a_typed_error_and_connection_survives() {
     let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
     let handler = Arc::new(VerifierHandler::new(Arc::clone(&verifier)));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
+    let server =
+        EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default()).expect("bind");
 
     // A snapshot record is 74 bytes whatever the helper size, so the
     // fleet itself must be large enough to pass the 4 MiB frame cap.

@@ -1,6 +1,6 @@
-//! Backend equivalence: the blocking worker-pool server, the evented
-//! epoll server, and the in-process loopback transport must be
-//! **bit-for-bit indistinguishable** at the wire.
+//! Backend equivalence: the evented epoll server and the in-process
+//! loopback transport (the semantic oracle) must be **bit-for-bit
+//! indistinguishable** at the wire.
 //!
 //! The existing `TrafficPlan` (benign rounds across three
 //! constructions plus recorded real LISA attack trajectories) is
@@ -23,7 +23,7 @@ use ropuf_proto::{
     ErrorCode, FrameReader, FrameWriter, Request, RequestRef, Response, WireFlagReason,
 };
 use ropuf_server::{
-    EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TcpServer, TrafficPlan,
+    EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TrafficPlan,
     TrafficSpec, Transport, VerifierHandler,
 };
 use ropuf_verifier::{DetectorConfig, StoreOptions, Verifier};
@@ -147,11 +147,6 @@ fn all_backends_serve_bit_for_bit_identical_responses() {
         "equivalence must cover attacked devices"
     );
 
-    let blocking_server =
-        TcpServer::spawn("127.0.0.1:0", enrolled_handler(&plan, 4), 3).expect("bind blocking");
-    let blocking = replay_sequential(&plan, blocking_server.local_addr());
-    blocking_server.shutdown();
-
     let evented_server = EventedServer::spawn(
         "127.0.0.1:0",
         enrolled_handler(&plan, 4),
@@ -164,19 +159,18 @@ fn all_backends_serve_bit_for_bit_identical_responses() {
     let loopback = replay_loopback(&plan, enrolled_handler(&plan, 4));
 
     assert_eq!(
-        blocking.len(),
+        evented.len(),
         plan.total_requests() + plan.devices.len(),
         "one answer per request plus one flag query per device"
     );
-    assert_eq!(blocking, evented, "blocking vs evented response bytes");
-    assert_eq!(blocking, loopback, "socket vs loopback response bytes");
+    assert_eq!(evented, loopback, "socket vs loopback response bytes");
 
     // The shared byte stream carries the attack outcome: every
     // attacked device drew a DeviceFlagged wire error, no benign
     // device did, and the final flag queries agree.
     let mut cursor = 0;
     for device in &plan.devices {
-        let span = &blocking[cursor..cursor + device.requests.len() + 1];
+        let span = &evented[cursor..cursor + device.requests.len() + 1];
         cursor += device.requests.len() + 1;
         let flagged = span[..span.len() - 1].iter().any(|payload| {
             matches!(
@@ -330,6 +324,13 @@ fn full_tracing_does_not_change_the_byte_stream() {
     )
     .expect("bind");
     let default_bytes = replay_sequential(&plan, default_server.local_addr());
+    // The counter ticks when a frame completes, before its answer is
+    // queued, so it is exact once the client holds every answer.
+    assert_eq!(
+        default_server.requests_served(),
+        default_bytes.len() as u64,
+        "the server counts exactly one request per answer"
+    );
     default_server.shutdown();
 
     let traced_server = EventedServer::spawn(
@@ -383,19 +384,6 @@ fn full_tracing_does_not_change_the_byte_stream() {
         default_bytes, traced_bytes,
         "tracing every request must not change a single served byte"
     );
-
-    // The blocking backend under the same traffic also agrees (its
-    // telemetry is always on — parity with the pre-telemetry suite).
-    let blocking_server =
-        TcpServer::spawn("127.0.0.1:0", enrolled_handler(&plan, 4), 3).expect("bind blocking");
-    let blocking_bytes = replay_sequential(&plan, blocking_server.local_addr());
-    assert_eq!(
-        blocking_server.requests_served(),
-        blocking_bytes.len() as u64,
-        "blocking backend counts exactly one request per answer"
-    );
-    blocking_server.shutdown();
-    assert_eq!(default_bytes, blocking_bytes, "blocking vs evented");
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Wire-torture suite: hostile and degenerate byte-stream behavior
-//! against **both** server backends.
+//! against the evented server.
 //!
 //! Every scenario that is about protocol correctness (byte-at-a-time
 //! delivery, mid-frame disconnects, oversized frames, pipelining) runs
-//! against the blocking worker-pool server *and* the evented epoll
-//! server through one parametrized harness — the two backends must be
-//! indistinguishable at the wire. Scenarios about resource policy
-//! (slow-loris eviction, idle eviction, backpressure, churn gauges)
-//! target the evented server, which is the backend that defines those
-//! policies.
+//! against a single-loop and a multi-loop server through one
+//! parametrized harness — the topologies must be indistinguishable at
+//! the wire. Scenarios about resource policy (slow-loris eviction,
+//! idle eviction, backpressure, churn gauges) run against one
+//! configured server each.
 
 #![cfg(target_os = "linux")]
 
@@ -20,7 +19,7 @@ use std::time::{Duration, Instant};
 use ropuf_proto::{
     ErrorCode, FrameReader, FrameWriter, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
-use ropuf_server::{EventedConfig, EventedServer, RequestHandler, TcpServer, VerifierHandler};
+use ropuf_server::{EventedConfig, EventedServer, RequestHandler, VerifierHandler};
 use ropuf_verifier::{DetectorConfig, Verifier};
 
 fn handler() -> Arc<dyn RequestHandler> {
@@ -28,20 +27,16 @@ fn handler() -> Arc<dyn RequestHandler> {
     Arc::new(VerifierHandler::new(verifier))
 }
 
-/// Runs `scenario` against a fresh instance of each backend — the
-/// blocking pool, the single-loop evented server, and a four-loop
-/// evented server with per-loop `SO_REUSEPORT` accept queues (the
-/// tail-latency topology): hostile bytes must be handled identically
-/// whichever loop the kernel hashes the connection onto.
-fn for_each_backend(scenario: impl Fn(&str, SocketAddr)) {
-    let blocking = TcpServer::spawn("127.0.0.1:0", handler(), 2).expect("bind blocking");
-    scenario("blocking", blocking.local_addr());
-    blocking.shutdown();
-
-    let evented = EventedServer::spawn("127.0.0.1:0", handler(), EventedConfig::default())
-        .expect("bind evented");
-    scenario("evented", evented.local_addr());
-    evented.shutdown();
+/// Runs `scenario` against a fresh server in each topology — the
+/// single-loop default and four loops with per-loop `SO_REUSEPORT`
+/// accept queues (the tail-latency topology): hostile bytes must be
+/// handled identically whichever loop the kernel hashes the
+/// connection onto.
+fn for_each_topology(scenario: impl Fn(&str, SocketAddr)) {
+    let single_loop = EventedServer::spawn("127.0.0.1:0", handler(), EventedConfig::default())
+        .expect("bind single-loop");
+    scenario("single-loop", single_loop.local_addr());
+    single_loop.shutdown();
 
     let multi_loop = EventedServer::spawn(
         "127.0.0.1:0",
@@ -52,8 +47,8 @@ fn for_each_backend(scenario: impl Fn(&str, SocketAddr)) {
             ..EventedConfig::default()
         },
     )
-    .expect("bind multi-loop evented");
-    scenario("evented-multiloop", multi_loop.local_addr());
+    .expect("bind multi-loop");
+    scenario("multi-loop", multi_loop.local_addr());
     multi_loop.shutdown();
 }
 
@@ -102,7 +97,7 @@ fn assert_closed_within(stream: &mut TcpStream, window: Duration) {
 
 #[test]
 fn byte_at_a_time_delivery_is_reassembled() {
-    for_each_backend(|backend, addr| {
+    for_each_topology(|topology, addr| {
         let mut stream = TcpStream::connect(addr).unwrap();
         for byte in hello_frame() {
             stream.write_all(&[byte]).unwrap();
@@ -111,14 +106,14 @@ fn byte_at_a_time_delivery_is_reassembled() {
         }
         match read_response(&mut stream) {
             Response::HelloOk { protocol, .. } => assert_eq!(protocol, PROTOCOL_VERSION),
-            other => panic!("[{backend}] unexpected {other:?}"),
+            other => panic!("[{topology}] unexpected {other:?}"),
         }
     });
 }
 
 #[test]
 fn mid_frame_disconnects_leave_the_server_healthy() {
-    for_each_backend(|backend, addr| {
+    for_each_topology(|topology, addr| {
         // A burst of peers that declare a frame and vanish mid-payload
         // (and one that vanishes mid-header).
         for i in 0..20 {
@@ -136,23 +131,23 @@ fn mid_frame_disconnects_leave_the_server_healthy() {
         stream.write_all(&hello_frame()).unwrap();
         assert!(
             matches!(read_response(&mut stream), Response::HelloOk { .. }),
-            "[{backend}] server must keep serving after mid-frame disconnects"
+            "[{topology}] server must keep serving after mid-frame disconnects"
         );
     });
 }
 
 #[test]
 fn oversized_frame_is_rejected_with_a_typed_error() {
-    for_each_backend(|backend, addr| {
+    for_each_topology(|topology, addr| {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
         match read_response(&mut stream) {
             Response::Error { code, .. } => assert_eq!(
                 code,
                 ErrorCode::MalformedRequest,
-                "[{backend}] oversize must be typed"
+                "[{topology}] oversize must be typed"
             ),
-            other => panic!("[{backend}] unexpected {other:?}"),
+            other => panic!("[{topology}] unexpected {other:?}"),
         }
         // And the connection is closed afterwards — the stream cannot
         // be re-synchronized once a forged length was declared.
@@ -162,7 +157,7 @@ fn oversized_frame_is_rejected_with_a_typed_error() {
 
 #[test]
 fn garbage_payload_is_rejected_with_a_typed_error() {
-    for_each_backend(|backend, addr| {
+    for_each_topology(|topology, addr| {
         let mut stream = TcpStream::connect(addr).unwrap();
         let payload = [0x55u8, 1, 2, 3, 4];
         stream
@@ -173,9 +168,9 @@ fn garbage_payload_is_rejected_with_a_typed_error() {
             Response::Error { code, .. } => assert_eq!(
                 code,
                 ErrorCode::MalformedRequest,
-                "[{backend}] garbage must be typed"
+                "[{topology}] garbage must be typed"
             ),
-            other => panic!("[{backend}] unexpected {other:?}"),
+            other => panic!("[{topology}] unexpected {other:?}"),
         }
         assert_closed_within(&mut stream, Duration::from_secs(2));
     });
@@ -183,7 +178,7 @@ fn garbage_payload_is_rejected_with_a_typed_error() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    for_each_backend(|backend, addr| {
+    for_each_topology(|topology, addr| {
         let count = 64u64;
         // Hello + a run of QueryVerdicts for distinct unknown ids, all
         // written in a single burst before reading anything back.
@@ -214,7 +209,7 @@ fn pipelined_requests_are_answered_in_order() {
                 reader.read_response().unwrap(),
                 Some(Response::HelloOk { .. })
             ),
-            "[{backend}] first answer is the hello"
+            "[{topology}] first answer is the hello"
         );
         for id in 0..count {
             match reader.read_response().unwrap() {
@@ -222,11 +217,11 @@ fn pipelined_requests_are_answered_in_order() {
                     assert_eq!(code, ErrorCode::UnknownDevice);
                     assert!(
                         detail.contains(&(1000 + id).to_string()),
-                        "[{backend}] answer out of order: wanted id {}, got {detail:?}",
+                        "[{topology}] answer out of order: wanted id {}, got {detail:?}",
                         1000 + id
                     );
                 }
-                other => panic!("[{backend}] unexpected {other:?}"),
+                other => panic!("[{topology}] unexpected {other:?}"),
             }
         }
     });
@@ -234,7 +229,7 @@ fn pipelined_requests_are_answered_in_order() {
 
 #[test]
 fn half_closed_pipeline_is_answered_in_full_before_the_close() {
-    for_each_backend(|backend, addr| {
+    for_each_topology(|topology, addr| {
         // The whole pipeline and the FIN arrive together: the server
         // reads the frames and the EOF in the same pass, and must still
         // answer every frame it already holds, in order, then close.
@@ -264,20 +259,20 @@ fn half_closed_pipeline_is_answered_in_full_before_the_close() {
                     assert_eq!(code, ErrorCode::UnknownDevice);
                     assert!(
                         detail.contains(&(5000 + id).to_string()),
-                        "[{backend}] answer {id} out of order: {detail:?}"
+                        "[{topology}] answer {id} out of order: {detail:?}"
                     );
                 }
-                other => panic!("[{backend}] answer {id}: {other:?}"),
+                other => panic!("[{topology}] answer {id}: {other:?}"),
             }
         }
         assert!(
             matches!(reader.read_response(), Ok(None)),
-            "[{backend}] the server closes after the last answer"
+            "[{topology}] the server closes after the last answer"
         );
     });
 }
 
-// ── Evented-only resource policies ──────────────────────────────────
+// ── Resource policies ───────────────────────────────────────────────
 
 fn spawn_evented(config: EventedConfig) -> EventedServer {
     EventedServer::spawn("127.0.0.1:0", handler(), config).expect("bind evented")
@@ -410,8 +405,9 @@ fn connection_churn_returns_the_gauge_to_zero() {
 #[test]
 fn many_concurrent_connections_are_served() {
     // A held-open fan: every connection stays established while each
-    // takes its turn exchanging requests — the shape the blocking
-    // worker pool cannot serve beyond its thread count.
+    // takes its turn exchanging requests — the shape a
+    // thread-per-connection server cannot serve beyond its thread
+    // count.
     let server = spawn_evented(EventedConfig::default());
     let addr = server.local_addr();
     let fan = 512;

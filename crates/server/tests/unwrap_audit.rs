@@ -23,10 +23,6 @@ const ALLOWED: &[&str] = &[
     r#"let entry = self.pending_flush.pop_front().expect("front checked");"#,
     // resilient.rs: the connection was populated two lines above.
     r#"Ok(self.conn.as_mut().expect("just ensured"))"#,
-    // tcp.rs: worker-queue and connection-list mutexes — poisoning
-    // requires a prior panic.
-    r#"let next = rx.lock().expect("worker queue poisoned").recv();"#,
-    r#".expect("connection list poisoned")"#,
     // store/mod.rs: the segment mutex, same poisoning argument.
     r#"self.active.lock().expect("store lock poisoned").seq"#,
     r#"let mut active = self.active.lock().expect("store lock poisoned");"#,

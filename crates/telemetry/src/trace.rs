@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 /// Hard cap on ring capacity (also the codec's record-count cap).
 pub const MAX_TRACE_RECORDS: usize = 65_536;
 
-/// One slow request, as seen by a server backend.
+/// One slow request, as seen by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Ring-assigned sequence number (total slow requests so far).
@@ -27,9 +27,9 @@ pub struct TraceRecord {
     /// SplitMix64 hash of the device id (0 when the message carries
     /// none) — correlates traces per device without logging the id.
     pub device_hash: u64,
-    /// Ready-wait: readiness-notification (epoll dispatch, or the
-    /// accept-queue claim in the blocking pool) to decode start — the
-    /// time the request sat decodable but unserviced.
+    /// Ready-wait: readiness notification (the loop starting to drain
+    /// the connection) to decode start — the time the request sat
+    /// decodable but unserviced.
     pub ready_ns: u64,
     /// Time spent decoding the frame payload.
     pub decode_ns: u64,
@@ -38,13 +38,12 @@ pub struct TraceRecord {
     /// Time spent encoding + flushing the response toward the socket.
     pub flush_ns: u64,
     /// Flush-wait: out-buffer residency — response queued until the
-    /// socket actually drained its last byte (0 on the blocking
-    /// backend, whose write is synchronous and billed to `flush_ns`).
+    /// socket actually drained its last byte.
     pub flush_wait_ns: u64,
     /// Whole-request latency as the server can see it (ready-wait
     /// through flush-wait).
     pub total_ns: u64,
-    /// Worker index (blocking pool) or event-loop index (evented).
+    /// Index of the event loop that served the request.
     pub worker: u32,
 }
 
