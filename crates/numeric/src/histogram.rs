@@ -1,8 +1,8 @@
 //! Log-bucketed latency histogram.
 //!
-//! The serving layer (`ropuf_server`, the `loadgen`/`perf_verifier`
-//! harnesses) needs tail percentiles — p99/p999 — over millions of
-//! latency samples without keeping them all. [`Histogram`] is an
+//! The serving layer (`ropuf_server`, the `perf_verifier` harness)
+//! needs tail percentiles — p99/p999 — over millions of latency
+//! samples without keeping them all. [`Histogram`] is an
 //! HDR-style fixed-layout histogram: values are binned into
 //! power-of-two major buckets split into `2^SUB_BITS` linear
 //! sub-buckets, which bounds the relative quantization error at

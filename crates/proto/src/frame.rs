@@ -380,8 +380,8 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError>
 /// `read_request`/`read_response`/`read_request_ref` call reuses, so a
 /// steady-state connection reads frames with zero allocations. The
 /// blocking reads below drive the same incremental state machine the
-/// evented server polls; [`FrameReader::poll_frame`] exposes it
-/// directly for callers that own a non-blocking stream.
+/// evented server polls; callers that own a non-blocking stream drive
+/// a [`FrameAccum`] directly.
 ///
 /// **The reader reads ahead.** Once its buffer has grown past one
 /// frame, a `read` may pull in the start of the next frame too, and
@@ -403,29 +403,6 @@ impl<R: Read> FrameReader<R> {
             inner,
             accum: FrameAccum::new(),
         }
-    }
-
-    /// Non-blocking step: advances the internal [`FrameAccum`] with
-    /// whatever bytes the stream has. On [`FramePoll::Frame`], read
-    /// the payload with [`FrameReader::frame_payload`] and release it
-    /// with [`FrameReader::finish_frame`].
-    ///
-    /// # Errors
-    ///
-    /// See [`FrameAccum::poll`].
-    pub fn poll_frame(&mut self) -> Result<FramePoll, FrameError> {
-        self.accum.poll(&mut self.inner)
-    }
-
-    /// The completed frame's payload (empty unless a poll returned
-    /// [`FramePoll::Frame`] that has not been finished yet).
-    pub fn frame_payload(&self) -> &[u8] {
-        self.accum.payload()
-    }
-
-    /// Releases the completed frame and re-bounds the scratch.
-    pub fn finish_frame(&mut self) {
-        self.accum.finish_frame();
     }
 
     /// `true` while a frame has started arriving but is not complete
@@ -455,7 +432,7 @@ impl<R: Read> FrameReader<R> {
             // bytes received so far stay buffered for the next call.
             FramePoll::Pending => Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::WouldBlock,
-                "read timed out mid-frame (non-blocking sources should use poll_frame)",
+                "read timed out mid-frame (non-blocking sources should drive a FrameAccum)",
             ))),
         }
     }

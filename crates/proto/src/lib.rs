@@ -7,7 +7,7 @@
 //! self-contained and dependency-free (the offline crate set has no
 //! `serde`/`tokio`): message types, their byte encodings, and a
 //! length-framed stream layer over `std::io::{Read, Write}` that both
-//! the TCP server (`ropuf_server`) and its clients (loadgen, tests)
+//! the TCP server (`ropuf_server`) and its clients (servebench, tests)
 //! speak.
 //!
 //! # Format

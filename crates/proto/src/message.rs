@@ -904,7 +904,7 @@ mod tests {
         let requests = vec![
             Request::Hello {
                 protocol: PROTOCOL_VERSION,
-                client: "loadgen".into(),
+                client: "roundtrip".into(),
             },
             Request::Enroll {
                 device_id: 5,

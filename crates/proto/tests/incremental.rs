@@ -1,5 +1,5 @@
 //! Incremental (non-blocking) frame decoding: regression tests for the
-//! `FrameAccum`/`poll_frame` machinery plus the chunking-invariance
+//! `FrameAccum` machinery plus the chunking-invariance
 //! property the evented server's per-connection state machines rely
 //! on — however a byte stream is sliced by the transport, the decoded
 //! request sequence is identical.
@@ -393,29 +393,6 @@ fn frame_reader_scratch_is_bounded_after_decode_errors() {
         reader.scratch_capacity()
     );
     assert_eq!(reader.read_request().unwrap(), None);
-}
-
-#[test]
-fn frame_reader_poll_api_matches_blocking_reads() {
-    let requests = requests_from(&[vec![5; 9], vec![], vec![8; 3]]);
-    let wire = framed_stream(&requests);
-    let mut reader = FrameReader::new(&wire[..]);
-    let mut decoded = Vec::new();
-    loop {
-        match reader.poll_frame().unwrap() {
-            FramePoll::Frame => {
-                decoded.push(
-                    RequestRef::decode(reader.frame_payload())
-                        .unwrap()
-                        .into_owned(),
-                );
-                reader.finish_frame();
-            }
-            FramePoll::Eof => break,
-            FramePoll::Pending => unreachable!("in-memory source never blocks"),
-        }
-    }
-    assert_eq!(decoded, requests);
 }
 
 #[test]

@@ -212,7 +212,7 @@ mod tests {
     use std::time::Duration;
 
     fn telemetry() -> std::sync::Arc<ServerTelemetry> {
-        ServerTelemetry::new(Duration::ZERO, 8, 16, Duration::ZERO)
+        ServerTelemetry::new(Duration::ZERO, 8, Duration::ZERO)
     }
 
     #[test]

@@ -126,9 +126,6 @@ pub struct EventedConfig {
     /// this many unsent response bytes, the loop stops reading from it
     /// (backpressure) until the peer drains.
     pub max_write_buffer: usize,
-    /// How long a graceful [`EventedServer::shutdown`] waits for open
-    /// connections to take their answers before force-closing them.
-    pub drain_timeout: Duration,
     /// A served request whose decode + handle + flush time meets this
     /// threshold lands in the slow-request trace ring
     /// ([`Request::TraceDump`](ropuf_proto::Request::TraceDump)).
@@ -143,10 +140,6 @@ pub struct EventedConfig {
     /// ([`Request::TimeSeriesDump`](ropuf_proto::Request::TimeSeriesDump)).
     /// `Duration::ZERO` disables the sampler entirely.
     pub sample_interval: Duration,
-    /// Capacity of the time-series ring (oldest points are
-    /// overwritten). At the default 1 s interval, 512 points is
-    /// ~8.5 minutes of history in ~140 KiB.
-    pub series_capacity: usize,
     /// Admission budget. Pressure is a connection's pending out-buffer
     /// bytes plus the loop's remaining ready-event backlog (see
     /// [`evented_pressure`]) — the direct measures of a peer that asks
@@ -166,11 +159,9 @@ impl Default for EventedConfig {
             idle_timeout: Duration::from_secs(60),
             frame_timeout: Duration::from_secs(10),
             max_write_buffer: 1024 * 1024,
-            drain_timeout: Duration::from_secs(1),
             slow_trace_threshold: Duration::from_millis(1),
             trace_capacity: 256,
             sample_interval: Duration::from_secs(1),
-            series_capacity: 512,
             overload: OverloadPolicy::disabled(),
         }
     }
@@ -196,7 +187,6 @@ impl Shared {
         let telemetry = ServerTelemetry::new(
             config.slow_trace_threshold,
             config.trace_capacity,
-            config.series_capacity,
             config.sample_interval,
         );
         let admission = Admission::new(config.overload, &telemetry);
@@ -399,8 +389,8 @@ impl EventedServer {
 
     /// Graceful shutdown: stops accepting, flushes every buffered
     /// response, closes each connection once its write buffer drains,
-    /// force-closes whatever remains after
-    /// [`EventedConfig::drain_timeout`], and joins the loop threads.
+    /// force-closes whatever remains after one second, and joins the
+    /// loop threads.
     pub fn shutdown(mut self) {
         if let Some(sampler) = &mut self.sampler {
             sampler.stop();
@@ -598,6 +588,10 @@ const EVENTS_MAX: usize = 4096;
 /// shrinks it.
 const READ_BUF: usize = ropuf_proto::SCRATCH_RETAIN;
 
+/// How long a graceful [`EventedServer::shutdown`] waits for open
+/// connections to take their answers before force-closing them.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
 struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
@@ -681,7 +675,7 @@ impl EventLoop {
             .config
             .idle_timeout
             .min(self.config.frame_timeout)
-            .min(self.config.drain_timeout);
+            .min(DRAIN_TIMEOUT);
         ((finest.as_millis() / 4).clamp(1, 50)) as i32
     }
 
@@ -744,7 +738,7 @@ impl EventLoop {
                 if !self.draining {
                     self.draining = true;
                     let _ = self.epoll.delete(&self.listener);
-                    self.drain_deadline = Some(Instant::now() + self.config.drain_timeout);
+                    self.drain_deadline = Some(Instant::now() + DRAIN_TIMEOUT);
                     // Everything already answered should flush; no new
                     // requests are read once `closing` is set.
                     for index in 0..self.conns.len() {

@@ -5,8 +5,8 @@
 //! library. This crate puts it on the wire: an epoll TCP server
 //! speaking [`ropuf-wire/v1`](ropuf_proto), an in-process loopback
 //! transport with byte-identical semantics for deterministic tests,
-//! a typed client, and the campaign-driven traffic model the `loadgen`
-//! harness replays against it.
+//! a typed client, and the campaign-driven traffic model the server
+//! suites replay against it.
 //!
 //! The server runs on Linux only (it is built on `epoll`). Other
 //! targets keep the handler, the loopback transport, the TCP client
@@ -54,8 +54,9 @@
 //! assert!(server.starts_with("ropuf-server/"));
 //! ```
 //!
-//! For the socket path, see [`EventedServer`] and the `loadgen` binary
-//! in `crates/bench`.
+//! For the socket path, see [`EventedServer`], the `torture`,
+//! `equivalence` and `chaos` suites under `crates/server/tests`, and
+//! the `servebench` benchmark at the repository root.
 
 // `deny`, not `forbid`: the syscall wrappers in `sys::epoll` and
 // `sys::net` are the sanctioned `#[allow(unsafe_code)]` islands (FFI

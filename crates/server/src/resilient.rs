@@ -30,7 +30,6 @@ use ropuf_proto::{
     parse_retry_after_ms, ErrorCode, FaultPlan, FaultyStream, FrameAccum, FrameError, FramePoll,
     Request, Response, MAX_FRAME,
 };
-use ropuf_telemetry::{Counter, Registry};
 
 use crate::transport::{ClientError, Transport};
 
@@ -129,7 +128,7 @@ impl RetryPolicy {
     }
 }
 
-/// Why a retry happened — the `cause` label of `client.retries`.
+/// Why a retry happened — named in the error once the budget runs out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryCause {
     /// The dial itself failed (refused, timed out).
@@ -150,7 +149,7 @@ impl RetryCause {
     }
 }
 
-/// `cause` label values, in [`RetryCause::slot`] order.
+/// Cause names, in [`RetryCause::slot`] order.
 const CAUSES: [&str; 3] = ["connect", "transport", "overloaded"];
 
 /// A framed request/response transport over one TCP connection whose
@@ -244,7 +243,7 @@ pub struct ResilientClient {
     conn: Option<FaultyTcpTransport>,
     conn_serial: u64,
     op_serial: u64,
-    retries: [Counter; CAUSES.len()],
+    retries: u64,
     reconnects: u64,
 }
 
@@ -281,7 +280,7 @@ impl ResilientClient {
             conn: None,
             conn_serial: 0,
             op_serial: 0,
-            retries: CAUSES.map(|_| Counter::default()),
+            retries: 0,
             reconnects: 0,
         })
     }
@@ -292,24 +291,14 @@ impl ResilientClient {
         self
     }
 
-    /// Registers `client.retries{cause}` counters in `telemetry`; the
-    /// client counts into them from then on.
-    pub fn attach_telemetry(&mut self, telemetry: &Registry) {
-        self.retries = CAUSES.map(|cause| telemetry.counter("client.retries", &[("cause", cause)]));
-    }
-
     /// Total retries so far, all causes.
     pub fn retries_total(&self) -> u64 {
-        self.retries.iter().map(Counter::get).sum()
+        self.retries
     }
 
     /// Connections re-dialed after the first.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
-    }
-
-    fn count_retry(&self, cause: RetryCause) {
-        self.retries[cause.slot()].inc();
     }
 
     fn ensure_connected(&mut self) -> io::Result<&mut FaultyTcpTransport> {
@@ -388,7 +377,7 @@ impl ResilientClient {
                     ),
                 ))));
             }
-            self.count_retry(cause);
+            self.retries += 1;
             // An overloaded server said when to come back; cap its
             // hint by the policy's ceiling like any other delay.
             let delay = match hint {

@@ -113,6 +113,11 @@ pub(crate) struct LaneStats {
 /// constant: scrapers look metrics up by it.
 const BACKEND: &str = "evented";
 
+/// Capacity of the time-series ring (oldest points are overwritten).
+/// At the default 1 s sample interval, 512 points is ~8.5 minutes of
+/// history in ~140 KiB.
+const SERIES_CAPACITY: usize = 512;
+
 /// The server's metrics plus the slow-request ring and the retained
 /// time-series ring.
 ///
@@ -146,12 +151,11 @@ impl ServerTelemetry {
     /// Builds the server's registry; every metric carries
     /// `backend="evented"`. Requests slower than `slow_threshold` land
     /// in a ring of `trace_capacity` records; the time-series sampler
-    /// (when started) retains `series_capacity` points cut every
+    /// (when started) retains the last 512 points cut every
     /// `sample_interval`.
     pub fn new(
         slow_threshold: Duration,
         trace_capacity: usize,
-        series_capacity: usize,
         sample_interval: Duration,
     ) -> Arc<Self> {
         let registry = Registry::new();
@@ -193,7 +197,7 @@ impl ServerTelemetry {
             first_frame,
             ready_batch,
             ring: TraceRing::new(trace_capacity),
-            series: SeriesRing::new(series_capacity, sample_interval),
+            series: SeriesRing::new(SERIES_CAPACITY, sample_interval),
             threshold_ns,
         })
     }
@@ -430,7 +434,7 @@ mod tests {
     use super::*;
 
     fn test_telemetry(threshold: Duration) -> Arc<ServerTelemetry> {
-        ServerTelemetry::new(threshold, 8, 16, Duration::ZERO)
+        ServerTelemetry::new(threshold, 8, Duration::ZERO)
     }
 
     #[test]
@@ -514,7 +518,7 @@ mod tests {
 
     #[test]
     fn sampler_feeds_the_series_ring() {
-        let t = ServerTelemetry::new(Duration::ZERO, 8, 32, Duration::from_millis(2));
+        let t = ServerTelemetry::new(Duration::ZERO, 8, Duration::from_millis(2));
         let sampler = t.start_sampler().expect("interval > 0 starts a sampler");
         let deadline = Instant::now() + Duration::from_secs(5);
         while t.timeseries_snapshot().points.is_empty() && Instant::now() < deadline {

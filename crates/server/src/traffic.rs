@@ -148,7 +148,8 @@ pub struct TrafficPlan {
 
 impl TrafficPlan {
     /// Builds the full plan for `spec`. Deterministic: equal specs
-    /// yield equal plans (the loadgen replay contract).
+    /// yield equal plans (the replay contract the server suites
+    /// rely on).
     ///
     /// Devices whose sampled array cannot support their scheme are
     /// skipped, exactly as fleet provisioning does elsewhere.

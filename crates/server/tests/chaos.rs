@@ -22,6 +22,10 @@
 //! chaos replay the read-only latch must be observable at the wire
 //! (a fresh `Enroll` answers `ReadOnly`) and in the merged metrics
 //! (`server.degraded_transitions`, `faults.injected{kind}`).
+//!
+//! A second test holds a pool of faulted connections open under
+//! *random* resets, where answers may legally differ, and checks the
+//! attack outcome instead of the bytes.
 
 #![cfg(target_os = "linux")]
 
@@ -29,24 +33,15 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ropuf_proto::{derive_seed, ErrorCode, FaultPlan, Request, RATE_ONE};
+use ropuf_proto::{derive_seed, ErrorCode, FaultPlan, FaultStats, RATE_ONE};
 use ropuf_server::{
     Deadlines, EventedConfig, EventedServer, ResilientClient, RetryPolicy, Role, TrafficPlan,
     TrafficSpec, VerifierHandler,
 };
 use ropuf_verifier::{DetectorConfig, StoreFaults, StoreOptions, Verifier};
 
-use ropuf_constructions::pairing::lisa::LisaConfig;
-
-fn spec() -> TrafficSpec {
-    TrafficSpec {
-        devices: 8,
-        master_seed: 2024,
-        rounds: 3,
-        lisa: LisaConfig::default(),
-        detector: DetectorConfig::default(),
-    }
-}
+mod common;
+use common::{device_requests, enrolled_handler, spec};
 
 fn policy() -> RetryPolicy {
     RetryPolicy {
@@ -83,26 +78,6 @@ fn durable_handler(dir: &PathBuf, faults: Option<StoreFaults>) -> Arc<VerifierHa
 /// append — failing it latches read-only without changing any answer.
 fn wal_fault(plan: &TrafficPlan) -> StoreFaults {
     StoreFaults::new().fail_append_at(plan.devices.len() as u64)
-}
-
-/// Per-device request list: the auth trajectory plus a final
-/// `QueryVerdict` — the byte-compared equivalence surface.
-fn device_requests(plan: &TrafficPlan) -> Vec<(u64, Vec<Request>)> {
-    plan.devices
-        .iter()
-        .map(|device| {
-            let mut requests: Vec<Request> = device
-                .requests
-                .iter()
-                .cloned()
-                .map(Request::Authenticate)
-                .collect();
-            requests.push(Request::QueryVerdict {
-                device_id: device.device_id,
-            });
-            (device.device_id, requests)
-        })
-        .collect()
 }
 
 /// Replays the full plan through resilient clients: wire enrollment of
@@ -320,4 +295,114 @@ fn chaos_replay_is_bit_for_bit_identical_under_two_fault_seeds() {
             Role::Benign => assert!(!flagged, "benign {} rejected", device.device_id),
         }
     }
+}
+
+/// Held-connection chaos with *random* resets: 64 resilient clients
+/// dialed up front and held for the whole replay, every connection
+/// under seeded partial I/O, delays and resets. A random reset may
+/// land on an applied authentication's answer, and its retry is a
+/// second genuine attempt, so the answers are not byte-compared; the
+/// outcome is: every exchange answers, every attacker is flagged at
+/// the wire and in the registry, and no benign device is.
+#[test]
+fn held_pool_converges_under_random_resets() {
+    let plan = TrafficPlan::build(&TrafficSpec {
+        master_seed: 1,
+        rounds: 4,
+        ..spec()
+    });
+    assert!(plan.attackers().count() >= 2 && plan.benign().count() >= 2);
+    let server = EventedServer::spawn(
+        "127.0.0.1:0",
+        enrolled_handler(&plan, 8),
+        EventedConfig::default(),
+    )
+    .expect("bind evented");
+    let addr = server.local_addr();
+
+    let stats = Arc::new(FaultStats::new());
+    let pool: Vec<ResilientClient> = (0..64u64)
+        .map(|conn| {
+            let stats = Arc::clone(&stats);
+            let mut client = ResilientClient::new(addr, policy(), Deadlines::default())
+                .expect("resolve addr")
+                .with_faults(Box::new(move |serial| {
+                    FaultPlan::new(derive_seed(1, conn * 4096 + serial))
+                        .with_partial_io(2048)
+                        .with_delays(512, std::time::Duration::from_micros(20))
+                        .with_resets(128)
+                        .with_stats(Arc::clone(&stats))
+                }));
+            client
+                .hello("chaos-held")
+                .expect("held connection established");
+            client
+        })
+        .collect();
+
+    // Two threads; each owns every other client and every other
+    // device, so a device's requests stay in order. Requests
+    // round-robin across the thread's clients.
+    let (even, odd): (Vec<_>, Vec<_>) = pool.into_iter().enumerate().partition(|(i, _)| i % 2 == 0);
+    let (outcomes, retries) = std::thread::scope(|scope| {
+        let workers: Vec<_> = [even, odd]
+            .into_iter()
+            .enumerate()
+            .map(|(t, half)| {
+                let plan = &plan;
+                scope.spawn(move || {
+                    let mut clients: Vec<ResilientClient> =
+                        half.into_iter().map(|(_, c)| c).collect();
+                    let held = clients.len();
+                    let mut rr = 0;
+                    let mut outcomes = Vec::new();
+                    for device in plan.devices.iter().skip(t).step_by(2) {
+                        let mut wire_flagged = false;
+                        for item in &device.requests {
+                            rr += 1;
+                            match clients[rr % held].authenticate(item.clone()) {
+                                Ok(_) => {}
+                                Err(e) if e.error_code() == Some(ErrorCode::DeviceFlagged) => {
+                                    wire_flagged = true;
+                                }
+                                Err(e) => panic!("device {}: {e}", device.device_id),
+                            }
+                        }
+                        let registry_flagged = clients[rr % held]
+                            .query_verdict(device.device_id)
+                            .expect("flag query answers")
+                            .is_some();
+                        outcomes.push((device, wire_flagged, registry_flagged));
+                    }
+                    let retries: u64 = clients.iter().map(ResilientClient::retries_total).sum();
+                    (outcomes, retries)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("replay thread"))
+            .fold((Vec::new(), 0), |(mut all, total), (outcomes, retries)| {
+                all.extend(outcomes);
+                (all, total + retries)
+            })
+    });
+    server.shutdown();
+
+    assert_eq!(outcomes.len(), plan.devices.len());
+    for (device, wire_flagged, registry_flagged) in outcomes {
+        let flagged = device.role == Role::LisaAttacker;
+        assert_eq!(
+            (wire_flagged, registry_flagged),
+            (flagged, flagged),
+            "device {} ({:?}): flagged at the wire, in the registry",
+            device.device_id,
+            device.role
+        );
+    }
+    assert!(
+        stats.resets() > 0,
+        "the seeded plan must reset a connection"
+    );
+    assert!(retries > 0, "a reset must force a retry");
 }

@@ -19,55 +19,16 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ropuf_proto::{
-    ErrorCode, FrameReader, FrameWriter, Request, RequestRef, Response, WireFlagReason,
-};
+use ropuf_proto::{ErrorCode, FrameReader, FrameWriter, RequestRef, Response, WireFlagReason};
 use ropuf_server::{
-    EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TrafficPlan,
-    TrafficSpec, Transport, VerifierHandler,
+    Client, EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TcpTransport,
+    TrafficPlan, Transport, VerifierHandler,
 };
+use ropuf_telemetry::{MetricValue, SERIES_PHASES};
 use ropuf_verifier::{DetectorConfig, StoreOptions, Verifier};
 
-use ropuf_constructions::pairing::lisa::LisaConfig;
-
-fn spec() -> TrafficSpec {
-    TrafficSpec {
-        devices: 8,
-        master_seed: 2024,
-        rounds: 3,
-        lisa: LisaConfig::default(),
-        detector: DetectorConfig::default(),
-    }
-}
-
-/// A fresh verifier stack with the plan's fleet enrolled.
-fn enrolled_handler(plan: &TrafficPlan, shards: usize) -> Arc<dyn RequestHandler> {
-    let verifier = Arc::new(Verifier::new(shards, DetectorConfig::default()));
-    let results = verifier.enroll_batch(plan.enrollments());
-    assert!(results.iter().all(Result::is_ok), "fresh ids enroll");
-    Arc::new(VerifierHandler::new(verifier))
-}
-
-/// Per-device request list: the auth trajectory plus a final
-/// `QueryVerdict`, so flag-state answers are part of the equivalence
-/// surface too.
-fn device_requests(plan: &TrafficPlan) -> Vec<(u64, Vec<Request>)> {
-    plan.devices
-        .iter()
-        .map(|device| {
-            let mut requests: Vec<Request> = device
-                .requests
-                .iter()
-                .cloned()
-                .map(Request::Authenticate)
-                .collect();
-            requests.push(Request::QueryVerdict {
-                device_id: device.device_id,
-            });
-            (device.device_id, requests)
-        })
-        .collect()
-}
+mod common;
+use common::{device_requests, enrolled_handler, spec};
 
 /// Replays the plan over real sockets, one connection per device,
 /// strictly request/response, returning every raw response payload in
@@ -378,6 +339,22 @@ fn full_tracing_does_not_change_the_byte_stream() {
         series.points.iter().map(|p| p.requests).sum::<u64>() <= expected,
         "surviving series deltas cannot exceed the served-request total"
     );
+    // An operator attaching over the wire sees the same feeds: every
+    // auth phase histogram fed, traces recorded, the sampler live.
+    let mut operator =
+        Client::new(TcpTransport::connect(traced_server.local_addr()).expect("attach"));
+    let metrics = operator.metrics().expect("scrape decodes");
+    for phase in SERIES_PHASES {
+        match metrics.find(
+            "server.request.phase_ns",
+            &[("backend", "evented"), ("msg", "auth"), ("phase", phase)],
+        ) {
+            Some(MetricValue::Histogram(h)) => assert!(h.count > 0, "auth {phase} is empty"),
+            other => panic!("auth {phase} phase histogram: {other:?}"),
+        }
+    }
+    assert!(operator.trace_dump().expect("trace dump").recorded > 0);
+    assert!(operator.timeseries().expect("timeseries").sampled > 0);
     traced_server.shutdown();
 
     assert_eq!(

@@ -6,8 +6,8 @@
 //! against a single-loop and a multi-loop server through one
 //! parametrized harness — the topologies must be indistinguishable at
 //! the wire. Scenarios about resource policy (slow-loris eviction,
-//! idle eviction, backpressure, churn gauges) run against one
-//! configured server each.
+//! idle eviction, backpressure, overload shedding, churn gauges, the
+//! held fan) run against one configured server each.
 
 #![cfg(target_os = "linux")]
 
@@ -17,10 +17,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ropuf_proto::{
-    ErrorCode, FrameReader, FrameWriter, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
+    parse_retry_after_ms, ErrorCode, FrameReader, FrameWriter, Request, Response, MAX_FRAME,
+    PROTOCOL_VERSION,
 };
-use ropuf_server::{EventedConfig, EventedServer, RequestHandler, VerifierHandler};
+use ropuf_server::{
+    EventedConfig, EventedServer, LoopbackTransport, OverloadPolicy, RequestHandler, TrafficPlan,
+    TrafficSpec, Transport, VerifierHandler,
+};
 use ropuf_verifier::{DetectorConfig, Verifier};
+
+mod common;
+use common::{device_requests, enrolled_handler, spec};
 
 fn handler() -> Arc<dyn RequestHandler> {
     let verifier = Arc::new(Verifier::new(4, DetectorConfig::default()));
@@ -402,15 +409,40 @@ fn connection_churn_returns_the_gauge_to_zero() {
     server.shutdown();
 }
 
+/// One strict request/response exchange; returns the answer's payload.
+/// Nothing follows the answer on the stream, so a fresh reader per
+/// exchange cannot swallow a later frame.
+fn exchange(stream: &mut TcpStream, request: &Request) -> Vec<u8> {
+    FrameWriter::new(&mut *stream)
+        .write_request(request)
+        .expect("send");
+    FrameReader::new(stream)
+        .read_frame()
+        .expect("read")
+        .expect("server answers every request")
+}
+
 #[test]
 fn many_concurrent_connections_are_served() {
-    // A held-open fan: every connection stays established while each
-    // takes its turn exchanging requests — the shape a
-    // thread-per-connection server cannot serve beyond its thread
-    // count.
-    let server = spawn_evented(EventedConfig::default());
+    // A held-open fan that carries traffic: every connection stays
+    // established while two client threads replay a mixed benign/LISA
+    // plan across it — the shape a thread-per-connection server cannot
+    // serve beyond its thread count.
+    let plan = TrafficPlan::build(&TrafficSpec {
+        master_seed: 1,
+        rounds: 4,
+        ..spec()
+    });
+    assert!(plan.attackers().count() >= 2 && plan.benign().count() >= 2);
+    let requests = device_requests(&plan);
+    let server = EventedServer::spawn(
+        "127.0.0.1:0",
+        enrolled_handler(&plan, 8),
+        EventedConfig::default(),
+    )
+    .expect("bind evented");
     let addr = server.local_addr();
-    let fan = 512;
+    let fan = 1024;
     let mut streams: Vec<TcpStream> = (0..fan)
         .map(|_| TcpStream::connect(addr).expect("connect fan"))
         .collect();
@@ -421,13 +453,142 @@ fn many_concurrent_connections_are_served() {
     }
     assert_eq!(server.open_connections(), fan, "all held open at once");
     for (i, stream) in streams.iter_mut().enumerate() {
+        stream.set_nodelay(true).expect("nodelay");
         stream.write_all(&hello_frame()).unwrap();
         assert!(
             matches!(read_response(stream), Response::HelloOk { .. }),
             "held connection {i} must be served"
         );
     }
-    assert_eq!(server.requests_served(), fan as u64);
+
+    // Two threads; each owns every other connection and every other
+    // device, so a device's requests stay in order. Requests
+    // round-robin across the thread's half of the fan.
+    let (even, odd): (Vec<_>, Vec<_>) = streams
+        .into_iter()
+        .enumerate()
+        .partition(|(i, _)| i % 2 == 0);
+    let answers: Vec<(u64, Vec<Vec<u8>>, Duration)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = [even, odd]
+            .into_iter()
+            .enumerate()
+            .map(|(t, half)| {
+                let requests = &requests;
+                scope.spawn(move || {
+                    let mut conns: Vec<TcpStream> = half.into_iter().map(|(_, s)| s).collect();
+                    let mut rr = 0;
+                    let mut out = Vec::new();
+                    for (id, device_requests) in requests.iter().skip(t).step_by(2) {
+                        let mut bytes = Vec::new();
+                        let mut slowest = Duration::ZERO;
+                        for request in device_requests {
+                            let slot = rr % conns.len();
+                            rr += 1;
+                            let t0 = Instant::now();
+                            bytes.push(exchange(&mut conns[slot], request));
+                            slowest = slowest.max(t0.elapsed());
+                        }
+                        out.push((*id, bytes, slowest));
+                    }
+                    out
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("replay thread"))
+            .collect()
+    });
+
+    // Each device's answers equal the loopback oracle's, byte for byte;
+    // those bytes carry every DeviceFlagged rejection and the final
+    // flag state.
+    let mut oracle = LoopbackTransport::new(enrolled_handler(&plan, 8));
+    for (id, device_requests) in &requests {
+        let expected: Vec<Vec<u8>> = device_requests
+            .iter()
+            .map(|request| oracle.roundtrip(request).expect("loopback").encode())
+            .collect();
+        let (_, got, _) = answers
+            .iter()
+            .find(|(answered, _, _)| answered == id)
+            .expect("every device replayed");
+        assert_eq!(got, &expected, "device {id} answers");
+    }
+    // The tail gate: a generous 100 ms ceiling that catches
+    // order-of-magnitude regressions on a noisy runner. It bounds the
+    // maximum, which is never below the p999.
+    let slowest = answers.iter().map(|(_, _, max)| *max).max().unwrap();
+    assert!(
+        slowest <= Duration::from_millis(100),
+        "slowest exchange took {slowest:?}"
+    );
+    assert_eq!(
+        server.requests_served(),
+        (fan + plan.total_requests() + plan.devices.len()) as u64,
+        "one hello per connection, every auth, one verdict query per device"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_scrapes_past_the_budget_are_shed_with_a_retry_hint() {
+    let server = spawn_evented(EventedConfig {
+        overload: OverloadPolicy {
+            brownout_pressure: 64 * 1024,
+            max_pressure: 512 * 1024,
+            retry_after_ms: 2,
+        },
+        ..EventedConfig::default()
+    });
+    let burst: u32 = 1024;
+    let mut wire = Vec::new();
+    {
+        let mut writer = FrameWriter::new(&mut wire);
+        for _ in 0..burst {
+            writer.write_request(&Request::MetricsSnapshot).unwrap();
+        }
+    }
+    // The whole burst goes out before a single answer is read, so the
+    // answers pile up in the connection's out-buffer past the
+    // brown-out budget.
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&wire).unwrap();
+    let t0 = Instant::now();
+    let mut reader = FrameReader::new(stream.try_clone().unwrap());
+    let (mut served, mut shed) = (0u64, 0u64);
+    for i in 0..burst {
+        match reader.read_response().unwrap() {
+            Some(Response::MetricsBin { .. }) => served += 1,
+            Some(Response::Error {
+                code: ErrorCode::Overloaded,
+                detail,
+            }) => {
+                assert_eq!(parse_retry_after_ms(&detail), Some(2), "answer {i}");
+                shed += 1;
+            }
+            other => panic!("answer {i}: unexpected {other:?}"),
+        }
+    }
+    let drain = t0.elapsed();
+    assert!(
+        served > 0 && shed > 0,
+        "served {served}, shed {shed}: brown-out sheds scrapes while some still serve"
+    );
+    assert!(
+        drain < Duration::from_millis(1) * burst,
+        "{burst} answers drained in {drain:?}: sheds must stay under 1 ms amortized"
+    );
+    // The connection survives its own overload.
+    stream.write_all(&hello_frame()).unwrap();
+    assert!(matches!(
+        reader.read_response().unwrap(),
+        Some(Response::HelloOk { .. })
+    ));
+    assert_eq!(
+        server.telemetry().snapshot().counter_total("server.shed"),
+        shed
+    );
     server.shutdown();
 }
 

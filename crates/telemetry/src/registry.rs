@@ -263,8 +263,8 @@ fn render_labels(labels: &[(String, String)]) -> String {
 }
 
 /// A frozen, sorted, self-contained set of metric values — what a
-/// `MetricsSnapshot` wire request returns and what `loadgen` correlates
-/// against client-side measurements.
+/// `MetricsSnapshot` wire request returns and what a benchmark
+/// correlates against client-side measurements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Samples sorted by `(name, labels)`.
@@ -453,8 +453,7 @@ mod tests {
     }
 
     /// Golden rendering over a fixed registry: the exact text is part
-    /// of the operator-facing contract (`ropuf-ops` and the loadgen
-    /// `--telemetry` report both print it), so format drift must be a
+    /// of the operator-facing contract, so format drift must be a
     /// conscious change here, not an accident.
     #[test]
     fn render_text_golden() {

@@ -386,9 +386,9 @@ impl ShardedRegistry {
 
     /// Enrolls a whole batch, locking each shard **once** per batch
     /// instead of once per device — the bulk path fleet provisioning
-    /// (loadgen, server startup) goes through. Results come back in
-    /// input order; a device id appearing twice in one batch enrolls
-    /// the first occurrence and reports
+    /// (benchmarks, test fleets, server startup) goes through. Results
+    /// come back in input order; a device id appearing twice in one
+    /// batch enrolls the first occurrence and reports
     /// [`RegistryError::Duplicate`] for the rest, exactly as
     /// sequential [`ShardedRegistry::enroll`] calls would. With a
     /// durable store attached, each shard's accepted records are
