@@ -17,8 +17,8 @@
 //! streams never share a plan; derive per-stream seeds with
 //! [`derive_seed`].
 //!
-//! Injected faults are counted in a shared [`FaultStats`] so harnesses
-//! can report `faults.injected{kind}` next to their success rates.
+//! Injected resets are counted in a shared [`FaultStats`], so a chaos
+//! test can check that its schedule really cut connections.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,13 +45,10 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     splitmix64(master ^ splitmix64(stream.wrapping_add(0xC0FF_EE)))
 }
 
-/// Everything a [`FaultPlan`] injected, counted by kind. Shared
-/// (`Arc`) between the streams of one chaos run and its reporter.
+/// The connection resets a [`FaultPlan`] injected. Shared (`Arc`)
+/// between the streams of one chaos run and its checks.
 #[derive(Debug, Default)]
 pub struct FaultStats {
-    partial_reads: AtomicU64,
-    partial_writes: AtomicU64,
-    delays: AtomicU64,
     resets: AtomicU64,
 }
 
@@ -59,22 +56,6 @@ impl FaultStats {
     /// Fresh zeroed stats.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// `(kind, count)` pairs in a fixed order — the
-    /// `faults.injected{kind}` feed.
-    pub fn snapshot(&self) -> [(&'static str, u64); 4] {
-        [
-            ("partial_read", self.partial_reads.load(Ordering::Relaxed)),
-            ("partial_write", self.partial_writes.load(Ordering::Relaxed)),
-            ("delay", self.delays.load(Ordering::Relaxed)),
-            ("reset", self.resets.load(Ordering::Relaxed)),
-        ]
-    }
-
-    /// Total injected faults of every kind.
-    pub fn total(&self) -> u64 {
-        self.snapshot().iter().map(|(_, n)| n).sum()
     }
 
     /// Injected connection resets.
@@ -170,7 +151,7 @@ impl FaultPlan {
         self
     }
 
-    /// Counts every injected fault into `stats`.
+    /// Counts every injected reset into `stats`.
     pub fn with_stats(mut self, stats: Arc<FaultStats>) -> Self {
         self.stats = Some(stats);
         self
@@ -186,9 +167,9 @@ impl FaultPlan {
         self.state
     }
 
-    fn count(&self, bump: impl Fn(&FaultStats) -> &AtomicU64) {
+    fn count_reset(&self) {
         if let Some(stats) = &self.stats {
-            bump(stats).fetch_add(1, Ordering::Relaxed);
+            stats.resets.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -270,16 +251,14 @@ impl<S: Read> Read for FaultyStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self.plan.decide(true) {
             FaultAction::Reset => {
-                self.plan.count(|s| &s.resets);
+                self.plan.count_reset();
                 Err(reset_error())
             }
             FaultAction::Delay(d) => {
-                self.plan.count(|s| &s.delays);
                 std::thread::sleep(d);
                 self.inner.read(buf)
             }
             FaultAction::Partial(n) => {
-                self.plan.count(|s| &s.partial_reads);
                 let cap = n.min(buf.len()).max(1).min(buf.len());
                 self.inner.read(&mut buf[..cap])
             }
@@ -292,16 +271,14 @@ impl<S: Write> Write for FaultyStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self.plan.decide(false) {
             FaultAction::Reset => {
-                self.plan.count(|s| &s.resets);
+                self.plan.count_reset();
                 Err(reset_error())
             }
             FaultAction::Delay(d) => {
-                self.plan.count(|s| &s.delays);
                 std::thread::sleep(d);
                 self.inner.write(buf)
             }
             FaultAction::Partial(n) => {
-                self.plan.count(|s| &s.partial_writes);
                 let cap = n.min(buf.len()).max(1).min(buf.len().max(1));
                 if buf.is_empty() {
                     self.inner.write(buf)
@@ -395,7 +372,6 @@ mod tests {
         // Dead means dead: every further op fails too, writes included.
         assert!(stream.read(&mut buf).is_err());
         assert_eq!(stats.resets(), 2);
-        assert_eq!(stats.total(), stats.resets());
     }
 
     #[test]

@@ -361,11 +361,6 @@ impl EventedServer {
         &self.shared.telemetry
     }
 
-    /// This server's admission gate (policy + shed tallies).
-    pub fn admission(&self) -> &Admission {
-        &self.shared.admission
-    }
-
     /// Flags the loops to stop (skipping the drain window when
     /// `force`), wakes them, and joins `threads`. Shared by both
     /// shutdown flavors and the spawn-failure unwind.

@@ -8,9 +8,10 @@
 //! Socket reads and writes need no wrapper: they go through `std`'s
 //! `TcpStream`. Apart from the SHA-256 hardware kernel
 //! (`ropuf_hash`'s `sha256::shani`, whose loads and stores stay inside
-//! fixed-size arrays), these are the **only** modules in the workspace
-//! that contain `unsafe` code, and the unsafety is confined to the FFI
-//! boundary: every pointer handed to the kernel is derived from a live
+//! fixed-size arrays) and the auth step's cache-line prefetch hints
+//! (`ropuf_verifier`'s `prefetch`, which never fault), these are the
+//! **only** modules in the workspace that contain `unsafe` code, and
+//! the unsafety is confined to the FFI boundary: every pointer handed to the kernel is derived from a live
 //! Rust allocation whose length is passed alongside it.
 
 #[cfg(target_os = "linux")]

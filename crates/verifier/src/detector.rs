@@ -30,6 +30,8 @@ use std::fmt;
 
 use ropuf_constructions::{helper_digest, validate_helper, SanityPolicy};
 
+use crate::prefetch;
+
 /// Why a device was flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlagReason {
@@ -142,6 +144,19 @@ impl Default for DetectorConfig {
     }
 }
 
+/// The integrity signal's input for one query: the presented helper
+/// with its digest, or `None` when `config` disables the signal or the
+/// query presents no helper. Kept apart from [`DetectorState::observe`]
+/// so the verifier can hash before it touches the device's entry.
+pub(crate) fn digest_presented<'a>(
+    config: &DetectorConfig,
+    presented_helper: Option<&'a [u8]>,
+) -> Option<(&'a [u8], [u8; 32])> {
+    presented_helper
+        .filter(|_| config.integrity_check)
+        .map(|helper| (helper, helper_digest(helper)))
+}
+
 /// A device's detector runtime state: the rate window, the failure
 /// streak and the quarantine latch. What the detector judges against —
 /// the thresholds, the scheme tag and the enrolled helper's digest — is
@@ -170,16 +185,30 @@ impl DetectorState {
         }
     }
 
+    /// Starts loading the cache lines of the rate window that
+    /// [`DetectorState::observe`] reads first (its oldest entry) and
+    /// writes (after its newest).
+    pub(crate) fn prefetch_window(&self) {
+        let (front, back) = self.recent.as_slices();
+        if let Some(oldest) = front.first() {
+            prefetch::lines(oldest);
+        }
+        if let Some(newest) = back.last().or(front.last()) {
+            prefetch::lines(newest);
+        }
+    }
+
     /// Judges one query of a device enrolled under `scheme_tag` with a
     /// helper whose digest is `enrolled_digest` (see
-    /// [`DeviceDetector::observe`]).
+    /// [`DeviceDetector::observe`]). `presented` is the query's helper
+    /// with its digest, from [`digest_presented`].
     pub(crate) fn observe(
         &mut self,
         config: &DetectorConfig,
         scheme_tag: u8,
         enrolled_digest: &[u8; 32],
         now: u64,
-        presented_helper: Option<&[u8]>,
+        presented: Option<(&[u8], [u8; 32])>,
         auth_ok: bool,
     ) -> AuthVerdict {
         // Quarantine latch: a flagged device stays flagged.
@@ -189,8 +218,8 @@ impl DetectorState {
 
         // Signal 1: helper integrity (digest compare + wire reparse).
         if config.integrity_check {
-            if let Some(helper) = presented_helper {
-                if helper_digest(helper) != *enrolled_digest {
+            if let Some((helper, digest)) = presented {
+                if digest != *enrolled_digest {
                     let reason =
                         if validate_helper(scheme_tag, helper, SanityPolicy::Lenient).is_err() {
                             FlagReason::MalformedHelper
@@ -285,7 +314,7 @@ impl DeviceDetector {
             self.scheme_tag,
             &self.enrolled_digest,
             now,
-            presented_helper,
+            digest_presented(&self.config, presented_helper),
             auth_ok,
         )
     }

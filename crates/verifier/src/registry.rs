@@ -184,16 +184,18 @@ impl DeviceEntry {
         }
     }
 
-    /// Feeds one query to the device's detector. The second element is
-    /// `Some((at, reason))` exactly when this query latched the flag,
-    /// which is what the durable layer records in the WAL. (The verdict
-    /// alone cannot tell — a quarantined device answers `Flagged` on
-    /// every query.)
+    /// Feeds one query to the device's detector; `presented` is the
+    /// query's helper with its digest
+    /// ([`digest_presented`](crate::detector::digest_presented)). The
+    /// second element is `Some((at, reason))` exactly when this query
+    /// latched the flag, which is what the durable layer records in the
+    /// WAL. (The verdict alone cannot tell — a quarantined device
+    /// answers `Flagged` on every query.)
     pub(crate) fn observe(
         &mut self,
         config: &DetectorConfig,
         now: u64,
-        presented_helper: Option<&[u8]>,
+        presented: Option<(&[u8], [u8; 32])>,
         auth_ok: bool,
     ) -> (AuthVerdict, Option<(u64, FlagReason)>) {
         let before = self.detector.flagged().is_some();
@@ -202,7 +204,7 @@ impl DeviceEntry {
             self.record.scheme_tag,
             &self.record.helper_digest,
             now,
-            presented_helper,
+            presented,
             auth_ok,
         );
         let newly = if before {

@@ -20,7 +20,8 @@ use ropuf_numeric::BitVec;
 use ropuf_sim::Environment;
 use ropuf_telemetry::{Counter, Registry as TelemetryRegistry, Snapshot as TelemetrySnapshot};
 
-use crate::detector::{AuthVerdict, DetectorConfig, FlagReason};
+use crate::detector::{digest_presented, AuthVerdict, DetectorConfig, FlagReason};
+use crate::prefetch;
 use crate::registry::{
     DeviceEntry, EnrollmentRecord, RegistryError, ShardedRegistry, StoredRecord,
 };
@@ -539,12 +540,10 @@ impl Verifier {
                             }
                             DeviceResponse::Failure => false,
                         };
-                        let (verdict, newly) = entry.observe(
-                            &config,
-                            request.now,
-                            request.presented_helper.as_deref(),
-                            auth_ok,
-                        );
+                        let presented =
+                            digest_presented(&config, request.presented_helper.as_deref());
+                        let (verdict, newly) =
+                            entry.observe(&config, request.now, presented, auth_ok);
                         verdicts[i] = verdict;
                         if let Some((at, reason)) = newly {
                             latched.push((request.device_id, at, reason));
@@ -578,7 +577,8 @@ impl Verifier {
         let verdict = self
             .registry
             .with_entry(device_id, |entry| {
-                let (verdict, newly) = entry.observe(&config, now, presented_helper, auth_ok);
+                let presented = digest_presented(&config, presented_helper);
+                let (verdict, newly) = entry.observe(&config, now, presented, auth_ok);
                 latched = newly;
                 verdict
             })
@@ -600,16 +600,26 @@ impl Verifier {
     /// midstates — no key-schedule derivation, no allocation. The
     /// second element is the flag this query latched, if any (see
     /// [`DeviceEntry::observe`]).
+    ///
+    /// Over a large fleet the entry and its rate window are usually not
+    /// in cache, and waiting for them costs more than the hashing. So
+    /// the step asks for the entry's lines first, digests the presented
+    /// helper (which reads no registry state) while they arrive, then
+    /// asks for the rate window's lines, reachable only through the
+    /// entry, and verifies the tag while those arrive.
     fn judge(
         config: &DetectorConfig,
         entry: &mut DeviceEntry,
         query: &AuthQuery<'_>,
     ) -> (AuthVerdict, Option<(u64, FlagReason)>) {
+        prefetch::lines(entry);
+        let presented = digest_presented(config, query.presented_helper);
+        entry.detector.prefetch_window();
         let auth_ok = match &query.response {
             DeviceResponse::Tag(tag) => entry.hmac_key.verify(query.nonce, tag),
             DeviceResponse::Failure => false,
         };
-        entry.observe(config, query.now, query.presented_helper, auth_ok)
+        entry.observe(config, query.now, presented, auth_ok)
     }
 }
 

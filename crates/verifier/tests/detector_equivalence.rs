@@ -1,9 +1,12 @@
-//! One detector, three entry points, one behaviour: on random configs
+//! One detector, five entry points, one behaviour: on random configs
 //! and query streams (enrolled, tampered, malformed, truncated and
 //! absent helpers; failure runs; steps just inside, on and past the
 //! rate window's edge), a verbatim copy of the earlier per-device
-//! detector, the public [`DeviceDetector`] and [`Verifier::observe_raw`]
-//! through the registry return identical verdicts and first flags.
+//! detector, the public [`DeviceDetector`], [`Verifier::observe_raw`]
+//! through the registry, and the tag-verifying
+//! [`Verifier::authenticate_query`] and
+//! [`Verifier::authenticate_batch_with`] return identical verdicts and
+//! first flags.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -13,10 +16,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ropuf_constructions::pairing::lisa::{LisaConfig, LisaScheme, LISA_TAG};
-use ropuf_constructions::{helper_digest, validate_helper, Device, SanityPolicy};
+use ropuf_constructions::{helper_digest, validate_helper, Device, DeviceResponse, SanityPolicy};
 use ropuf_sim::{ArrayDims, RoArrayBuilder};
 use ropuf_verifier::{
-    auth_key, AuthVerdict, BatchEnrollment, DetectorConfig, DeviceDetector, FlagReason, Verifier,
+    auth_key, client_tag, AuthQuery, AuthRequest, AuthVerdict, BatchEnrollment, BatchScratch,
+    DetectorConfig, DeviceDetector, FlagReason, Verifier,
 };
 
 /// The detector as it was when each device kept its own config and
@@ -143,6 +147,46 @@ fn presented(enrolled: &[u8], kind: u64) -> Option<Vec<u8>> {
     }
 }
 
+/// A verifier with every device of [`helpers`] enrolled.
+fn enrolled_verifier(shards: usize, config: DetectorConfig) -> Verifier {
+    let verifier = Verifier::new(shards, config);
+    let enrolled = verifier.enroll_batch(
+        helpers()
+            .iter()
+            .enumerate()
+            .map(|(id, (helper, key_digest))| BatchEnrollment {
+                device_id: id as u64,
+                scheme_tag: LISA_TAG,
+                helper: helper.clone(),
+                key_digest: *key_digest,
+            })
+            .collect(),
+    );
+    assert!(enrolled.iter().all(Result::is_ok));
+    verifier
+}
+
+/// Serves `batch` through [`Verifier::authenticate_batch_with`] and
+/// checks its verdicts against `want`, then every device's first flag
+/// against the reference's.
+fn serve_batch(
+    verifier: &Verifier,
+    batch: &mut Vec<(AuthRequest, AuthVerdict)>,
+    reference: &[ReferenceDetector],
+    scratch: &mut BatchScratch,
+) -> Result<(), TestCaseError> {
+    let queries: Vec<AuthQuery<'_>> = batch.iter().map(|(r, _)| r.as_query()).collect();
+    let mut verdicts = Vec::new();
+    verifier.authenticate_batch_with(&queries, scratch, &mut verdicts);
+    let want: Vec<AuthVerdict> = batch.iter().map(|&(_, v)| v).collect();
+    prop_assert_eq!(verdicts, want);
+    for (id, r) in reference.iter().enumerate() {
+        prop_assert_eq!(verifier.flag_info(id as u64), r.flagged());
+    }
+    batch.clear();
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn reference_public_and_registry_detectors_agree(
@@ -161,20 +205,14 @@ proptest! {
             failure_streak,
         };
         let helpers = helpers();
-        let verifier = Verifier::new(shards, config);
-        let enrolled = verifier.enroll_batch(
-            helpers
-                .iter()
-                .enumerate()
-                .map(|(id, (helper, key_digest))| BatchEnrollment {
-                    device_id: id as u64,
-                    scheme_tag: LISA_TAG,
-                    helper: helper.clone(),
-                    key_digest: *key_digest,
-                })
-                .collect(),
-        );
-        prop_assert!(enrolled.iter().all(Result::is_ok));
+        let verifier = enrolled_verifier(shards, config);
+        // The tag-verifying entry points, one verifier each: single
+        // queries, and batches of 1–8 consecutive steps.
+        let by_query = enrolled_verifier(shards, config);
+        let by_batch = enrolled_verifier(shards, config);
+        let mut batch: Vec<(AuthRequest, AuthVerdict)> = Vec::new();
+        let mut scratch = BatchScratch::new();
+        let mut failures = 0u64;
         let mut reference: Vec<ReferenceDetector> = helpers
             .iter()
             .map(|(h, _)| ReferenceDetector::new(config, LISA_TAG, h))
@@ -189,7 +227,7 @@ proptest! {
         }
 
         let mut now = 0u64;
-        for step in steps {
+        for (i, step) in steps.into_iter().enumerate() {
             let device = (step % DEVICES as u64) as usize;
             now += match (step >> 8) % 7 {
                 0 => 0,
@@ -213,6 +251,34 @@ proptest! {
             let flag = reference[device].flagged();
             prop_assert_eq!(public[device].flagged(), flag);
             prop_assert_eq!(verifier.flag_info(device as u64), flag);
+
+            // A real tag when the step authenticates; otherwise a forged
+            // tag and a reconstruction failure in turn.
+            let nonce = (i as u64).to_le_bytes().to_vec();
+            let response = if auth_ok {
+                DeviceResponse::Tag(client_tag(&helpers[device].1, &nonce))
+            } else {
+                failures += 1;
+                if failures.is_multiple_of(2) {
+                    DeviceResponse::Tag([0xA5; 32])
+                } else {
+                    DeviceResponse::Failure
+                }
+            };
+            let request = AuthRequest {
+                device_id: device as u64,
+                now,
+                nonce,
+                response,
+                presented_helper: helper,
+            };
+            prop_assert_eq!(by_query.authenticate_query(request.as_query()), want);
+            prop_assert_eq!(by_query.flag_info(device as u64), flag);
+            batch.push((request, want));
+            if batch.len() as u64 > (step >> 40) % 8 {
+                serve_batch(&by_batch, &mut batch, &reference, &mut scratch)?;
+            }
         }
+        serve_batch(&by_batch, &mut batch, &reference, &mut scratch)?;
     }
 }
