@@ -71,12 +71,13 @@ fn main() {
         );
     }
     println!(
-        "\nsummary: {}/{} recovered, {:.0} mean queries, {} threads, {:.1} ms wall",
+        "\nsummary: {}/{} recovered, {:.0} mean queries, {} threads, {:.1} ms wall, {:.0} oracle queries/s",
         report.succeeded(),
         report.runs.len(),
         report.mean_queries(),
         report.threads,
         report.total_wall_ms,
+        report.total_queries() as f64 * 1e3 / report.total_wall_ms.max(1e-9),
     );
 
     // Reproducibility: an identical campaign must serialize identically.

@@ -25,7 +25,7 @@ use ropuf_constructions::pairing::distilled::{
 use ropuf_constructions::pairing::lisa::{LisaConfig, LisaScheme, LISA_TAG};
 use ropuf_constructions::{Device, HelperDataScheme};
 use ropuf_sim::{ArrayDims, Environment};
-use ropuf_verifier::{device_auth_response, AuthRequest, DetectorConfig, Verifier};
+use ropuf_verifier::{device_auth_response, AuthRequest, BatchScratch, DetectorConfig, Verifier};
 
 /// One enrolled fleet member: the simulated device plus its identity.
 struct FleetMember {
@@ -136,6 +136,8 @@ fn main() {
     let gap = 2 * config.rate_window / config.rate_budget as u64; // well under budget
     let fleet_len = fleet.len();
     let (mut accepted, mut rejected, mut benign_flagged) = (0usize, 0usize, 0usize);
+    let mut scratch = BatchScratch::new();
+    let mut verdicts = Vec::with_capacity(fleet_len);
     for (round, env) in temps.iter().enumerate() {
         let mut batch: Vec<AuthRequest> = Vec::with_capacity(fleet_len);
         for member in fleet.iter_mut() {
@@ -149,7 +151,9 @@ fn main() {
                 presented_helper: Some(member.device.helper().to_vec()),
             });
         }
-        for verdict in verifier.authenticate_batch(&batch) {
+        let queries: Vec<_> = batch.iter().map(AuthRequest::as_query).collect();
+        verifier.authenticate_batch_with(&queries, &mut scratch, &mut verdicts);
+        for verdict in &verdicts {
             if verdict.is_flagged() {
                 benign_flagged += 1;
             } else if verdict.is_accept() {

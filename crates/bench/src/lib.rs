@@ -1,5 +1,5 @@
-//! Shared helpers for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! Shared helpers for the figure/table regeneration and benchmark
+//! binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

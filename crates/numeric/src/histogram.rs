@@ -1,6 +1,6 @@
 //! Log-bucketed latency histogram.
 //!
-//! The serving layer (`ropuf_server`, the `perf_verifier` harness)
+//! The serving layer (`ropuf_server`'s per-phase request telemetry)
 //! needs tail percentiles — p99/p999 — over millions of latency
 //! samples without keeping them all. [`Histogram`] is an
 //! HDR-style fixed-layout histogram: values are binned into
@@ -44,16 +44,7 @@ fn bucket_index(value: u64) -> usize {
 }
 
 /// Smallest value mapping to bucket `index` (a conservative lower
-/// bound of every sample in the bucket). Public so consumers of
-/// [`Histogram::sparse_counts`] — the `ropuf-timeseries/v1` band
-/// collapser, the ops dashboard — can label bucket indices with
-/// representative values; indices at or beyond [`BUCKETS`] clamp to the
-/// last bucket.
-pub fn bucket_floor(index: usize) -> u64 {
-    bucket_low(index.min(BUCKETS - 1))
-}
-
-/// Internal unclamped form of [`bucket_floor`].
+/// bound of every sample in the bucket).
 fn bucket_low(index: usize) -> u64 {
     if index < SUB_COUNT {
         return index as u64;

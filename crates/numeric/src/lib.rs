@@ -43,7 +43,7 @@ pub mod sampling;
 pub mod stats;
 
 pub use bits::BitVec;
-pub use histogram::{bucket_floor, Histogram, HistogramSummary, SparseHistogramError};
+pub use histogram::{Histogram, HistogramSummary, SparseHistogramError};
 pub use linalg::Matrix;
 pub use permutation::Permutation;
 pub use polyfit::{Poly2d, PolyFitError};

@@ -40,8 +40,9 @@
 //! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`], [`Response::SnapshotBin`] | success answers |
 //! | ← | [`Response::Error`] | typed failure ([`ErrorCode`]) — notably [`ErrorCode::DeviceFlagged`]: quarantined devices are rejected at the wire |
 //!
-//! Type bytes `0x06`/`0x86` (a JSON registry snapshot) are retired and
-//! decode as [`DecodeError::UnknownMessage`].
+//! Type bytes `0x06`/`0x86` (a JSON registry snapshot) and `0x0A`/`0x8A`
+//! (a time-series history dump) are retired and decode as
+//! [`DecodeError::UnknownMessage`].
 //!
 //! # Example
 //!

@@ -31,7 +31,7 @@ mod ty {
     pub const SNAPSHOT_V2: u8 = 0x07;
     pub const METRICS_SNAPSHOT: u8 = 0x08;
     pub const TRACE_DUMP: u8 = 0x09;
-    pub const TIMESERIES_DUMP: u8 = 0x0A;
+    // 0x0A (a time-series history dump) is retired.
     pub const LOOP_INFO: u8 = 0x0B;
     pub const HELLO_OK: u8 = 0x81;
     pub const ENROLL_OK: u8 = 0x82;
@@ -42,7 +42,7 @@ mod ty {
     pub const SNAPSHOT_BIN: u8 = 0x87;
     pub const METRICS_BIN: u8 = 0x88;
     pub const TRACE_BIN: u8 = 0x89;
-    pub const TIMESERIES_BIN: u8 = 0x8A;
+    // 0x8A (the time-series answer) is retired.
     pub const LOOP_INFO_OK: u8 = 0x8B;
     pub const ERROR: u8 = 0xEE;
 }
@@ -321,9 +321,6 @@ pub enum Request {
     /// Ask for the server's slow-request trace ring as a
     /// `ropuf-trace/v1` blob.
     TraceDump,
-    /// Ask for the server's retained time-series history (periodic
-    /// delta snapshots) as a `ropuf-timeseries/v1` blob.
-    TimeSeriesDump,
     /// Ask which event loop owns this connection. The evented server
     /// answers with the accepting loop's id; loopback answers
     /// `(0, 1)`. Topology-aware clients use this to route a device's
@@ -363,7 +360,6 @@ impl Request {
             Request::SnapshotV2 => RequestRef::SnapshotV2,
             Request::MetricsSnapshot => RequestRef::MetricsSnapshot,
             Request::TraceDump => RequestRef::TraceDump,
-            Request::TimeSeriesDump => RequestRef::TimeSeriesDump,
             Request::LoopInfo => RequestRef::LoopInfo,
         }
     }
@@ -453,8 +449,6 @@ pub enum RequestRef<'a> {
     MetricsSnapshot,
     /// See [`Request::TraceDump`].
     TraceDump,
-    /// See [`Request::TimeSeriesDump`].
-    TimeSeriesDump,
     /// See [`Request::LoopInfo`].
     LoopInfo,
 }
@@ -486,7 +480,6 @@ impl<'a> RequestRef<'a> {
             RequestRef::SnapshotV2 => Request::SnapshotV2,
             RequestRef::MetricsSnapshot => Request::MetricsSnapshot,
             RequestRef::TraceDump => Request::TraceDump,
-            RequestRef::TimeSeriesDump => Request::TimeSeriesDump,
             RequestRef::LoopInfo => Request::LoopInfo,
         }
     }
@@ -532,7 +525,6 @@ impl<'a> RequestRef<'a> {
             RequestRef::SnapshotV2 => out.put_u8(ty::SNAPSHOT_V2),
             RequestRef::MetricsSnapshot => out.put_u8(ty::METRICS_SNAPSHOT),
             RequestRef::TraceDump => out.put_u8(ty::TRACE_DUMP),
-            RequestRef::TimeSeriesDump => out.put_u8(ty::TIMESERIES_DUMP),
             RequestRef::LoopInfo => out.put_u8(ty::LOOP_INFO),
         }
     }
@@ -574,7 +566,6 @@ impl<'a> RequestRef<'a> {
             ty::SNAPSHOT_V2 => RequestRef::SnapshotV2,
             ty::METRICS_SNAPSHOT => RequestRef::MetricsSnapshot,
             ty::TRACE_DUMP => RequestRef::TraceDump,
-            ty::TIMESERIES_DUMP => RequestRef::TimeSeriesDump,
             ty::LOOP_INFO => RequestRef::LoopInfo,
             other => return Err(DecodeError::UnknownMessage(other)),
         };
@@ -721,11 +712,6 @@ pub enum Response {
         /// The trace blob.
         bytes: Vec<u8>,
     },
-    /// A `ropuf-timeseries/v1` retained-history dump, equally opaque.
-    TimeSeriesBin {
-        /// The time-series blob.
-        bytes: Vec<u8>,
-    },
     /// Answer to [`Request::LoopInfo`]: which event loop serves this
     /// connection, out of how many.
     LoopInfoOk {
@@ -802,10 +788,6 @@ impl Response {
                 out.put_u8(ty::TRACE_BIN);
                 out.put_bytes(bytes);
             }
-            Response::TimeSeriesBin { bytes } => {
-                out.put_u8(ty::TIMESERIES_BIN);
-                out.put_bytes(bytes);
-            }
             Response::LoopInfoOk { loop_id, loops } => {
                 out.put_u8(ty::LOOP_INFO_OK);
                 out.put_u32(*loop_id);
@@ -867,9 +849,6 @@ impl Response {
             ty::TRACE_BIN => Response::TraceBin {
                 bytes: r.bytes("trace", crate::frame::MAX_FRAME as usize)?,
             },
-            ty::TIMESERIES_BIN => Response::TimeSeriesBin {
-                bytes: r.bytes("timeseries", crate::frame::MAX_FRAME as usize)?,
-            },
             ty::LOOP_INFO_OK => Response::LoopInfoOk {
                 loop_id: r.u32()?,
                 loops: r.u32()?,
@@ -927,7 +906,6 @@ mod tests {
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
-            Request::TimeSeriesDump,
             Request::LoopInfo,
         ];
         for request in requests {
@@ -964,9 +942,6 @@ mod tests {
             Response::TraceBin {
                 bytes: b"RPUFTRC1\x01\x00opaque-to-this-layer".to_vec(),
             },
-            Response::TimeSeriesBin {
-                bytes: b"RPUFTSR1\x01\x00opaque-to-this-layer".to_vec(),
-            },
             Response::LoopInfoOk {
                 loop_id: 3,
                 loops: 4,
@@ -988,15 +963,20 @@ mod tests {
             Request::decode(&[0x7F]),
             Err(DecodeError::UnknownMessage(0x7F))
         );
-        // The retired JSON snapshot pair decodes as unknown.
-        assert_eq!(
-            Request::decode(&[0x06]),
-            Err(DecodeError::UnknownMessage(0x06))
-        );
-        assert_eq!(
-            Response::decode(&[0x86, 0, 0, 0, 0]),
-            Err(DecodeError::UnknownMessage(0x86))
-        );
+        // The retired JSON snapshot and time-series pairs decode as
+        // unknown.
+        for retired in [0x06, 0x0A] {
+            assert_eq!(
+                Request::decode(&[retired]),
+                Err(DecodeError::UnknownMessage(retired))
+            );
+        }
+        for retired in [0x86, 0x8A] {
+            assert_eq!(
+                Response::decode(&[retired, 0, 0, 0, 0]),
+                Err(DecodeError::UnknownMessage(retired))
+            );
+        }
         assert_eq!(
             Response::decode(&[0x02, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(DecodeError::UnknownMessage(0x02)),

@@ -70,7 +70,6 @@ proptest! {
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
-            Request::TimeSeriesDump,
         ];
         for request in requests {
             let decoded = Request::decode(&request.encode());
@@ -129,8 +128,7 @@ proptest! {
             Response::FlagInfo { flagged: Some((at, reason_from(reason_code))) },
             Response::SnapshotBin { bytes: blob.clone() },
             Response::MetricsBin { bytes: blob.clone() },
-            Response::TraceBin { bytes: blob.clone() },
-            Response::TimeSeriesBin { bytes: blob },
+            Response::TraceBin { bytes: blob },
             Response::Error {
                 code: ErrorCode::from_code(error_code).expect("1..=9 are valid"),
                 detail: text,
@@ -168,7 +166,6 @@ proptest! {
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
-            Request::TimeSeriesDump,
         ];
         // One deliberately dirty buffer reused across all encodes.
         let mut reused = vec![0xEEu8; 37];

@@ -8,7 +8,7 @@
 //! ready-list backlog, in byte equivalents:
 //!
 //! * **brown-out** (`brownout_pressure`): observability scrapes
-//!   (metrics/trace/time-series/snapshots) and `QueryVerdict` lookups
+//!   (metrics/trace/snapshots) and `QueryVerdict` lookups
 //!   are shed with [`ErrorCode::Overloaded`]; authentication and
 //!   enrollment keep serving. Scrapes are the right first sacrifice —
 //!   they are large, bursty, and retryable, and the fleet has other
@@ -58,7 +58,7 @@ impl RequestClass {
             0x03 | 0x04 => RequestClass::Auth,
             0x02 => RequestClass::Mutate,
             0x05 => RequestClass::Verdict,
-            0x06..=0x0A => RequestClass::Scrape,
+            0x07..=0x09 => RequestClass::Scrape,
             _ => RequestClass::Other,
         }
     }
@@ -212,7 +212,7 @@ mod tests {
     use std::time::Duration;
 
     fn telemetry() -> std::sync::Arc<ServerTelemetry> {
-        ServerTelemetry::new(Duration::ZERO, 8, Duration::ZERO)
+        ServerTelemetry::new(Duration::ZERO, 8)
     }
 
     #[test]
@@ -221,9 +221,13 @@ mod tests {
         assert_eq!(RequestClass::of(0x04), RequestClass::Auth);
         assert_eq!(RequestClass::of(0x02), RequestClass::Mutate);
         assert_eq!(RequestClass::of(0x05), RequestClass::Verdict);
-        for scrape in 0x06..=0x0A {
+        for scrape in 0x07..=0x09 {
             assert_eq!(RequestClass::of(scrape), RequestClass::Scrape);
         }
+        // Retired bytes are garbage now: rejected by the decoder, not
+        // shed.
+        assert_eq!(RequestClass::of(0x06), RequestClass::Other);
+        assert_eq!(RequestClass::of(0x0A), RequestClass::Other);
         assert_eq!(RequestClass::of(0x01), RequestClass::Other);
         // LoopInfo is topology discovery, admitted like the handshake.
         assert_eq!(RequestClass::of(0x0B), RequestClass::Other);

@@ -93,7 +93,7 @@ use ropuf_proto::{
     append_frame, ErrorCode, FrameAccum, FrameError, FramePoll, RequestRef, Response,
 };
 
-use ropuf_telemetry::{Counter, Sampler, TraceRecord};
+use ropuf_telemetry::{Counter, TraceRecord};
 
 use crate::admission::{evented_pressure, Admission, OverloadPolicy, RequestClass};
 use crate::handler::RequestHandler;
@@ -134,12 +134,6 @@ pub struct EventedConfig {
     /// Capacity of the slow-request trace ring (oldest records are
     /// overwritten).
     pub trace_capacity: usize,
-    /// Interval at which the in-server sampler thread cuts a
-    /// [`SeriesPoint`](ropuf_telemetry::SeriesPoint) delta into the
-    /// time-series ring
-    /// ([`Request::TimeSeriesDump`](ropuf_proto::Request::TimeSeriesDump)).
-    /// `Duration::ZERO` disables the sampler entirely.
-    pub sample_interval: Duration,
     /// Admission budget. Pressure is a connection's pending out-buffer
     /// bytes plus the loop's remaining ready-event backlog (see
     /// [`evented_pressure`]) — the direct measures of a peer that asks
@@ -161,7 +155,6 @@ impl Default for EventedConfig {
             max_write_buffer: 1024 * 1024,
             slow_trace_threshold: Duration::from_millis(1),
             trace_capacity: 256,
-            sample_interval: Duration::from_secs(1),
             overload: OverloadPolicy::disabled(),
         }
     }
@@ -184,11 +177,7 @@ struct Shared {
 
 impl Shared {
     fn new(config: &EventedConfig) -> Self {
-        let telemetry = ServerTelemetry::new(
-            config.slow_trace_threshold,
-            config.trace_capacity,
-            config.sample_interval,
-        );
+        let telemetry = ServerTelemetry::new(config.slow_trace_threshold, config.trace_capacity);
         let admission = Admission::new(config.overload, &telemetry);
         Self {
             stop: AtomicBool::new(false),
@@ -210,10 +199,6 @@ pub struct EventedServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    /// The time-series sampler thread; `None` when
-    /// [`EventedConfig::sample_interval`] is zero. Stopped (joined) on
-    /// shutdown.
-    sampler: Option<Sampler>,
 }
 
 /// Binds one listener per loop. With `reuseport` on and an IPv4
@@ -276,7 +261,6 @@ impl EventedServer {
         let loops = config.loops.max(1);
         let (listeners, local_addr) = bind_listeners(&addr, loops, config.reuseport)?;
         let shared = Arc::new(Shared::new(&config));
-        let sampler = shared.telemetry.start_sampler();
 
         // A failure partway through (a pair or spawn error) must not
         // leak the loops already running, so fallible setup is
@@ -326,7 +310,6 @@ impl EventedServer {
             local_addr,
             shared,
             threads,
-            sampler,
         })
     }
 
@@ -387,18 +370,12 @@ impl EventedServer {
     /// force-closes whatever remains after one second, and joins the
     /// loop threads.
     pub fn shutdown(mut self) {
-        if let Some(sampler) = &mut self.sampler {
-            sampler.stop();
-        }
         Self::stop_loops(&self.shared, &mut self.threads, false);
     }
 
     /// Immediate shutdown: every open connection is closed now,
     /// mid-exchange peers see EOF/reset.
     pub fn force_shutdown(mut self) {
-        if let Some(sampler) = &mut self.sampler {
-            sampler.stop();
-        }
         Self::stop_loops(&self.shared, &mut self.threads, true);
     }
 }
@@ -941,12 +918,9 @@ impl EventLoop {
                                     RequestRef::MetricsSnapshot => shared
                                         .telemetry
                                         .merged_metrics_response(handler.handle_ref(request)),
-                                    // Traces and the time series live
-                                    // here, not in the handler.
+                                    // Traces live here, not in the
+                                    // handler.
                                     RequestRef::TraceDump => shared.telemetry.trace_response(),
-                                    RequestRef::TimeSeriesDump => {
-                                        shared.telemetry.timeseries_response()
-                                    }
                                     // Topology discovery is answered by
                                     // the loop itself: the handler cannot
                                     // know which accept queue a socket
@@ -1342,37 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_timeseries_returns_sampled_history() {
-        let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
-        let handler: Arc<dyn RequestHandler> = Arc::new(VerifierHandler::new(verifier));
-        let server = EventedServer::spawn(
-            "127.0.0.1:0",
-            handler,
-            EventedConfig {
-                sample_interval: Duration::from_millis(5),
-                ..EventedConfig::default()
-            },
-        )
-        .expect("bind");
-        let mut client = Client::new(TcpTransport::connect(server.local_addr()).unwrap());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let snap = loop {
-            client.hello("series").unwrap();
-            let snap = client.timeseries().unwrap();
-            if snap.points.iter().any(|p| p.requests > 0) || Instant::now() >= deadline {
-                break snap;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        };
-        assert_eq!(snap.interval_ns, 5_000_000);
-        assert!(
-            snap.points.iter().any(|p| p.requests > 0),
-            "sampler should have cut a point with traffic in it: {snap:?}"
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn huge_trace_threshold_keeps_the_ring_empty() {
         let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
         let handler: Arc<dyn RequestHandler> = Arc::new(VerifierHandler::new(verifier));
@@ -1449,13 +1392,13 @@ mod tests {
     struct SleepyHello;
 
     impl RequestHandler for SleepyHello {
-        fn handle(&self, request: Request) -> Response {
+        fn handle_ref(&self, request: RequestRef<'_>) -> Response {
             match request {
-                Request::Hello { protocol, client } => {
+                RequestRef::Hello { protocol, client } => {
                     std::thread::sleep(Duration::from_millis(200));
                     Response::HelloOk {
                         protocol,
-                        server: client,
+                        server: client.to_owned(),
                     }
                 }
                 _ => Response::Error {

@@ -3,7 +3,7 @@
 //!
 //! [`RequestHandler`] is the transport-independent core of the server:
 //! the evented server and the in-process loopback transport both
-//! funnel decoded [`Request`]s through the same `handle` call, so a
+//! funnel decoded requests through the same `handle_ref` call, so a
 //! scenario exercised over loopback is bit-for-bit the scenario the
 //! socket path serves.
 //!
@@ -26,15 +26,14 @@ use ropuf_verifier::{AuthQuery, AuthVerdict, BatchScratch, FlagReason, Verifier}
 /// A server-side request processor: one decoded request in, one
 /// response out. Must be shareable across serving threads.
 pub trait RequestHandler: Send + Sync {
-    /// Serves one owned request.
-    fn handle(&self, request: Request) -> Response;
+    /// Serves one borrowed request — the zero-copy path the event
+    /// loops decode into, straight from the frame buffer.
+    fn handle_ref(&self, request: RequestRef<'_>) -> Response;
 
-    /// Serves one borrowed request — the zero-copy path the TCP
-    /// workers decode into. The default copies and delegates;
-    /// production handlers override it to serve straight from the
-    /// frame buffer.
-    fn handle_ref(&self, request: RequestRef<'_>) -> Response {
-        self.handle(request.into_owned())
+    /// Serves one owned request through
+    /// [`RequestHandler::handle_ref`].
+    fn handle(&self, request: Request) -> Response {
+        self.handle_ref(request.as_ref())
     }
 
     /// Registry shard count behind this handler, or `0` when the
@@ -116,11 +115,7 @@ impl VerifierHandler {
 }
 
 impl RequestHandler for VerifierHandler {
-    fn handle(&self, request: Request) -> Response {
-        self.handle_ref(request.as_ref())
-    }
-
-    /// The real implementation: everything the hot path touches
+    /// Everything the hot path touches
     /// (nonces, presented helpers) stays borrowed from the frame
     /// buffer; only enrollment — which must persist its bytes — copies.
     fn handle_ref(&self, request: RequestRef<'_>) -> Response {
@@ -226,11 +221,6 @@ impl RequestHandler for VerifierHandler {
             // verifier; standalone (loopback) the ring is empty.
             RequestRef::TraceDump => Response::TraceBin {
                 bytes: ropuf_telemetry::TraceSnapshot::default().encode(),
-            },
-            // Same story for the time series: the sampler belongs to
-            // the serving backend, so a loopback dump is empty.
-            RequestRef::TimeSeriesDump => Response::TimeSeriesBin {
-                bytes: ropuf_telemetry::TimeSeriesSnapshot::default().encode(),
             },
             // Topology discovery: the handler itself is single-context,
             // so it answers loop 0 of 1. The evented server intercepts

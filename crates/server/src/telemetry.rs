@@ -1,8 +1,7 @@
 //! Server-side telemetry: request/connection counters, per-message-type
-//! phase latency histograms, per-lane saturation counters, the
-//! slow-request trace ring and the retained time-series ring —
-//! everything a wire scrape merges on top of the verifier's own
-//! metrics.
+//! phase latency histograms, per-lane saturation counters and the
+//! slow-request trace ring — everything a wire scrape merges on top of
+//! the verifier's own metrics.
 //!
 //! The [`EventedServer`](crate::EventedServer) owns one
 //! [`ServerTelemetry`] and records into it once per served frame with
@@ -18,45 +17,42 @@ use std::time::{Duration, Instant};
 
 use ropuf_proto::{ErrorCode, RequestRef, Response};
 use ropuf_telemetry::{
-    Counter, Gauge, Registry, Sampler, SeriesRing, Snapshot, TimeSeriesSnapshot, TimerHistogram,
-    TraceRecord, TraceRing, TraceSnapshot, SERIES_PHASES,
+    Counter, Gauge, Registry, Snapshot, TimerHistogram, TraceRecord, TraceRing, TraceSnapshot,
+    SERIES_PHASES,
 };
 
-/// Message-type label for each request byte the wire can carry, plus a
-/// catch-all bucket so a hostile byte can't mint unbounded label
-/// values.
-pub(crate) fn msg_label(msg_type: u8) -> &'static str {
-    match msg_type {
-        0x01 => "hello",
-        0x02 => "enroll",
-        0x03 => "auth",
-        0x04 => "batch-auth",
-        0x05 => "query-verdict",
-        0x06 => "snapshot",
-        0x07 => "snapshot-v2",
-        0x08 => "metrics",
-        0x09 => "trace",
-        0x0A => "timeseries",
-        0x0B => "loop-info",
-        _ => "other",
-    }
-}
-
-/// The wire bytes `msg_label` distinguishes, in label-table order.
-/// `0x00` stands in for the "other" bucket.
-const MSG_TYPES: [u8; 12] = [
-    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x00,
+/// The `msg` label of each request byte the decoder accepts, in
+/// phase-table order. Every other byte, retired or hostile, counts
+/// under [`OTHER_LABEL`], so no byte can mint a label of its own.
+const MSG_LABELS: [(u8, &str); 9] = [
+    (0x01, "hello"),
+    (0x02, "enroll"),
+    (0x03, "auth"),
+    (0x04, "batch-auth"),
+    (0x05, "query-verdict"),
+    (0x07, "snapshot-v2"),
+    (0x08, "metrics"),
+    (0x09, "trace"),
+    (0x0B, "loop-info"),
 ];
 
-/// Request-lifecycle phases, in lifecycle order (shared with the
-/// time-series sampler's delta schema).
-const PHASES: [&str; 5] = SERIES_PHASES;
+/// The catch-all `msg` label, in the phase table's last row.
+const OTHER_LABEL: &str = "other";
+
+/// Phase-table row of every byte: its index in [`MSG_LABELS`], or the
+/// catch-all row after them.
+const MSG_SLOTS: [u8; 256] = {
+    let mut slots = [MSG_LABELS.len() as u8; 256];
+    let mut i = 0;
+    while i < MSG_LABELS.len() {
+        slots[MSG_LABELS[i].0 as usize] = i as u8;
+        i += 1;
+    }
+    slots
+};
 
 fn msg_slot(msg_type: u8) -> usize {
-    match msg_type {
-        0x01..=0x0B => (msg_type - 1) as usize,
-        _ => MSG_TYPES.len() - 1,
-    }
+    usize::from(MSG_SLOTS[usize::from(msg_type)])
 }
 
 /// Label values for per-lane (event loop) saturation metrics. Lanes at
@@ -113,13 +109,7 @@ pub(crate) struct LaneStats {
 /// constant: scrapers look metrics up by it.
 const BACKEND: &str = "evented";
 
-/// Capacity of the time-series ring (oldest points are overwritten).
-/// At the default 1 s sample interval, 512 points is ~8.5 minutes of
-/// history in ~140 KiB.
-const SERIES_CAPACITY: usize = 512;
-
-/// The server's metrics plus the slow-request ring and the retained
-/// time-series ring.
+/// The server's metrics plus the slow-request ring.
 ///
 /// Cheap to clone-by-`Arc`; every handle inside is already shareable.
 #[derive(Debug)]
@@ -135,29 +125,21 @@ pub struct ServerTelemetry {
     /// the registry lock. Phases in lifecycle order: ready-wait,
     /// decode, handle, flush, flush-wait.
     phase: Vec<[TimerHistogram; 5]>,
-    /// Whole-request latency (ready-wait through flush-wait), the
-    /// distribution the time-series heatmap collapses.
+    /// Whole-request latency (ready-wait through flush-wait).
     total: TimerHistogram,
     /// Accept-to-first-frame per connection.
     first_frame: TimerHistogram,
     /// Ready-list batch sizes per epoll wakeup.
     ready_batch: TimerHistogram,
     ring: TraceRing,
-    series: SeriesRing,
     threshold_ns: u64,
 }
 
 impl ServerTelemetry {
     /// Builds the server's registry; every metric carries
     /// `backend="evented"`. Requests slower than `slow_threshold` land
-    /// in a ring of `trace_capacity` records; the time-series sampler
-    /// (when started) retains the last 512 points cut every
-    /// `sample_interval`.
-    pub fn new(
-        slow_threshold: Duration,
-        trace_capacity: usize,
-        sample_interval: Duration,
-    ) -> Arc<Self> {
+    /// in a ring of `trace_capacity` records.
+    pub fn new(slow_threshold: Duration, trace_capacity: usize) -> Arc<Self> {
         let registry = Registry::new();
         let b = [("backend", BACKEND)];
         let accepted = registry.counter("server.connections.accepted", &b);
@@ -168,11 +150,12 @@ impl ServerTelemetry {
         let evicted_slow =
             registry.counter("server.evicted", &[("backend", BACKEND), ("kind", "slow")]);
         let trace_dropped = registry.gauge("server.trace.dropped", &b);
-        let phase = MSG_TYPES
+        let phase = MSG_LABELS
             .iter()
-            .map(|&ty| {
-                let msg = msg_label(ty);
-                PHASES.map(|phase| {
+            .map(|&(_, label)| label)
+            .chain([OTHER_LABEL])
+            .map(|msg| {
+                SERIES_PHASES.map(|phase| {
                     registry.histogram(
                         "server.request.phase_ns",
                         &[("backend", BACKEND), ("msg", msg), ("phase", phase)],
@@ -197,7 +180,6 @@ impl ServerTelemetry {
             first_frame,
             ready_batch,
             ring: TraceRing::new(trace_capacity),
-            series: SeriesRing::new(SERIES_CAPACITY, sample_interval),
             threshold_ns,
         })
     }
@@ -238,26 +220,6 @@ impl ServerTelemetry {
                 .registry
                 .gauge("server.worker.out_highwater_bytes", &labels),
         }
-    }
-
-    /// Starts the time-series sampler thread feeding this telemetry's
-    /// ring, or `None` when `sample_interval` was zero. The returned
-    /// [`Sampler`] stops (and joins) on drop — the server holds it for
-    /// its lifetime.
-    pub(crate) fn start_sampler(self: &Arc<Self>) -> Option<Sampler> {
-        let interval_ns = self.series.interval_ns();
-        if interval_ns == 0 {
-            return None;
-        }
-        let source = {
-            let telemetry = Arc::clone(self);
-            move || telemetry.snapshot()
-        };
-        Some(Sampler::start(
-            self.series.clone(),
-            Duration::from_nanos(interval_ns),
-            source,
-        ))
     }
 
     /// A connection was accepted (and is now open).
@@ -389,19 +351,6 @@ impl ServerTelemetry {
         }
     }
 
-    /// The retained time-series history as a wire-ready snapshot.
-    pub fn timeseries_snapshot(&self) -> TimeSeriesSnapshot {
-        TimeSeriesSnapshot::from_ring(&self.series)
-    }
-
-    /// Answers `Request::TimeSeriesDump` straight from the server's
-    /// series ring.
-    pub(crate) fn timeseries_response(&self) -> Response {
-        Response::TimeSeriesBin {
-            bytes: self.timeseries_snapshot().encode(),
-        }
-    }
-
     /// Answers `Request::MetricsSnapshot`: takes the handler's reply
     /// (the verifier's `ropuf-metrics/v1` blob), merges the server's
     /// own metrics into it, and re-encodes. Namespaces are disjoint
@@ -434,19 +383,20 @@ mod tests {
     use super::*;
 
     fn test_telemetry(threshold: Duration) -> Arc<ServerTelemetry> {
-        ServerTelemetry::new(threshold, 8, Duration::ZERO)
+        ServerTelemetry::new(threshold, 8)
     }
 
     #[test]
     fn msg_labels_cover_every_wire_byte() {
-        for ty in 0x01..=0x0Bu8 {
-            assert_ne!(msg_label(ty), "other", "byte {ty:#04x} should be named");
-        }
-        assert_eq!(msg_label(0x00), "other");
-        assert_eq!(msg_label(0xEE), "other");
-        // The slot table and the label table agree.
-        for (slot, &ty) in MSG_TYPES.iter().enumerate() {
-            assert_eq!(msg_slot(ty), slot);
+        // A byte is named exactly when the decoder knows it, so the
+        // labels cannot drift from the wire: retired bytes (0x06, 0x0A)
+        // and hostile ones share the catch-all.
+        for ty in 0..=u8::MAX {
+            let known = !matches!(
+                RequestRef::decode(&[ty]),
+                Err(ropuf_proto::DecodeError::UnknownMessage(_))
+            );
+            assert_eq!(msg_slot(ty) < MSG_LABELS.len(), known, "byte {ty:#04x}");
         }
     }
 
@@ -514,25 +464,6 @@ mod tests {
             Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, 10),
             other => panic!("expected overflow busy counter, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sampler_feeds_the_series_ring() {
-        let t = ServerTelemetry::new(Duration::ZERO, 8, Duration::from_millis(2));
-        let sampler = t.start_sampler().expect("interval > 0 starts a sampler");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while t.timeseries_snapshot().points.is_empty() && Instant::now() < deadline {
-            t.request_started();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        drop(sampler);
-        let snap = t.timeseries_snapshot();
-        assert!(!snap.points.is_empty(), "sampler should have cut points");
-        assert_eq!(snap.interval_ns, 2_000_000);
-        let requests: u64 = snap.points.iter().map(|p| p.requests).sum();
-        assert!(requests <= t.requests_served());
-        // Zero interval means no sampler.
-        assert!(test_telemetry(Duration::ZERO).start_sampler().is_none());
     }
 
     #[test]

@@ -389,27 +389,6 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// The server's in-memory time-series history as a decoded
-    /// `ropuf-timeseries/v1` snapshot: one delta point per sampler
-    /// interval (empty over loopback, or when the server's sampler is
-    /// disabled).
-    ///
-    /// # Errors
-    ///
-    /// Transport/shape failures, or
-    /// [`ClientError::UnexpectedResponse`] when the returned blob does
-    /// not decode as `ropuf-timeseries/v1`.
-    pub fn timeseries(&mut self) -> Result<ropuf_telemetry::TimeSeriesSnapshot, ClientError> {
-        match self.exchange(&Request::TimeSeriesDump)? {
-            Response::TimeSeriesBin { bytes } => {
-                ropuf_telemetry::TimeSeriesSnapshot::decode(&bytes).map_err(|_| {
-                    ClientError::UnexpectedResponse("decodable ropuf-timeseries/v1 blob")
-                })
-            }
-            _ => Err(ClientError::UnexpectedResponse("TimeSeriesBin")),
-        }
-    }
-
     /// Which event loop this connection landed on: `(loop_id, loops)`.
     ///
     /// The evented server answers with the accepting loop's

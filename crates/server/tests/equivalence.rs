@@ -270,8 +270,7 @@ fn recovered_registry_replays_bit_for_bit_identically() {
 
 /// Telemetry must be free at the wire: a server tracing **every**
 /// request (threshold zero, so the ring and every histogram take the
-/// maximum instrumentation hit) with the time-series sampler cutting
-/// points as fast as it can answers bit-for-bit identically to one
+/// maximum instrumentation hit) answers bit-for-bit identically to one
 /// running the default config. Observability is a read-side overlay —
 /// it may never perturb a served byte.
 #[test]
@@ -300,9 +299,6 @@ fn full_tracing_does_not_change_the_byte_stream() {
         EventedConfig {
             slow_trace_threshold: Duration::ZERO,
             trace_capacity: 16, // force wraparound under the full plan
-            // The sampler snapshots the registry concurrently with
-            // serving at the fastest interval it supports.
-            sample_interval: Duration::from_millis(1),
             ..EventedConfig::default()
         },
     )
@@ -324,23 +320,8 @@ fn full_tracing_does_not_change_the_byte_stream() {
         expected,
         "threshold zero must trace every request"
     );
-    // The concurrent sampler really did cut points while serving. (The
-    // exact telescoping property is proven in `metrics_props`; here the
-    // ring may have wrapped, so only the upper bound is asserted.)
-    let probe = Instant::now();
-    while traced_server.telemetry().timeseries_snapshot().sampled == 0
-        && probe.elapsed() < Duration::from_secs(5)
-    {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let series = traced_server.telemetry().timeseries_snapshot();
-    assert!(series.sampled > 0, "sampler never cut a point");
-    assert!(
-        series.points.iter().map(|p| p.requests).sum::<u64>() <= expected,
-        "surviving series deltas cannot exceed the served-request total"
-    );
     // An operator attaching over the wire sees the same feeds: every
-    // auth phase histogram fed, traces recorded, the sampler live.
+    // auth phase histogram fed, traces recorded.
     let mut operator =
         Client::new(TcpTransport::connect(traced_server.local_addr()).expect("attach"));
     let metrics = operator.metrics().expect("scrape decodes");
@@ -354,7 +335,6 @@ fn full_tracing_does_not_change_the_byte_stream() {
         }
     }
     assert!(operator.trace_dump().expect("trace dump").recorded > 0);
-    assert!(operator.timeseries().expect("timeseries").sampled > 0);
     traced_server.shutdown();
 
     assert_eq!(

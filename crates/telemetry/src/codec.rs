@@ -1,10 +1,8 @@
-//! The `ropuf-metrics/v1`, `ropuf-trace/v1` and `ropuf-timeseries/v1`
-//! binary codecs.
+//! The `ropuf-metrics/v1` and `ropuf-trace/v1` binary codecs.
 //!
 //! A [`Snapshot`] travels the wire inside a `Response::MetricsBin`
-//! frame; a [`TraceSnapshot`] inside `Response::TraceBin`; a
-//! [`TimeSeriesSnapshot`] inside `Response::TimeSeriesBin`. All three
-//! blobs follow the workspace codec discipline established by
+//! frame; a [`TraceSnapshot`] inside `Response::TraceBin`. Both blobs
+//! follow the workspace codec discipline established by
 //! `ropuf-wire/v1` and the `ropuf-verifier/v2` store: all integers
 //! little-endian, explicit lengths checked against both a semantic cap
 //! and the bytes actually remaining *before* any allocation, decoding
@@ -32,16 +30,6 @@
 //!                         | flush_wait_ns u64 | total_ns u64
 //!                         | worker u32
 //!             | CRC-32 (u32)
-//!
-//! timeseries: "RPUFTSR1" | version u16 | sampled u64 | interval_ns u64
-//!             | point count u32
-//!             per point: seq u64 | at_ns u64 | interval_ns u64
-//!                        | requests u64 | accepted u64 | evicted u64
-//!                        | open u64 | busy_ns u64 | wall_ns u64
-//!                        | phase_total_ns 5 x u64
-//!                        | phase_count 5 x u64
-//!                        | latency bands 16 x u64
-//!             | CRC-32 (u32)
 //! ```
 //!
 //! This crate is dependency-free below `ropuf_numeric`, so it carries
@@ -58,17 +46,12 @@ use crate::registry::{
     HistogramSnapshot, MetricSample, MetricValue, Snapshot, MAX_LABELS, MAX_LABEL_KEY,
     MAX_LABEL_VALUE, MAX_METRICS, MAX_NAME,
 };
-use crate::timeseries::{
-    SeriesPoint, TimeSeriesSnapshot, LATENCY_BANDS, MAX_SERIES_POINTS, SERIES_PHASES,
-};
 use crate::trace::{TraceRecord, TraceSnapshot, MAX_TRACE_RECORDS};
 
 /// Magic prefix of a `ropuf-metrics/v1` blob.
 pub const METRICS_MAGIC: &[u8; 8] = b"RPUFMET1";
 /// Magic prefix of a `ropuf-trace/v1` blob.
 pub const TRACE_MAGIC: &[u8; 8] = b"RPUFTRC1";
-/// Magic prefix of a `ropuf-timeseries/v1` blob.
-pub const TIMESERIES_MAGIC: &[u8; 8] = b"RPUFTSR1";
 /// Version both codecs currently speak.
 pub const CODEC_VERSION: u16 = 1;
 
@@ -503,93 +486,6 @@ impl TraceSnapshot {
     }
 }
 
-/// Bytes one series point occupies on the wire: nine scalar `u64`s,
-/// two per-phase vectors, one heatmap row.
-const SERIES_POINT_SIZE: usize = 9 * 8 + SERIES_PHASES.len() * 8 * 2 + LATENCY_BANDS * 8;
-
-impl TimeSeriesSnapshot {
-    /// Encodes the series dump as a `ropuf-timeseries/v1` blob.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(TIMESERIES_MAGIC);
-        put_u16(&mut out, CODEC_VERSION);
-        put_u64(&mut out, self.sampled);
-        put_u64(&mut out, self.interval_ns);
-        let count = self.points.len().min(MAX_SERIES_POINTS);
-        put_u32(&mut out, u32::try_from(count).expect("capped"));
-        for p in self.points.iter().take(MAX_SERIES_POINTS) {
-            put_u64(&mut out, p.seq);
-            put_u64(&mut out, p.at_ns);
-            put_u64(&mut out, p.interval_ns);
-            put_u64(&mut out, p.requests);
-            put_u64(&mut out, p.accepted);
-            put_u64(&mut out, p.evicted);
-            put_u64(&mut out, p.open);
-            put_u64(&mut out, p.busy_ns);
-            put_u64(&mut out, p.wall_ns);
-            for v in p.phase_total_ns {
-                put_u64(&mut out, v);
-            }
-            for v in p.phase_count {
-                put_u64(&mut out, v);
-            }
-            for v in p.latency {
-                put_u64(&mut out, v);
-            }
-        }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
-    }
-
-    /// Decodes a `ropuf-timeseries/v1` blob.
-    pub fn decode(bytes: &[u8]) -> Result<TimeSeriesSnapshot, MetricsDecodeError> {
-        let content = checked_content(bytes)?;
-        let mut r = Cursor::new(content);
-        if r.take(8)? != TIMESERIES_MAGIC {
-            return Err(MetricsDecodeError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != CODEC_VERSION {
-            return Err(MetricsDecodeError::BadVersion(version));
-        }
-        let sampled = r.u64()?;
-        let interval_ns = r.u64()?;
-        let count = r.count("series points", MAX_SERIES_POINTS, SERIES_POINT_SIZE)?;
-        let mut points = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut p = SeriesPoint {
-                seq: r.u64()?,
-                at_ns: r.u64()?,
-                interval_ns: r.u64()?,
-                requests: r.u64()?,
-                accepted: r.u64()?,
-                evicted: r.u64()?,
-                open: r.u64()?,
-                busy_ns: r.u64()?,
-                wall_ns: r.u64()?,
-                ..SeriesPoint::default()
-            };
-            for v in p.phase_total_ns.iter_mut() {
-                *v = r.u64()?;
-            }
-            for v in p.phase_count.iter_mut() {
-                *v = r.u64()?;
-            }
-            for v in p.latency.iter_mut() {
-                *v = r.u64()?;
-            }
-            points.push(p);
-        }
-        r.finish()?;
-        Ok(TimeSeriesSnapshot {
-            sampled,
-            interval_ns,
-            points,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,67 +583,6 @@ mod tests {
             TraceSnapshot::decode(&sample_snapshot().encode()),
             Err(MetricsDecodeError::BadMagic)
         );
-    }
-
-    #[test]
-    fn timeseries_roundtrip_bit_for_bit() {
-        use crate::timeseries::SeriesRing;
-        use std::time::Duration;
-        let ring = SeriesRing::new(4, Duration::from_millis(500));
-        for i in 0..7u64 {
-            let mut p = SeriesPoint {
-                at_ns: i * 500_000_000,
-                interval_ns: 500_000_000 + i,
-                requests: i * 100,
-                accepted: i,
-                evicted: i / 2,
-                open: 40 + i,
-                busy_ns: i * 90_000,
-                wall_ns: i * 100_000,
-                ..SeriesPoint::default()
-            };
-            for (slot, v) in p.phase_total_ns.iter_mut().enumerate() {
-                *v = i * 1_000 + slot as u64;
-            }
-            for (slot, v) in p.phase_count.iter_mut().enumerate() {
-                *v = i + slot as u64;
-            }
-            p.latency[(i % 16) as usize] = i * 3;
-            ring.push(p);
-        }
-        let snap = TimeSeriesSnapshot::from_ring(&ring);
-        let bytes = snap.encode();
-        let decoded = TimeSeriesSnapshot::decode(&bytes).expect("own encoding decodes");
-        assert_eq!(decoded, snap);
-        assert_eq!(decoded.sampled, 7);
-        assert_eq!(decoded.points.len(), 4);
-        assert_eq!(decoded.interval_ns, 500_000_000);
-        assert_eq!(decoded.encode(), bytes);
-        // Wrong decoder on a valid blob is a typed magic error.
-        assert_eq!(Snapshot::decode(&bytes), Err(MetricsDecodeError::BadMagic));
-        assert_eq!(
-            TimeSeriesSnapshot::decode(&sample_snapshot().encode()),
-            Err(MetricsDecodeError::BadMagic)
-        );
-    }
-
-    #[test]
-    fn forged_series_count_cannot_over_allocate() {
-        let mut content = Vec::new();
-        content.extend_from_slice(TIMESERIES_MAGIC);
-        put_u16(&mut content, CODEC_VERSION);
-        put_u64(&mut content, 1);
-        put_u64(&mut content, 1_000_000_000);
-        put_u32(&mut content, u32::MAX);
-        let crc = crc32(&content);
-        put_u32(&mut content, crc);
-        assert!(matches!(
-            TimeSeriesSnapshot::decode(&content),
-            Err(MetricsDecodeError::LengthOutOfBounds {
-                field: "series points",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -12,16 +12,11 @@
 //! * [`trace`] — a fixed-capacity, never-blocking [`TraceRing`] that
 //!   keeps a [`TraceRecord`] (message type, hashed device id, per-phase
 //!   timings, worker id) for every request slower than a configurable
-//!   threshold.
-//! * [`timeseries`] — a [`Sampler`] thread that diffs successive
-//!   registry snapshots into per-interval [`SeriesPoint`] deltas
-//!   (rates, saturation, a latency heatmap row) retained in a
-//!   fixed-capacity [`SeriesRing`] — minutes of history in bounded
-//!   memory, returned by one `TimeSeriesDump` wire exchange.
-//! * [`codec`] — the CRC-guarded `ropuf-metrics/v1`, `ropuf-trace/v1`
-//!   and `ropuf-timeseries/v1` binary blobs that
-//!   `MetricsSnapshot`/`TraceDump`/`TimeSeriesDump` wire exchanges
-//!   carry; decoding is bounds-checked and never panics.
+//!   threshold, plus the phase names ([`SERIES_PHASES`]) the serving
+//!   layer labels its per-phase histograms with.
+//! * [`codec`] — the CRC-guarded `ropuf-metrics/v1` and
+//!   `ropuf-trace/v1` binary blobs that `MetricsSnapshot`/`TraceDump`
+//!   wire exchanges carry; decoding is bounds-checked and never panics.
 //!
 //! The serving layers each own a registry (`server.*`, `verifier.*`
 //! namespaces); the server merges them at scrape time, so one
@@ -33,19 +28,12 @@
 pub mod codec;
 pub mod metrics;
 pub mod registry;
-pub mod timeseries;
 pub mod trace;
 
-pub use codec::{
-    crc32, MetricsDecodeError, CODEC_VERSION, METRICS_MAGIC, TIMESERIES_MAGIC, TRACE_MAGIC,
-};
+pub use codec::{crc32, MetricsDecodeError, CODEC_VERSION, METRICS_MAGIC, TRACE_MAGIC};
 pub use metrics::{Counter, Gauge, TimerHistogram, STRIPES};
 pub use registry::{
     HistogramSnapshot, MetricSample, MetricValue, Registry, Snapshot, MAX_LABELS, MAX_LABEL_KEY,
     MAX_LABEL_VALUE, MAX_METRICS, MAX_NAME,
 };
-pub use timeseries::{
-    band_floor_us, latency_band, Sampler, SeriesPoint, SeriesRing, TimeSeriesSnapshot,
-    LATENCY_BANDS, MAX_SERIES_POINTS, SERIES_PHASES,
-};
-pub use trace::{TraceRecord, TraceRing, TraceSnapshot, MAX_TRACE_RECORDS};
+pub use trace::{TraceRecord, TraceRing, TraceSnapshot, MAX_TRACE_RECORDS, SERIES_PHASES};

@@ -17,6 +17,11 @@ use std::sync::{Arc, Mutex};
 /// Hard cap on ring capacity (also the codec's record-count cap).
 pub const MAX_TRACE_RECORDS: usize = 65_536;
 
+/// The per-request phases the serving layer records, in lifecycle
+/// order: the phase fields of a [`TraceRecord`], and the label values
+/// of the server's `server.request.phase_ns{phase=..}` histograms.
+pub const SERIES_PHASES: [&str; 5] = ["ready-wait", "decode", "handle", "flush", "flush-wait"];
+
 /// One slow request, as seen by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {

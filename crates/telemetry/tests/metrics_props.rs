@@ -1,30 +1,26 @@
-//! Property tests for `ropuf-metrics/v1`, `ropuf-trace/v1`,
-//! `ropuf-timeseries/v1` and the striped metric primitives.
+//! Property tests for `ropuf-metrics/v1`, `ropuf-trace/v1` and the
+//! striped metric primitives.
 //!
 //! Mirrors the `ropuf-wire/v1` `wire_props` families:
 //!
 //! 1. **Roundtrip** — `decode(encode(s)) == s` for arbitrary snapshots
-//!    (counters, gauges, labeled histograms), trace dumps and time
-//!    series, and the re-encode is byte-identical (the codec is
-//!    canonical).
+//!    (counters, gauges, labeled histograms) and trace dumps, and the
+//!    re-encode is byte-identical (the codec is canonical).
 //! 2. **Hostility** — byte soup, point mutations and every strict
 //!    prefix of a valid blob produce typed errors, never panics, never
 //!    over-reads.
 //! 3. **Exactness** — striped counters/gauges are exact under
 //!    multi-thread hammering; a striped histogram's merge equals a
 //!    single-stream histogram bucket for bucket; the trace ring keeps
-//!    exactly the newest `capacity` records across wraparound; a chain
-//!    of sampler delta points telescopes to the final registry totals
-//!    exactly.
+//!    exactly the newest `capacity` records across wraparound.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use ropuf_numeric::Histogram;
 use ropuf_telemetry::{
-    Counter, Gauge, HistogramSnapshot, MetricSample, MetricValue, Registry, SeriesPoint,
-    SeriesRing, Snapshot, TimeSeriesSnapshot, TimerHistogram, TraceRecord, TraceRing,
-    TraceSnapshot, LATENCY_BANDS, SERIES_PHASES,
+    Counter, Gauge, HistogramSnapshot, MetricSample, MetricValue, Snapshot, TimerHistogram,
+    TraceRecord, TraceRing, TraceSnapshot,
 };
 
 /// Deterministically expands compact seeds into a snapshot (the
@@ -86,34 +82,6 @@ fn trace_from(seeds: &[u64], capacity: usize) -> TraceSnapshot {
     TraceSnapshot::from_ring(&ring)
 }
 
-/// Deterministically expands compact seeds into a time-series snapshot
-/// with every field populated (the decoder must reproduce each one).
-fn series_from(seeds: &[u64], capacity: usize) -> TimeSeriesSnapshot {
-    let ring = SeriesRing::new(capacity, std::time::Duration::from_millis(250));
-    for (i, &seed) in seeds.iter().enumerate() {
-        let mut point = SeriesPoint {
-            at_ns: (i as u64 + 1) * 250_000_000,
-            interval_ns: 250_000_000 + seed % 1_000_000,
-            requests: seed % 10_000,
-            accepted: seed % 512,
-            evicted: seed % 7,
-            open: seed % 4_096,
-            busy_ns: seed.rotate_left(9),
-            wall_ns: seed.rotate_left(9).wrapping_add(seed % 1_000),
-            ..SeriesPoint::default()
-        };
-        for (slot, _) in SERIES_PHASES.iter().enumerate() {
-            point.phase_total_ns[slot] = seed.rotate_left(slot as u32) % 1_000_000;
-            point.phase_count[slot] = seed % (1_000 + slot as u64);
-        }
-        for band in 0..LATENCY_BANDS {
-            point.latency[band] = seed.rotate_right(band as u32) % 500;
-        }
-        ring.push(point);
-    }
-    TimeSeriesSnapshot::from_ring(&ring)
-}
-
 proptest! {
     #[test]
     fn metrics_snapshot_roundtrips(seeds in vec(any::<u64>(), 0..24)) {
@@ -138,112 +106,11 @@ proptest! {
     }
 
     #[test]
-    fn timeseries_snapshot_roundtrips(
-        seeds in vec(any::<u64>(), 0..40),
-        capacity in 1usize..16,
-    ) {
-        let snap = series_from(&seeds, capacity);
-        prop_assert_eq!(snap.points.len(), seeds.len().min(capacity));
-        prop_assert_eq!(snap.sampled, seeds.len() as u64);
-        let bytes = snap.encode();
-        let decoded = TimeSeriesSnapshot::decode(&bytes);
-        prop_assert_eq!(decoded.as_ref(), Ok(&snap));
-        // Canonical: the re-encode is byte-identical.
-        prop_assert_eq!(decoded.expect("just checked").encode(), bytes);
-    }
-
-    #[test]
-    fn timeseries_strict_prefixes_always_fail(seeds in vec(any::<u64>(), 1..6)) {
-        let bytes = series_from(&seeds, 8).encode();
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                TimeSeriesSnapshot::decode(&bytes[..cut]).is_err(),
-                "strict prefix of len {} decoded",
-                cut
-            );
-        }
-    }
-
-    #[test]
-    fn timeseries_point_mutations_never_panic(
-        seeds in vec(any::<u64>(), 0..6),
-        pos_seed in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let mut bytes = series_from(&seeds, 8).encode();
-        let pos = (pos_seed % bytes.len() as u64) as usize;
-        bytes[pos] ^= flip;
-        // The CRC trailer makes any single-byte mutation a typed error.
-        prop_assert!(TimeSeriesSnapshot::decode(&bytes).is_err());
-    }
-
-    #[test]
     fn byte_soup_never_panics(bytes in vec(any::<u8>(), 0..400)) {
         // Any outcome but a panic is acceptable; random soup virtually
         // never carries a valid CRC trailer.
         let _ = Snapshot::decode(&bytes);
         let _ = TraceSnapshot::decode(&bytes);
-        let _ = TimeSeriesSnapshot::decode(&bytes);
-    }
-
-    #[test]
-    fn series_deltas_telescope_to_registry_totals(
-        rounds in vec(1u64..400, 1..10),
-    ) {
-        // The sampler's exactness contract: cut points after arbitrary
-        // bursts of activity and the per-field sums over all points
-        // equal the registry's final totals — nothing double-counted,
-        // nothing lost, regardless of where the cuts land.
-        let registry = Registry::new();
-        let requests = registry.counter("server.requests", &[("backend", "prop")]);
-        let open = registry.gauge("server.connections.open", &[("backend", "prop")]);
-        let handle = registry.histogram(
-            "server.request.phase_ns",
-            &[("backend", "prop"), ("msg", "auth"), ("phase", "handle")],
-        );
-        let total = registry.histogram("server.request.total_ns", &[("backend", "prop")]);
-        let mut prev = Snapshot { metrics: Vec::new() };
-        let mut points = Vec::new();
-        for (i, &n) in rounds.iter().enumerate() {
-            for j in 0..n {
-                requests.add(1);
-                open.add(1);
-                handle.record(j.wrapping_mul(737) % 5_000_000);
-                total.record(j.wrapping_mul(12_289) % 40_000_000);
-            }
-            let next = registry.snapshot();
-            points.push(SeriesPoint::between(
-                &prev,
-                &next,
-                (i as u64 + 1) * 1_000_000,
-                1_000_000,
-            ));
-            prev = next;
-        }
-        let expected: u64 = rounds.iter().sum();
-        prop_assert_eq!(points.iter().map(|p| p.requests).sum::<u64>(), expected);
-        let handle_slot = SERIES_PHASES
-            .iter()
-            .position(|p| *p == "handle")
-            .expect("handle is a phase");
-        prop_assert_eq!(
-            points.iter().map(|p| p.phase_count[handle_slot]).sum::<u64>(),
-            expected
-        );
-        let merged_handle = handle.merged();
-        prop_assert_eq!(
-            points.iter().map(|p| p.phase_total_ns[handle_slot]).sum::<u64>(),
-            u64::try_from(merged_handle.sum()).unwrap_or(u64::MAX)
-        );
-        // Every heatmap cell across all rows sums to the total
-        // histogram's sample count.
-        prop_assert_eq!(
-            points.iter().flat_map(|p| p.latency.iter()).sum::<u64>(),
-            expected
-        );
-        // Gauges are point-in-time, not deltas: the last cut sees the
-        // final value.
-        prop_assert_eq!(points.last().expect("nonempty").open, open.get());
     }
 
     #[test]

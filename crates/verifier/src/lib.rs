@@ -31,9 +31,9 @@
 //!   (digest compare + wire-format reparse), a sliding-window
 //!   query-rate budget, and a consecutive-failure counter.
 //! * [`service`] — [`Verifier`]: the authentication service API,
-//!   [`Verifier::authenticate`] plus the batched
-//!   [`Verifier::authenticate_batch`] variant, serving mixed fleets of
-//!   all four constructions; also the client-side helpers that turn a
+//!   [`Verifier::authenticate_query`] plus the batched
+//!   [`Verifier::authenticate_batch_with`] variant, serving mixed fleets
+//!   of all four constructions; also the client-side helpers that turn a
 //!   [`Device`](ropuf_constructions::Device) into verifier traffic.
 //!
 //! # Authentication protocol
@@ -56,7 +56,7 @@
 //! use ropuf_constructions::pairing::lisa::{LisaConfig, LisaScheme, LISA_TAG};
 //! use ropuf_constructions::Device;
 //! use ropuf_sim::{ArrayDims, Environment, RoArrayBuilder};
-//! use ropuf_verifier::{device_auth_response, AuthRequest, DetectorConfig, Verifier};
+//! use ropuf_verifier::{device_auth_response, AuthQuery, DetectorConfig, Verifier};
 //!
 //! // Defender enrolls a device into a 4-shard registry.
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -70,12 +70,12 @@
 //!
 //! // The device authenticates: reconstruct key, answer the nonce.
 //! let response = device_auth_response(&mut device, b"challenge-0", Environment::nominal());
-//! let verdict = verifier.authenticate(&AuthRequest {
+//! let verdict = verifier.authenticate_query(AuthQuery {
 //!     device_id: 7,
 //!     now: 0,
-//!     nonce: b"challenge-0".to_vec(),
+//!     nonce: b"challenge-0",
 //!     response,
-//!     presented_helper: Some(device.helper().to_vec()),
+//!     presented_helper: Some(device.helper()),
 //! });
 //! assert!(verdict.is_accept());
 //! ```

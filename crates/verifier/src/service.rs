@@ -2,13 +2,14 @@
 //! traffic, single and batched.
 //!
 //! [`Verifier`] glues the [`ShardedRegistry`] to per-device
-//! [`DeviceDetector`](crate::DeviceDetector)s: one `authenticate` call
-//! takes the device's shard lock exactly once, does record lookup, HMAC
-//! verification against the enrolled key digest, and online attack
-//! detection, and returns the combined [`AuthVerdict`]. The batched
-//! variant amortizes shard locking across a whole request batch, which
-//! is what the `perf_verifier` harness measures scaling with shard
-//! count.
+//! [`DeviceDetector`](crate::DeviceDetector)s: one
+//! [`Verifier::authenticate_query`] call takes the device's shard lock
+//! exactly once, does record lookup, HMAC verification against the
+//! enrolled key digest, and online attack detection, and returns the
+//! combined [`AuthVerdict`].
+//! [`Verifier::authenticate_batch_with`] amortizes shard locking across
+//! a whole request batch. These two are the only tag-checking entry
+//! points.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -418,18 +419,13 @@ impl Verifier {
         )
     }
 
-    /// Serves one authentication request.
+    /// Serves one authentication request from a borrowed view — the
+    /// zero-copy entry the wire handler uses: shard lock once, cached
+    /// HMAC-midstate tag verification, detector update.
     ///
     /// An unknown device id is a plain [`AuthVerdict::Reject`]: the
     /// registry cannot attribute detector state to an identity it never
     /// enrolled.
-    pub fn authenticate(&self, request: &AuthRequest) -> AuthVerdict {
-        self.authenticate_query(request.as_query())
-    }
-
-    /// Serves one authentication request from a borrowed view — the
-    /// zero-copy entry the wire handler uses: shard lock once, cached
-    /// HMAC-midstate tag verification, detector update.
     pub fn authenticate_query(&self, query: AuthQuery<'_>) -> AuthVerdict {
         let config = self.registry.detector_config();
         let mut latched: Option<(u64, FlagReason)> = None;
@@ -450,22 +446,13 @@ impl Verifier {
         verdict
     }
 
-    /// Serves a batch of requests, locking each shard **once** per
-    /// batch instead of once per request. Verdicts come back in request
-    /// order; requests for the same device are judged in their slice
-    /// order, so batched and sequential serving agree.
-    pub fn authenticate_batch(&self, requests: &[AuthRequest]) -> Vec<AuthVerdict> {
-        let queries: Vec<AuthQuery<'_>> = requests.iter().map(AuthRequest::as_query).collect();
-        let mut verdicts = Vec::new();
-        self.authenticate_batch_with(&queries, &mut BatchScratch::new(), &mut verdicts);
-        verdicts
-    }
-
-    /// [`Verifier::authenticate_batch`] over borrowed queries with
-    /// caller-owned scratch: the per-shard buckets and the verdict
-    /// vector are reused across batches, so a steady-state batch loop
-    /// allocates nothing. `verdicts` is cleared and refilled in request
-    /// order.
+    /// Serves a batch of borrowed queries, locking each shard **once**
+    /// per batch instead of once per query. Verdicts come back in
+    /// query order; queries for the same device are judged in their
+    /// slice order, so batched and sequential serving agree. The
+    /// per-shard buckets and the verdict vector are caller-owned and
+    /// reused across batches, so a steady-state batch loop allocates
+    /// nothing. `verdicts` is cleared and refilled.
     pub fn authenticate_batch_with(
         &self,
         queries: &[AuthQuery<'_>],
@@ -510,55 +497,6 @@ impl Verifier {
         for &verdict in verdicts.iter() {
             self.metrics.note(verdict);
         }
-    }
-
-    /// Reference batch path that re-derives the full HMAC key schedule
-    /// per request instead of using the cached midstates. Exists so the
-    /// `perf_hotpath` bench can measure the cache's speedup in one run
-    /// and so tests can pin the fast path to it verdict-for-verdict;
-    /// production callers want [`Verifier::authenticate_batch`].
-    pub fn authenticate_batch_reference(&self, requests: &[AuthRequest]) -> Vec<AuthVerdict> {
-        let mut verdicts = vec![AuthVerdict::Reject; requests.len()];
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.registry.shard_count()];
-        for (i, request) in requests.iter().enumerate() {
-            buckets[self.registry.shard_of(request.device_id)].push(i);
-        }
-        let mut latched: Vec<(u64, u64, FlagReason)> = Vec::new();
-        let config = self.registry.detector_config();
-        for (shard_index, indices) in buckets.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let latched = &mut latched;
-            self.registry.with_shard(shard_index, |shard| {
-                for &i in indices {
-                    let request = &requests[i];
-                    if let Some(entry) = shard.get_mut(request.device_id) {
-                        let auth_ok = match &request.response {
-                            DeviceResponse::Tag(tag) => {
-                                tag == &client_tag(&entry.record.key_digest, &request.nonce)
-                            }
-                            DeviceResponse::Failure => false,
-                        };
-                        let presented =
-                            digest_presented(&config, request.presented_helper.as_deref());
-                        let (verdict, newly) =
-                            entry.observe(&config, request.now, presented, auth_ok);
-                        verdicts[i] = verdict;
-                        if let Some((at, reason)) = newly {
-                            latched.push((request.device_id, at, reason));
-                        }
-                    }
-                }
-            });
-        }
-        for (device_id, at, reason) in latched {
-            self.registry.log_flag(device_id, at, reason);
-        }
-        for &verdict in &verdicts {
-            self.metrics.note(verdict);
-        }
-        verdicts
     }
 
     /// Monitoring entry for closed-loop scenarios where an application
@@ -663,6 +601,15 @@ mod tests {
         }
     }
 
+    /// Serves `requests` as one [`Verifier::authenticate_batch_with`]
+    /// batch.
+    fn serve_batch(v: &Verifier, requests: &[AuthRequest]) -> Vec<AuthVerdict> {
+        let queries: Vec<AuthQuery<'_>> = requests.iter().map(AuthRequest::as_query).collect();
+        let mut verdicts = Vec::new();
+        v.authenticate_batch_with(&queries, &mut BatchScratch::new(), &mut verdicts);
+        verdicts
+    }
+
     #[test]
     fn genuine_device_authenticates() {
         let mut device = provisioned(1);
@@ -670,7 +617,7 @@ mod tests {
         v.enroll(10, LISA_TAG, device.helper(), device.enrolled_key())
             .unwrap();
         let req = genuine_request(&mut device, 10, 0, b"n-0");
-        assert!(v.authenticate(&req).is_accept());
+        assert!(v.authenticate_query(req.as_query()).is_accept());
         assert_eq!(v.flag_info(10), None);
     }
 
@@ -684,7 +631,7 @@ mod tests {
             response: DeviceResponse::Failure,
             presented_helper: None,
         };
-        assert_eq!(v.authenticate(&req), AuthVerdict::Reject);
+        assert_eq!(v.authenticate_query(req.as_query()), AuthVerdict::Reject);
     }
 
     #[test]
@@ -711,11 +658,11 @@ mod tests {
                 now: i * 100,
                 ..forged.clone()
             };
-            assert_eq!(v.authenticate(&req), AuthVerdict::Reject);
+            assert_eq!(v.authenticate_query(req.as_query()), AuthVerdict::Reject);
         }
         let req = AuthRequest { now: 200, ..forged };
         assert_eq!(
-            v.authenticate(&req),
+            v.authenticate_query(req.as_query()),
             AuthVerdict::Flagged(FlagReason::FailureStreak)
         );
         assert!(v.flag_info(5).is_some());
@@ -740,7 +687,7 @@ mod tests {
             response: device_auth_response(&mut device, b"n", Environment::nominal()),
             presented_helper: Some(manipulated),
         };
-        assert!(v.authenticate(&req).is_flagged());
+        assert!(v.authenticate_query(req.as_query()).is_flagged());
         assert_eq!(v.flag_info(1).map(|(t, _)| t), Some(0));
     }
 
@@ -773,53 +720,13 @@ mod tests {
             let sequential = make(shards, &mut d0, &mut d1);
             let one_by_one: Vec<AuthVerdict> = requests
                 .iter()
-                .map(|r| sequential.authenticate(r))
+                .map(|r| sequential.authenticate_query(r.as_query()))
                 .collect();
             let batched = make(shards, &mut d0, &mut d1);
-            let at_once = batched.authenticate_batch(&requests);
+            let at_once = serve_batch(&batched, &requests);
             assert_eq!(one_by_one, at_once, "shards={shards}");
             assert!(at_once.iter().all(AuthVerdict::is_accept));
         }
-    }
-
-    #[test]
-    fn cached_midstate_batch_matches_reference_key_schedule_path() {
-        // The cached-HmacKey fast path and the re-deriving reference
-        // path must agree verdict-for-verdict on mixed traffic: genuine
-        // tags, forged tags, failures, unknown devices.
-        let mut d0 = provisioned(11);
-        let mut d1 = provisioned(12);
-        let mut requests = Vec::new();
-        for k in 0..8u64 {
-            let nonce = format!("mixed-{k}");
-            let (dev, id) = if k % 2 == 0 {
-                (&mut d0, 0u64)
-            } else {
-                (&mut d1, 1u64)
-            };
-            let mut req = genuine_request(dev, id, k * 10, nonce.as_bytes());
-            match k % 4 {
-                2 => req.response = DeviceResponse::Tag([0xEE; 32]), // forged
-                3 => req.response = DeviceResponse::Failure,
-                _ => {}
-            }
-            if k == 7 {
-                req.device_id = 999; // unknown
-            }
-            requests.push(req);
-        }
-        let make = |d0: &Device, d1: &Device| {
-            let v = Verifier::new(4, DetectorConfig::default());
-            v.enroll(0, LISA_TAG, d0.helper(), d0.enrolled_key())
-                .unwrap();
-            v.enroll(1, LISA_TAG, d1.helper(), d1.enrolled_key())
-                .unwrap();
-            v
-        };
-        // Fresh verifiers per path: detector state accumulates.
-        let fast = make(&d0, &d1).authenticate_batch(&requests);
-        let reference = make(&d0, &d1).authenticate_batch_reference(&requests);
-        assert_eq!(fast, reference);
     }
 
     #[test]
@@ -848,7 +755,7 @@ mod tests {
         let good = genuine_request(&mut device, 0, 0, b"x");
         let mut stranger = good.clone();
         stranger.device_id = 777;
-        let verdicts = v.authenticate_batch(&[stranger, good]);
+        let verdicts = serve_batch(&v, &[stranger, good]);
         assert_eq!(verdicts[0], AuthVerdict::Reject);
         assert!(verdicts[1].is_accept());
     }
@@ -891,7 +798,10 @@ mod tests {
         // The first occurrence's credential won, so both authenticate.
         for (id, dev) in [(0u64, &mut d0), (1u64, &mut d1)] {
             let req = genuine_request(dev, id, 0, b"post-batch");
-            assert!(v.authenticate(&req).is_accept(), "device {id}");
+            assert!(
+                v.authenticate_query(req.as_query()).is_accept(),
+                "device {id}"
+            );
         }
     }
 
@@ -904,7 +814,7 @@ mod tests {
         let snap = v.snapshot_v2();
         let restored = Verifier::from_snapshot_v2(&snap, DetectorConfig::default()).unwrap();
         let req = genuine_request(&mut device, 42, 0, b"after-restore");
-        assert!(restored.authenticate(&req).is_accept());
+        assert!(restored.authenticate_query(req.as_query()).is_accept());
     }
 
     #[test]

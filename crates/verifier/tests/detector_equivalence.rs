@@ -6,10 +6,13 @@
 //! through the registry, and the tag-verifying
 //! [`Verifier::authenticate_query`] and
 //! [`Verifier::authenticate_batch_with`] return identical verdicts and
-//! first flags.
+//! first flags. A release-only timing floor then checks that the
+//! batched path's cached HMAC midstates and per-batch shard locking
+//! pay off against an uncached reference built from public API.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -281,4 +284,104 @@ proptest! {
         }
         serve_batch(&by_batch, &mut batch, &reference, &mut scratch)?;
     }
+}
+
+/// The batched path (one shard lock per batch, tags checked from each
+/// entry's cached HMAC midstates) against an uncached reference built
+/// from public API: a [`client_tag`] compare, which re-derives the key
+/// schedule, then [`Verifier::observe_raw`], which locks the shard per
+/// query. Same fleet, same queries, equal verdicts. Best of 5 rounds
+/// per side, so a noisy neighbour must slow every cached round to fail
+/// the floor.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing floor; run with cargo test --release"
+)]
+fn cached_batch_auth_at_least_1_2x_faster_than_uncached_reference() {
+    const FLOOR: f64 = 1.2;
+    const FLEET: u64 = 64;
+    const BATCH: usize = 256;
+    const BATCHES_PER_ROUND: usize = 40;
+    // Budgets opened wide: every genuine query accepts, so the timed
+    // work is lookup, tag check and detector bookkeeping.
+    let wide_open = DetectorConfig {
+        integrity_check: true,
+        rate_window: 1,
+        rate_budget: u32::MAX,
+        failure_streak: u32::MAX,
+    };
+    let digests: Vec<[u8; 32]> = (0..FLEET).map(|d| [d as u8 ^ 0x5A; 32]).collect();
+    let enrolled = || {
+        let verifier = Verifier::new(8, wide_open);
+        let results = verifier.enroll_batch(
+            (0..FLEET)
+                .map(|d| BatchEnrollment {
+                    device_id: d,
+                    scheme_tag: LISA_TAG,
+                    helper: vec![d as u8; 16],
+                    key_digest: digests[d as usize],
+                })
+                .collect(),
+        );
+        assert!(results.iter().all(Result::is_ok));
+        verifier
+    };
+    let (cached, reference) = (enrolled(), enrolled());
+    let nonces: Vec<[u8; 32]> = (0..BATCH).map(|i| [i as u8; 32]).collect();
+    let mut queries: Vec<AuthQuery<'_>> = nonces
+        .iter()
+        .enumerate()
+        .map(|(i, nonce)| {
+            let device_id = i as u64 % FLEET;
+            AuthQuery {
+                device_id,
+                now: i as u64,
+                nonce,
+                response: DeviceResponse::Tag(client_tag(&digests[device_id as usize], nonce)),
+                presented_helper: None,
+            }
+        })
+        .collect();
+
+    let mut scratch = BatchScratch::new();
+    let (mut got, mut want) = (Vec::new(), Vec::with_capacity(BATCH));
+    let (mut cached_best, mut reference_best) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        let (mut cached_time, mut reference_time) = (Duration::ZERO, Duration::ZERO);
+        for _ in 0..BATCHES_PER_ROUND {
+            let t0 = Instant::now();
+            cached.authenticate_batch_with(&queries, &mut scratch, &mut got);
+            cached_time += t0.elapsed();
+
+            let t0 = Instant::now();
+            want.clear();
+            want.extend(queries.iter().map(|q| {
+                let auth_ok = match q.response {
+                    DeviceResponse::Tag(tag) => {
+                        tag == client_tag(&digests[q.device_id as usize], q.nonce)
+                    }
+                    DeviceResponse::Failure => false,
+                };
+                reference.observe_raw(q.device_id, q.now, q.presented_helper, auth_ok)
+            }));
+            reference_time += t0.elapsed();
+
+            assert_eq!(got, want);
+            assert!(got.iter().all(AuthVerdict::is_accept));
+            // Time moves on, so every rate window stays short.
+            for q in &mut queries {
+                q.now += BATCH as u64;
+            }
+        }
+        cached_best = cached_best.min(cached_time);
+        reference_best = reference_best.min(reference_time);
+    }
+    let speedup = reference_best.as_secs_f64() / cached_best.as_secs_f64();
+    println!("cached batch auth: {speedup:.2}x the uncached reference (floor {FLOOR}x)");
+    assert!(
+        speedup >= FLOOR,
+        "cached batch auth {speedup:.2}x the uncached reference, below the {FLOOR}x floor \
+         (cached {cached_best:?}, reference {reference_best:?} per {BATCHES_PER_ROUND} batches)"
+    );
 }

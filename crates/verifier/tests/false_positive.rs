@@ -16,7 +16,7 @@ use ropuf_constructions::pairing::lisa::{LisaConfig, LisaScheme, LISA_TAG};
 use ropuf_constructions::{Device, HelperDataScheme};
 use ropuf_numeric::splitmix64 as mix;
 use ropuf_sim::{ArrayDims, Environment, RoArrayBuilder};
-use ropuf_verifier::{device_auth_response, AuthRequest, DetectorConfig, Verifier};
+use ropuf_verifier::{device_auth_response, AuthQuery, DetectorConfig, Verifier};
 
 fn provision(
     master_seed: u64,
@@ -62,12 +62,12 @@ proptest! {
                 let nonce = format!("fp-{id}-{k}").into_bytes();
                 let response =
                     device_auth_response(device, &nonce, Environment::nominal());
-                let verdict = verifier.authenticate(&AuthRequest {
+                let verdict = verifier.authenticate_query(AuthQuery {
                     device_id: *id,
                     now: k as u64 * gap,
-                    nonce,
+                    nonce: &nonce,
                     response,
-                    presented_helper: Some(device.helper().to_vec()),
+                    presented_helper: Some(device.helper()),
                 });
                 prop_assert!(
                     !verdict.is_flagged(),

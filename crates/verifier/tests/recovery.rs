@@ -439,8 +439,8 @@ fn recovered_fleet_replays_identically_to_never_crashed() {
         }
     }
     for r in &pre {
-        let a = durable.authenticate(r);
-        let b = control.authenticate(r);
+        let a = durable.authenticate_query(r.as_query());
+        let b = control.authenticate_query(r.as_query());
         assert_eq!(a, b, "pre-crash divergence on device {}", r.device_id);
     }
     drop(durable); // crash: no compaction, no explicit sync
@@ -473,8 +473,14 @@ fn recovered_fleet_replays_identically_to_never_crashed() {
             post.push(request(id, now, genuine, xorshift(&mut seed)));
         }
     }
-    let got: Vec<AuthVerdict> = post.iter().map(|r| recovered.authenticate(r)).collect();
-    let want: Vec<AuthVerdict> = post.iter().map(|r| control.authenticate(r)).collect();
+    let got: Vec<AuthVerdict> = post
+        .iter()
+        .map(|r| recovered.authenticate_query(r.as_query()))
+        .collect();
+    let want: Vec<AuthVerdict> = post
+        .iter()
+        .map(|r| control.authenticate_query(r.as_query()))
+        .collect();
     assert_eq!(got, want, "replay over recovered fleet diverged");
     assert_eq!(
         recovered.flag_info(12),
