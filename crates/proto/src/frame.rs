@@ -205,6 +205,29 @@ impl FrameAccum {
         }
     }
 
+    /// The payload of the frame the next [`FrameAccum::poll`] will
+    /// report after the current one is finished — the frame behind the
+    /// reported one, or the first buffered frame when none is reported
+    /// — if it is already complete in the buffer. Consumes nothing and
+    /// reads nothing past the received bytes: `None` for a partial
+    /// header or payload, and for a declared length above
+    /// [`MAX_FRAME`]. A server uses it to look one pipelined request
+    /// ahead.
+    pub fn next_payload(&self) -> Option<&[u8]> {
+        let at = if self.ready {
+            self.start + 4 + self.declared_len()? as usize
+        } else {
+            self.start
+        };
+        let rest = self.buf.get(at..self.end)?;
+        let (header, body) = rest.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*header);
+        if len > MAX_FRAME {
+            return None;
+        }
+        body.get(..len as usize)
+    }
+
     /// Retained capacity of the read buffer — observable so tests (and
     /// metrics) can assert the [`SCRATCH_RETAIN`] bound holds.
     pub fn scratch_capacity(&self) -> usize {

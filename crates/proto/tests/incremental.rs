@@ -506,3 +506,107 @@ fn frame_reader_resumes_a_frame_after_a_read_timeout() {
     assert_eq!(reader.read_request().unwrap(), Some(requests[1].clone()));
     assert_eq!(reader.read_request().unwrap(), None);
 }
+
+proptest! {
+    /// `next_payload` is a pure peek: under any chunking, what it shows
+    /// is exactly the payload the next poll reports, and peeking (even
+    /// repeatedly) leaves the decoded sequence unchanged.
+    #[test]
+    fn next_payload_peeks_the_next_frame_without_consuming(
+        nonces in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..48),
+            1..9,
+        ),
+        chunks in proptest::collection::vec(1usize..256, 1..8),
+    ) {
+        let requests = requests_from(&nonces);
+        let wire = framed_stream(&requests);
+        let mut source = ChunkedSource::new(wire, chunks);
+        let mut accum = FrameAccum::new();
+        accum.lend(vec![0; 64 * 1024]);
+        let mut decoded = Vec::new();
+        let mut peeked: Option<Vec<u8>> = None;
+        loop {
+            match accum.poll(&mut source).expect("well-formed stream") {
+                FramePoll::Frame => {
+                    if let Some(expected) = peeked.take() {
+                        prop_assert_eq!(accum.payload(), &expected[..]);
+                    }
+                    let next = accum.next_payload().map(<[u8]>::to_vec);
+                    prop_assert_eq!(accum.next_payload().map(<[u8]>::to_vec), next.clone());
+                    decoded.push(RequestRef::decode(accum.payload()).unwrap().into_owned());
+                    accum.finish_frame();
+                    // Once the reported frame is finished, the peek
+                    // shows the frame at the front: the same one.
+                    prop_assert_eq!(accum.next_payload().map(<[u8]>::to_vec), next.clone());
+                    peeked = next;
+                }
+                FramePoll::Pending => continue,
+                FramePoll::Eof => break,
+            }
+        }
+        prop_assert_eq!(&decoded, &requests);
+    }
+}
+
+#[test]
+fn next_payload_is_none_for_a_partial_next_frame_and_never_reads_past_the_received_bytes() {
+    let requests = vec![
+        Request::QueryVerdict { device_id: 1 },
+        Request::Authenticate(AuthItem {
+            device_id: 77,
+            now: 3,
+            nonce: b"next".to_vec(),
+            response: WireAuthResponse::Tag([5; 32]),
+            presented_helper: None,
+        }),
+    ];
+    let wire = framed_stream(&requests);
+    let first = framed_stream(&requests[..1]).len();
+    let second = &wire[first + 4..];
+    for cut in first..wire.len() {
+        // The lent buffer already holds the whole stream, so the bytes
+        // past the received ones would complete the next frame: only a
+        // peek that reads past them could see it.
+        let mut stale = wire.clone();
+        stale.shrink_to_fit();
+        let mut accum = FrameAccum::new();
+        accum.lend(stale);
+        assert_eq!(accum.next_payload(), None, "nothing received yet");
+        let mut source = Piece(&wire[..cut]);
+        assert_eq!(accum.poll(&mut source).unwrap(), FramePoll::Frame);
+        assert_eq!(accum.next_payload(), None, "cut at {cut}");
+        accum.finish_frame();
+        assert_eq!(accum.next_payload(), None, "cut at {cut}, first finished");
+        assert!(accum.mid_frame() || cut == first);
+    }
+    // Whole: the peek shows the second payload, before and after the
+    // first frame is finished.
+    let mut accum = FrameAccum::new();
+    accum.lend(vec![0; 64 * 1024]);
+    assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
+    assert_eq!(accum.next_payload(), Some(second));
+    accum.finish_frame();
+    assert_eq!(accum.next_payload(), Some(second));
+    assert_eq!(accum.poll(&mut Piece(&[])).unwrap(), FramePoll::Frame);
+    assert_eq!(accum.payload(), second);
+    assert_eq!(accum.next_payload(), None, "nothing behind the last frame");
+}
+
+#[test]
+fn next_payload_is_none_for_a_forged_oversize_next_length() {
+    let mut wire = framed_stream(&[Request::QueryVerdict { device_id: 9 }]);
+    wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+    wire.extend_from_slice(&[0x03; 64]);
+    let mut accum = FrameAccum::new();
+    accum.lend(vec![0; 64 * 1024]);
+    assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
+    assert_eq!(accum.next_payload(), None);
+    accum.finish_frame();
+    assert_eq!(accum.next_payload(), None);
+    // The forged header is still there for poll to refuse.
+    assert!(matches!(
+        accum.poll(&mut Piece(&[])),
+        Err(FrameError::Oversize(n)) if n == MAX_FRAME + 1
+    ));
+}

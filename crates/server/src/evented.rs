@@ -46,8 +46,8 @@
 //!
 //! # Tail-latency discipline
 //!
-//! Three mechanisms keep the p999 flat when thousands of connections
-//! are held open:
+//! These mechanisms keep the p999 flat when thousands of connections
+//! are held open, and the per-frame cost low when they pipeline:
 //!
 //! * **Per-loop accept queues** — with [`EventedConfig::reuseport`]
 //!   (the default on IPv4) every loop binds its own `SO_REUSEPORT`
@@ -60,7 +60,17 @@
 //!   already buffered without another. Responses are appended to one
 //!   flat out-queue per connection and leave in one `write`. A
 //!   connection whose pass ends with nothing buffered hands the read
-//!   buffer back, so idle connections hold no read memory.
+//!   buffer back, so idle connections hold no read memory. Frame
+//!   telemetry is paid per write too: the write's one clock read
+//!   settles every response it completed, and a frame that was already
+//!   buffered starts its clock where its predecessor's stopped.
+//! * **One frame of look-ahead** — once a frame is decoded, before it
+//!   is handled, the loop peeks at the next one buffered behind it
+//!   ([`FrameAccum::next_payload`]). When that is an `Authenticate`, its
+//!   device id goes to [`RequestHandler::prefetch`], so the registry
+//!   line its lookup needs loads while the current frame is served. A
+//!   hint changes no answer and never waits on a lock; it fires only
+//!   when frames queue up.
 //! * **Loop-affine sharding** — clients that ask
 //!   [`Request::LoopInfo`](ropuf_proto::Request::LoopInfo) per
 //!   connection can steer a device's traffic to the loop its registry
@@ -391,9 +401,9 @@ enum Teardown {
 }
 
 /// A response queued in a connection's out-queue whose flush-wait
-/// clock is still running: the trace record is finalized (and its
-/// flush-wait phase recorded) only once the socket has accepted every
-/// byte up to `end`.
+/// clock is still running: the trace record is finalized (and all its
+/// phases recorded) only once the socket has accepted every byte up to
+/// `end`.
 #[derive(Debug)]
 struct PendingFlush {
     /// Absolute out-stream offset (total bytes ever queued on this
@@ -486,14 +496,129 @@ impl OutQueue {
     }
 }
 
+/// A connection's outbound side: the response frames queued for the
+/// socket, and the trace record of each one, settled once the socket
+/// has taken the response's last byte.
+#[derive(Debug, Default)]
+struct Outbound {
+    /// Encoded-but-unsent response frames.
+    queue: OutQueue,
+    /// Total bytes ever queued (monotonic).
+    queued_total: u64,
+    /// Total bytes the socket has ever accepted (monotonic).
+    sent_total: u64,
+    /// Responses queued but not yet fully accepted by the socket,
+    /// oldest first (responses drain in order).
+    pending: VecDeque<PendingFlush>,
+}
+
+impl Outbound {
+    fn pending_bytes(&self) -> usize {
+        self.queue.pending()
+    }
+
+    /// Encodes `response` onto the queue. An oversize response
+    /// degrades to a typed [`ErrorCode::ResponseTooLarge`] answer, so
+    /// the connection stays frame-aligned. Returns `false` only when
+    /// even the fallback cannot be queued.
+    fn push(&mut self, response: &Response, scratch: &mut Vec<u8>) -> bool {
+        response.encode_into(scratch);
+        let framed = match self.queue.push_frame(scratch) {
+            Err(FrameError::Oversize(n)) => {
+                let fallback = Response::Error {
+                    code: ErrorCode::ResponseTooLarge,
+                    detail: format!(
+                        "response needs {n} bytes, frame cap is {}",
+                        ropuf_proto::MAX_FRAME
+                    ),
+                };
+                fallback.encode_into(scratch);
+                self.queue.push_frame(scratch)
+            }
+            framed => framed,
+        };
+        // One giant snapshot must not pin MAX_FRAME of encode capacity
+        // on the loop thread forever — same retention rule as every
+        // other reused buffer.
+        ropuf_proto::frame::bound_scratch(scratch);
+        match framed {
+            Ok(n) => {
+                self.queued_total += n as u64;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Files the trace record of the response queued last; its
+    /// flush-wait clock starts at `queued_at`.
+    fn track(&mut self, record: TraceRecord, queued_at: Instant) {
+        self.pending.push_back(PendingFlush {
+            end: self.queued_total,
+            queued_at,
+            record,
+        });
+    }
+
+    /// Drains the queue through `write` until it empties or the sink
+    /// reports `WouldBlock`. When bytes left, reads the clock once,
+    /// settles every response they completed at that instant, and
+    /// returns it; `None` when nothing left.
+    ///
+    /// # Errors
+    ///
+    /// The sink's fatal error (see [`OutQueue::drain_with`]).
+    fn flush(
+        &mut self,
+        telemetry: &ServerTelemetry,
+        write: impl FnMut(&[u8]) -> io::Result<usize>,
+    ) -> io::Result<Option<Instant>> {
+        if self.queue.is_empty() {
+            return Ok(None);
+        }
+        let written = self.queue.drain_with(write)?;
+        if written == 0 {
+            return Ok(None);
+        }
+        self.sent_total += written as u64;
+        let now = Instant::now();
+        self.settle(telemetry, now, self.sent_total);
+        Ok(Some(now))
+    }
+
+    /// Settles every response that ends at or before out-stream offset
+    /// `upto`: their out-queue residency until `now` is the flush-wait
+    /// phase, and their records go to the telemetry in one call.
+    fn settle(&mut self, telemetry: &ServerTelemetry, now: Instant, upto: u64) {
+        let drained = self.pending.iter().take_while(|p| p.end <= upto).count();
+        if drained == 0 {
+            return;
+        }
+        for entry in self.pending.range_mut(..drained) {
+            let flush_wait_ns = elapsed_ns(entry.queued_at, now);
+            entry.record.flush_wait_ns = flush_wait_ns;
+            entry.record.total_ns = entry.record.total_ns.saturating_add(flush_wait_ns);
+        }
+        telemetry.observe_drained(self.pending.range(..drained).map(|p| &p.record));
+        self.pending.drain(..drained);
+    }
+
+    /// Settles every response still pending, the ones the socket never
+    /// fully took included: a connection torn down mid-flush still
+    /// owes their accounting, and their flush-wait ends now.
+    fn abandon(&mut self, telemetry: &ServerTelemetry) {
+        self.settle(telemetry, Instant::now(), u64::MAX);
+    }
+}
+
 /// One connection's full state: socket, incremental frame reader,
 /// bounded response queue, and the timer bookkeeping.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     accum: FrameAccum,
-    /// Encoded-but-unsent response frames.
-    out: OutQueue,
+    /// Encoded-but-unsent response frames and their trace records.
+    out: Outbound,
     /// Interest bits currently registered with epoll.
     interest: u32,
     /// Last observable progress: connection accepted, a complete
@@ -512,32 +637,11 @@ struct Conn {
     /// Whether the first complete frame has been observed (the
     /// accept-to-first-frame histogram records exactly once).
     saw_first_frame: bool,
-    /// Total bytes ever queued for this connection (monotonic).
-    queued_total: u64,
-    /// Total bytes the socket has ever accepted (monotonic).
-    sent_total: u64,
-    /// Responses queued but not yet fully accepted by the socket,
-    /// oldest first (responses drain in order).
-    pending_flush: VecDeque<PendingFlush>,
 }
 
 impl Conn {
     fn pending_out(&self) -> usize {
-        self.out.pending()
-    }
-
-    /// Finalizes every queued trace record whose response bytes the
-    /// socket has now fully accepted, crediting the elapsed out-queue
-    /// residency as the flush-wait phase.
-    fn settle_flushed(&mut self, telemetry: &ServerTelemetry) {
-        while self
-            .pending_flush
-            .front()
-            .is_some_and(|p| p.end <= self.sent_total)
-        {
-            let entry = self.pending_flush.pop_front().expect("front checked");
-            telemetry.observe_drained(entry.record, elapsed_ns(entry.queued_at, Instant::now()));
-        }
+        self.out.pending_bytes()
     }
 }
 
@@ -760,16 +864,13 @@ impl EventLoop {
                     let conn = Conn {
                         stream,
                         accum: FrameAccum::new(),
-                        out: OutQueue::default(),
+                        out: Outbound::default(),
                         interest: event::IN | event::RDHUP,
                         last_activity: now,
                         frame_deadline: None,
                         closing: false,
                         accepted_at: now,
                         saw_first_frame: false,
-                        queued_total: 0,
-                        sent_total: 0,
-                        pending_flush: VecDeque::new(),
                     };
                     if self.epoll.add(&conn.stream, conn.interest, token).is_err() {
                         self.free.push_back(index);
@@ -806,12 +907,9 @@ impl EventLoop {
             return; // already closed this iteration
         };
 
-        if writable {
-            if !flush_out(conn) {
-                self.close(index, Teardown::Normal, shared);
-                return;
-            }
-            conn.settle_flushed(&shared.telemetry);
+        if writable && !flush_out(conn, &shared.telemetry) {
+            self.close(index, Teardown::Normal, shared);
+            return;
         }
 
         // Read into the loop's buffer unless this connection still
@@ -829,6 +927,11 @@ impl EventLoop {
         // the buffer after backpressure lifts: those bytes left the
         // socket, so level-triggered epoll will never report them.
         let teardown = 'pass: loop {
+            // When the previous frame's response was queued (its t3):
+            // the next frame's t0 when that frame was already buffered,
+            // so back-to-back frames share one clock read. Cleared by a
+            // `read` or a flush, after which t0 is read afresh.
+            let mut last_queued: Option<Instant> = None;
             let teardown = loop {
                 if conn.closing {
                     break None; // no more reads; wait for the drain
@@ -836,9 +939,12 @@ impl EventLoop {
                 if conn.pending_out() > self.config.max_write_buffer {
                     break None; // backpressure: resume when the peer drains
                 }
+                if !conn.accum.has_complete_frame() {
+                    last_queued = None; // this poll reads
+                }
                 match conn.accum.poll(&mut conn.stream) {
                     Ok(FramePoll::Frame) => {
-                        let t0 = Instant::now();
+                        let t0 = last_queued.unwrap_or_else(Instant::now);
                         conn.last_activity = t0;
                         conn.frame_deadline = None;
                         if !conn.saw_first_frame {
@@ -864,7 +970,7 @@ impl EventLoop {
                             evented_pressure(conn.pending_out() as u64, self.ready_backlog),
                         ) {
                             let t2 = Instant::now();
-                            let queued = queue_response(conn, &shed, &mut self.encode_scratch);
+                            let queued = conn.out.push(&shed, &mut self.encode_scratch);
                             let t3 = Instant::now();
                             let record = shared.telemetry.observe_queued(
                                 msg_type,
@@ -875,11 +981,8 @@ impl EventLoop {
                                 elapsed_ns(t2, t3),
                                 self.loop_id,
                             );
-                            conn.pending_flush.push_back(PendingFlush {
-                                end: conn.queued_total,
-                                queued_at: t3,
-                                record,
-                            });
+                            conn.out.track(record, t3);
+                            last_queued = Some(t3);
                             conn.accum.finish_frame();
                             if !queued {
                                 break Some(Teardown::Normal);
@@ -888,6 +991,18 @@ impl EventLoop {
                         }
                         let decoded = RequestRef::decode(conn.accum.payload());
                         let t1 = Instant::now();
+                        // Look one frame ahead: when the next buffered
+                        // frame is an auth, the handler starts loading
+                        // its device's index line now, and the load
+                        // resolves while this frame is served. Timed
+                        // with the handle phase, not the decode phase.
+                        if let Some(device_id) = conn
+                            .accum
+                            .next_payload()
+                            .and_then(RequestRef::peek_auth_device)
+                        {
+                            handler.prefetch(device_id);
+                        }
                         let keep_going = match decoded {
                             Ok(request) => {
                                 let device_hash = request_device_hash(&request);
@@ -932,8 +1047,7 @@ impl EventLoop {
                                     request => handler.handle_ref(request),
                                 };
                                 let t2 = Instant::now();
-                                let queued =
-                                    queue_response(conn, &response, &mut self.encode_scratch);
+                                let queued = conn.out.push(&response, &mut self.encode_scratch);
                                 let t3 = Instant::now();
                                 let record = shared.telemetry.observe_queued(
                                     msg_type,
@@ -944,18 +1058,14 @@ impl EventLoop {
                                     elapsed_ns(t2, t3),
                                     self.loop_id,
                                 );
-                                conn.pending_flush.push_back(PendingFlush {
-                                    end: conn.queued_total,
-                                    queued_at: t3,
-                                    record,
-                                });
+                                conn.out.track(record, t3);
+                                last_queued = Some(t3);
                                 queued
                             }
                             Err(e) => {
                                 // A typed answer, then the connection ends.
                                 let t2 = Instant::now();
-                                let answered = queue_response(
-                                    conn,
+                                let answered = conn.out.push(
                                     &Response::Error {
                                         code: ErrorCode::MalformedRequest,
                                         detail: FrameError::Decode(e).to_string(),
@@ -972,11 +1082,7 @@ impl EventLoop {
                                     elapsed_ns(t2, t3),
                                     self.loop_id,
                                 );
-                                conn.pending_flush.push_back(PendingFlush {
-                                    end: conn.queued_total,
-                                    queued_at: t3,
-                                    record,
-                                });
+                                conn.out.track(record, t3);
                                 conn.closing = true;
                                 conn.frame_deadline = None;
                                 answered
@@ -1002,8 +1108,7 @@ impl EventLoop {
                     }
                     Err(e) if e.is_peer_fault() => {
                         // Oversized frame header: typed answer, then close.
-                        queue_response(
-                            conn,
+                        conn.out.push(
                             &Response::Error {
                                 code: ErrorCode::MalformedRequest,
                                 detail: e.to_string(),
@@ -1033,10 +1138,9 @@ impl EventLoop {
                 }
             }
 
-            if !flush_out(conn) {
+            if !flush_out(conn, &shared.telemetry) {
                 break 'pass Some(Teardown::Normal);
             }
-            conn.settle_flushed(&shared.telemetry);
             let paused = conn.closing || conn.pending_out() > self.config.max_write_buffer;
             if paused || !conn.accum.has_complete_frame() {
                 break 'pass None;
@@ -1109,19 +1213,13 @@ impl EventLoop {
     fn close(&mut self, index: usize, reason: Teardown, shared: &Shared) {
         if let Some(mut conn) = self.conns[index].take() {
             // A connection killed mid-flush still owes its lifecycle
-            // accounting: settle whatever the socket did accept, then
-            // finalize the responses that never fully drained — their
-            // flush-wait ends here, at teardown, so the phase
-            // histograms and the total never under-count a request the
-            // server answered but the wire lost. Without this, every
-            // force-shutdown or eviction leaked its queued records.
-            conn.settle_flushed(&shared.telemetry);
-            let now = Instant::now();
-            for entry in conn.pending_flush.drain(..) {
-                shared
-                    .telemetry
-                    .observe_drained(entry.record, elapsed_ns(entry.queued_at, now));
-            }
+            // accounting: every response still queued, drained or not,
+            // is settled here, its flush-wait ending at teardown, so
+            // the phase histograms and the total never under-count a
+            // request the server answered but the wire lost. Without
+            // this, every force-shutdown or eviction leaked its queued
+            // records.
+            conn.out.abandon(&shared.telemetry);
             // Counters next: a peer that observes the EOF below must
             // already see its eviction accounted for.
             shared.telemetry.connection_closed(
@@ -1154,58 +1252,21 @@ fn reclaim_read_buf(spare: &mut Vec<u8>, accum: &mut FrameAccum) {
     }
 }
 
-/// Encodes `response` and appends it to the connection's out-queue,
-/// advancing `queued_total` by the framed byte count. An oversize
-/// response degrades to a typed [`ErrorCode::ResponseTooLarge`]
-/// answer, so the connection stays frame-aligned.
-/// Returns `false` only when even the fallback cannot be queued.
-fn queue_response(conn: &mut Conn, response: &Response, scratch: &mut Vec<u8>) -> bool {
-    response.encode_into(scratch);
-    let queued = match conn.out.push_frame(scratch) {
-        Ok(n) => {
-            conn.queued_total += n as u64;
-            true
-        }
-        Err(FrameError::Oversize(n)) => {
-            let fallback = Response::Error {
-                code: ErrorCode::ResponseTooLarge,
-                detail: format!(
-                    "response needs {n} bytes, frame cap is {}",
-                    ropuf_proto::MAX_FRAME
-                ),
-            };
-            fallback.encode_into(scratch);
-            match conn.out.push_frame(scratch) {
-                Ok(n) => {
-                    conn.queued_total += n as u64;
-                    true
-                }
-                Err(_) => false,
-            }
-        }
-        Err(_) => false,
-    };
-    // One giant snapshot must not pin MAX_FRAME of encode capacity on
-    // the loop thread forever — same retention rule as every other
-    // reused buffer.
-    ropuf_proto::frame::bound_scratch(scratch);
-    queued
-}
-
 /// Drains as much pending output as the socket accepts — the whole
-/// queued run in one `write` unless the socket buffer fills. Returns
-/// `false` when the transport died.
-fn flush_out(conn: &mut Conn) -> bool {
-    if conn.out.is_empty() {
-        return true;
-    }
-    match conn.out.drain_with(|bytes| (&conn.stream).write(bytes)) {
-        Ok(0) => true,
-        Ok(written) => {
-            conn.sent_total += written as u64;
-            conn.last_activity = Instant::now();
+/// queued run in one `write` unless the socket buffer fills — and
+/// settles the responses that left. The one clock read of the write is
+/// also the idle timer's new anchor. Returns `false` when the transport
+/// died.
+fn flush_out(conn: &mut Conn, telemetry: &ServerTelemetry) -> bool {
+    match conn
+        .out
+        .flush(telemetry, |bytes| (&conn.stream).write(bytes))
+    {
+        Ok(Some(now)) => {
+            conn.last_activity = now;
             true
         }
+        Ok(None) => true,
         Err(_) => false,
     }
 }
@@ -1215,7 +1276,8 @@ mod tests {
     use super::*;
     use crate::handler::VerifierHandler;
     use crate::transport::{Client, TcpTransport};
-    use ropuf_proto::{FaultPlan, FaultyStream, Request, RATE_ONE};
+    use ropuf_proto::{AuthItem, FaultPlan, FaultyStream, Request, WireAuthResponse, RATE_ONE};
+    use ropuf_telemetry::{MetricValue, SERIES_PHASES};
     use ropuf_verifier::{DetectorConfig, Verifier};
     use std::net::TcpStream;
 
@@ -1543,38 +1605,18 @@ mod tests {
 
     #[test]
     fn idle_connection_after_a_burst_holds_no_read_buffer() {
-        // One loop driven by hand: a client pipelines a burst, the loop
-        // serves it, the connection goes idle.
-        let config = EventedConfig::default();
-        let shared = Shared::new(&config);
-        let (mut listeners, addr) = bind_listeners(&"127.0.0.1:0", 1, false).unwrap();
-        let (_wake_tx, wake_rx) = UnixStream::pair().unwrap();
-        wake_rx.set_nonblocking(true).unwrap();
-        let mut event_loop = EventLoop::new(listeners.remove(0), wake_rx, config, 0).unwrap();
+        // A client pipelines a burst, the loop serves it, the
+        // connection goes idle.
         let handler = VerifierHandler::new(Arc::new(Verifier::new(2, DetectorConfig::default())));
-
-        let count = 16u64;
-        let mut burst = Vec::new();
-        let mut writer = ropuf_proto::FrameWriter::new(&mut burst);
-        for id in 0..count {
-            writer
-                .write_request(&Request::QueryVerdict { device_id: id })
-                .unwrap();
-        }
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(&burst).unwrap();
-
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while event_loop.conns.iter().flatten().count() == 0 {
-            assert!(Instant::now() < deadline, "connection never accepted");
-            event_loop.accept_ready(&shared);
-        }
-        while shared.telemetry.requests_served() < count {
-            assert!(Instant::now() < deadline, "burst never served");
-            event_loop.service(0, false, Instant::now(), &handler, &shared);
-        }
+        let burst: Vec<Request> = (0..16u64)
+            .map(|id| Request::QueryVerdict { device_id: id })
+            .collect();
+        let (event_loop, _shared, client) =
+            serve_by_hand(&handler, &burst, EventedConfig::default(), |_, shared| {
+                shared.telemetry.requests_served() == burst.len() as u64
+            });
         let mut reader = ropuf_proto::FrameReader::new(&client);
-        for _ in 0..count {
+        for _ in &burst {
             assert!(matches!(
                 reader.read_response().unwrap(),
                 Some(Response::Error {
@@ -1595,6 +1637,295 @@ mod tests {
             event_loop.read_buf.capacity(),
             READ_BUF,
             "the loop took its buffer back"
+        );
+    }
+
+    /// Samples per phase summed over every `msg` row of
+    /// `server.request.phase_ns`, in [`SERIES_PHASES`] order, and the
+    /// samples of `server.request.total_ns`.
+    fn phase_samples(telemetry: &ServerTelemetry) -> ([u64; 5], u64) {
+        let snap = telemetry.snapshot();
+        let mut phases = [0u64; 5];
+        for metric in &snap.metrics {
+            let MetricValue::Histogram(h) = &metric.value else {
+                continue;
+            };
+            if metric.name != "server.request.phase_ns" {
+                continue;
+            }
+            let phase = metric
+                .labels
+                .iter()
+                .find(|(key, _)| key == "phase")
+                .and_then(|(_, value)| SERIES_PHASES.iter().position(|p| p == value))
+                .expect("every phase row names a known phase");
+            phases[phase] += h.count;
+        }
+        let total = match snap.find("server.request.total_ns", &[("backend", "evented")]) {
+            Some(MetricValue::Histogram(h)) => h.count,
+            other => panic!("total histogram: {other:?}"),
+        };
+        (phases, total)
+    }
+
+    /// Queues `n` responses of mixed message types on `out`, each with
+    /// its trace record.
+    fn queue_mixed(out: &mut Outbound, telemetry: &ServerTelemetry, n: u64) {
+        let mut scratch = Vec::new();
+        for i in 0..n {
+            let msg_type = [0x03, 0x05, 0xEE][(i % 3) as usize];
+            let response = Response::Error {
+                code: ErrorCode::UnknownDevice,
+                detail: format!("response {i}"),
+            };
+            assert!(out.push(&response, &mut scratch));
+            let record = telemetry.observe_queued(msg_type, i, 1, 2, 3, 4, 0);
+            out.track(record, Instant::now());
+        }
+    }
+
+    #[test]
+    fn one_byte_writes_settle_each_response_exactly_once() {
+        let telemetry = ServerTelemetry::new(Duration::ZERO, 1024);
+        let mut out = Outbound::default();
+        let n = 12;
+        queue_mixed(&mut out, &telemetry, n);
+        assert_eq!(
+            phase_samples(&telemetry),
+            ([0; 5], 0),
+            "queueing records nothing"
+        );
+        let mut sink = Vec::new();
+        let mut faulty = FaultyStream::new(&mut sink, FaultPlan::new(5).with_partial_io(RATE_ONE));
+        let mut writes = 0;
+        while out.pending_bytes() > 0 {
+            // One 1-byte write per flush, then the socket is full.
+            let mut budget = 1;
+            let flushed = out
+                .flush(&telemetry, |bytes| {
+                    if budget == 0 {
+                        return Err(io::ErrorKind::WouldBlock.into());
+                    }
+                    budget -= 1;
+                    faulty.write(&bytes[..1])
+                })
+                .expect("the sink stays up");
+            assert!(flushed.is_some(), "a byte left, so the clock was read");
+            writes += 1;
+            // Exactly the responses whose last byte left are settled.
+            let settled = n - out.pending.len() as u64;
+            assert_eq!(phase_samples(&telemetry), ([settled; 5], settled));
+            assert!(out.pending.iter().all(|p| p.end > out.sent_total));
+        }
+        drop(faulty);
+        assert_eq!(writes, sink.len());
+        assert_eq!(phase_samples(&telemetry), ([n; 5], n));
+        let records = telemetry.trace_snapshot().records;
+        assert_eq!(records.len() as u64, n);
+        for record in &records {
+            assert_eq!(
+                record.total_ns,
+                record.ready_ns
+                    + record.decode_ns
+                    + record.handle_ns
+                    + record.flush_ns
+                    + record.flush_wait_ns,
+                "{record:?}"
+            );
+        }
+        // A flush with nothing queued reads no clock and settles nothing.
+        assert_eq!(out.flush(&telemetry, |_| unreachable!()).unwrap(), None);
+    }
+
+    #[test]
+    fn a_teardown_mid_flush_settles_every_queued_response_once() {
+        let telemetry = ServerTelemetry::new(Duration::ZERO, 1024);
+        let mut out = Outbound::default();
+        let n = 9;
+        queue_mixed(&mut out, &telemetry, n);
+        // The socket takes the first response and half the second.
+        let first = out.pending[0].end as usize;
+        let mut budget = first + 3;
+        out.flush(&telemetry, |bytes| {
+            let take = bytes.len().min(budget);
+            if take == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            budget -= take;
+            Ok(take)
+        })
+        .expect("the sink stays up");
+        assert_eq!(phase_samples(&telemetry), ([1; 5], 1));
+        out.abandon(&telemetry);
+        assert!(out.pending.is_empty());
+        assert_eq!(phase_samples(&telemetry), ([n; 5], n));
+        out.abandon(&telemetry);
+        assert_eq!(phase_samples(&telemetry), ([n; 5], n), "settled once only");
+        assert_eq!(telemetry.trace_snapshot().records.len() as u64, n);
+    }
+
+    /// Pipelines `burst` at a fresh one-loop server and serves it by
+    /// hand until `done` holds; returns the loop, its shared state and
+    /// the client socket.
+    fn serve_by_hand(
+        handler: &dyn RequestHandler,
+        burst: &[Request],
+        config: EventedConfig,
+        done: impl Fn(&EventLoop, &Shared) -> bool,
+    ) -> (EventLoop, Shared, TcpStream) {
+        let shared = Shared::new(&config);
+        let (mut listeners, addr) = bind_listeners(&"127.0.0.1:0", 1, false).unwrap();
+        let (_wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        wake_rx.set_nonblocking(true).unwrap();
+        let mut event_loop = EventLoop::new(listeners.remove(0), wake_rx, config, 0).unwrap();
+        let mut wire = Vec::new();
+        let mut writer = ropuf_proto::FrameWriter::new(&mut wire);
+        for request in burst {
+            writer.write_request(request).unwrap();
+        }
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&wire).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_loop.conns.iter().flatten().count() == 0 {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            event_loop.accept_ready(&shared);
+        }
+        while !done(&event_loop, &shared) {
+            assert!(Instant::now() < deadline, "burst never served");
+            event_loop.service(0, false, Instant::now(), handler, &shared);
+        }
+        (event_loop, shared, client)
+    }
+
+    #[test]
+    fn every_served_frame_is_settled_once_when_force_closed_mid_flush() {
+        // Queries fill the trace ring; then each trace dump answers
+        // with the whole ring (~10 KB) to a client that reads nothing:
+        // the socket fills, the out-queue passes its high-water mark,
+        // and the loop stops reading with responses still queued.
+        let handler = VerifierHandler::new(Arc::new(Verifier::new(2, DetectorConfig::default())));
+        let queries: Vec<Request> = (0..300u64)
+            .map(|id| Request::QueryVerdict { device_id: id })
+            .collect();
+        let config = EventedConfig {
+            slow_trace_threshold: Duration::ZERO,
+            max_write_buffer: 256 * 1024,
+            ..EventedConfig::default()
+        };
+        let (mut event_loop, shared, mut client) =
+            serve_by_hand(&handler, &queries, config, |_, shared| {
+                shared.telemetry.requests_served() == queries.len() as u64
+            });
+        let mut dumps = Vec::new();
+        let mut writer = ropuf_proto::FrameWriter::new(&mut dumps);
+        for _ in 0..2000 {
+            writer.write_request(&Request::TraceDump).unwrap();
+        }
+        client.write_all(&dumps).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_loop.conns[0]
+            .as_ref()
+            .is_none_or(|conn| conn.pending_out() <= config.max_write_buffer)
+        {
+            assert!(Instant::now() < deadline, "the socket never filled");
+            event_loop.service(0, false, Instant::now(), &handler, &shared);
+        }
+        let served = shared.telemetry.requests_served();
+        let queued = event_loop.conns[0]
+            .as_ref()
+            .map_or(0, |c| c.out.pending.len());
+        assert!(queued > 0, "the close must come mid-flush");
+        event_loop.close_all(&shared);
+        assert_eq!(phase_samples(&shared.telemetry), ([served; 5], served));
+        let ring = shared.telemetry.trace_snapshot();
+        assert_eq!(ring.recorded, served);
+        let records = ring.records;
+        for record in &records {
+            assert_eq!(
+                record.total_ns,
+                record.ready_ns
+                    + record.decode_ns
+                    + record.handle_ns
+                    + record.flush_ns
+                    + record.flush_wait_ns,
+                "{record:?}"
+            );
+        }
+    }
+
+    /// Logs, in call order, every device it is hinted (`Hint`) and
+    /// every auth or verdict query it serves (`Served`); answers every
+    /// request with a fixed error.
+    #[derive(Default)]
+    struct HintLog(Mutex<Vec<Call>>);
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Hint(u64),
+        Served(u64),
+    }
+
+    impl RequestHandler for HintLog {
+        fn handle_ref(&self, request: RequestRef<'_>) -> Response {
+            match request {
+                RequestRef::Authenticate(item) => {
+                    self.0.lock().unwrap().push(Call::Served(item.device_id));
+                }
+                RequestRef::QueryVerdict { device_id } => {
+                    self.0.lock().unwrap().push(Call::Served(device_id));
+                }
+                _ => {}
+            }
+            Response::Error {
+                code: ErrorCode::UnknownDevice,
+                detail: "hint log".into(),
+            }
+        }
+
+        fn prefetch(&self, device_id: u64) {
+            self.0.lock().unwrap().push(Call::Hint(device_id));
+        }
+    }
+
+    #[test]
+    fn the_next_buffered_auth_is_hinted_before_the_current_frame_is_served() {
+        let auth = |device_id| {
+            Request::Authenticate(AuthItem {
+                device_id,
+                now: 0,
+                nonce: b"n".to_vec(),
+                response: WireAuthResponse::Failure,
+                presented_helper: None,
+            })
+        };
+        // Only an auth behind the frame being served is hinted: not
+        // the first frame, not a query.
+        let burst = [
+            auth(11),
+            auth(22),
+            Request::QueryVerdict { device_id: 33 },
+            auth(44),
+            auth(55),
+        ];
+        let handler = HintLog::default();
+        let (_loop, shared, _client) =
+            serve_by_hand(&handler, &burst, EventedConfig::default(), |_, shared| {
+                shared.telemetry.requests_served() == burst.len() as u64
+            });
+        assert_eq!(shared.telemetry.requests_served(), 5);
+        use Call::{Hint, Served};
+        assert_eq!(
+            *handler.0.lock().unwrap(),
+            [
+                Hint(22),
+                Served(11),
+                Served(22),
+                Hint(44),
+                Served(33),
+                Hint(55),
+                Served(44),
+                Served(55),
+            ]
         );
     }
 }

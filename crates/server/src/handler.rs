@@ -5,7 +5,10 @@
 //! the evented server and the in-process loopback transport both
 //! funnel decoded requests through the same `handle_ref` call, so a
 //! scenario exercised over loopback is bit-for-bit the scenario the
-//! socket path serves.
+//! socket path serves. The evented server also passes the handler a
+//! hint, [`RequestHandler::prefetch`], naming the device of the next
+//! pipelined auth; a hint changes no answer, so loopback, which has no
+//! pipeline, needs none.
 //!
 //! The one deliberate asymmetry: a **single** [`Request::Authenticate`]
 //! for a quarantined device is answered with a typed wire error
@@ -43,6 +46,16 @@ pub trait RequestHandler: Send + Sync {
     fn shard_count(&self) -> usize {
         0
     }
+
+    /// A hint that an `Authenticate` for `device_id` is buffered right
+    /// behind the request being served: the handler may start loading
+    /// what serving it will read, so the loads resolve while the
+    /// current request runs. It must change no state and no answer,
+    /// and must not wait on a lock: a hint that cannot be delivered at
+    /// once is better dropped.
+    /// The evented server calls it for each pipelined auth one frame
+    /// ahead; the default does nothing.
+    fn prefetch(&self, _device_id: u64) {}
 }
 
 /// Converts the verifier's flag reason to its wire representation.
@@ -235,6 +248,10 @@ impl RequestHandler for VerifierHandler {
 
     fn shard_count(&self) -> usize {
         self.verifier.registry().shard_count()
+    }
+
+    fn prefetch(&self, device_id: u64) {
+        self.verifier.prefetch(device_id);
     }
 }
 

@@ -4,11 +4,26 @@
 //! the verifier's own metrics.
 //!
 //! The [`EventedServer`](crate::EventedServer) owns one
-//! [`ServerTelemetry`] and records into it once per served frame with
-//! five phase durations covering the whole lifecycle the client can
-//! observe: ready-wait (readiness to decode start), decode, handle,
-//! flush, and flush-wait (out-buffer residency until the socket
-//! drained). All hot-path writes are `Relaxed` striped-counter adds or
+//! [`ServerTelemetry`] and records five phase durations per served
+//! frame, covering the whole lifecycle the client can observe:
+//!
+//! * ready-wait — from the start of the connection's readiness pass to
+//!   the frame's start. The loop reads the clock when it reaches a
+//!   frame, except for a frame already buffered right behind one whose
+//!   response was just queued: that frame starts at the queue time, so
+//!   one reading ends a frame and starts the next.
+//! * decode — from the frame's start to its decoded request: admission
+//!   and decoding, and for a frame started at its predecessor's queue
+//!   time also taking its header out of the buffer.
+//! * handle — the handler call, plus the look-ahead hint for the next
+//!   buffered auth that precedes it.
+//! * flush — appending the response to the out-buffer.
+//! * flush-wait — out-buffer residency until the socket drained.
+//!
+//! A frame's phases are recorded once its response has left, together
+//! with every other frame the same write drained: one clock read per
+//! write, and one histogram lock per phase row and write rather than
+//! per frame. All hot-path writes are `Relaxed` striped-counter adds or
 //! per-stripe histogram inserts; nothing here takes a process-wide
 //! lock on the request path.
 
@@ -247,11 +262,11 @@ impl ServerTelemetry {
         self.requests.inc();
     }
 
-    /// Records a served frame's first four phase timings (ready-wait
-    /// through flush) the moment its response is queued, returning the
-    /// trace candidate. The caller completes the lifecycle with
-    /// [`ServerTelemetry::observe_drained`] once the response bytes
-    /// have actually left the out-buffer.
+    /// Builds a served frame's trace candidate from its first four
+    /// phase timings (ready-wait through flush) the moment its response
+    /// is queued. Records nothing: the caller completes the lifecycle
+    /// with [`ServerTelemetry::observe_drained`] once the response
+    /// bytes have actually left the out-buffer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn observe_queued(
         &self,
@@ -263,11 +278,6 @@ impl ServerTelemetry {
         flush_ns: u64,
         worker: u32,
     ) -> TraceRecord {
-        let slot = &self.phase[msg_slot(msg_type)];
-        slot[0].record(ready_ns);
-        slot[1].record(decode_ns);
-        slot[2].record(handle_ns);
-        slot[3].record(flush_ns);
         let total_ns = ready_ns
             .saturating_add(decode_ns)
             .saturating_add(handle_ns)
@@ -286,19 +296,37 @@ impl ServerTelemetry {
         }
     }
 
-    /// Completes a request's lifecycle: records the flush-wait phase
-    /// (out-buffer residency) and the whole-request total, and pushes
-    /// the trace record when the *total* — waits included — crossed
-    /// the slow threshold. Deferring the threshold decision to drain
-    /// time is what lets a fast-to-serve but slow-to-drain request
-    /// show up in the ring with its tail attributed.
-    pub(crate) fn observe_drained(&self, mut record: TraceRecord, flush_wait_ns: u64) {
-        record.flush_wait_ns = flush_wait_ns;
-        record.total_ns = record.total_ns.saturating_add(flush_wait_ns);
-        self.phase[msg_slot(record.msg_type)][4].record(flush_wait_ns);
-        self.total.record(record.total_ns);
-        if record.total_ns >= self.threshold_ns {
-            self.ring.push(record);
+    /// Completes the lifecycle of the requests one write drained, each
+    /// record finished with its flush-wait phase (out-buffer residency)
+    /// and its total: records all five phases and the whole-request
+    /// total, taking each histogram's lock once for the lot, and pushes
+    /// every record whose *total* — waits included — crossed the slow
+    /// threshold. Deferring the threshold decision to drain time is
+    /// what lets a fast-to-serve but slow-to-drain request show up in
+    /// the ring with its tail attributed.
+    pub(crate) fn observe_drained<'a>(
+        &self,
+        records: impl Iterator<Item = &'a TraceRecord> + Clone,
+    ) {
+        self.total.record_all(records.clone().map(|r| r.total_ns));
+        // The phase rows this write touched, one bit per row.
+        let mut rows = 0u32;
+        for record in records.clone() {
+            rows |= 1 << msg_slot(record.msg_type);
+            if record.total_ns >= self.threshold_ns {
+                self.ring.push(*record);
+            }
+        }
+        while rows != 0 {
+            let row = rows.trailing_zeros() as usize;
+            rows &= rows - 1;
+            let of_row = records.clone().filter(|r| msg_slot(r.msg_type) == row);
+            let [ready, decode, handle, flush, flush_wait] = &self.phase[row];
+            ready.record_all(of_row.clone().map(|r| r.ready_ns));
+            decode.record_all(of_row.clone().map(|r| r.decode_ns));
+            handle.record_all(of_row.clone().map(|r| r.handle_ns));
+            flush.record_all(of_row.clone().map(|r| r.flush_ns));
+            flush_wait.record_all(of_row.map(|r| r.flush_wait_ns));
         }
     }
 
@@ -404,9 +432,15 @@ mod tests {
     fn zero_threshold_traces_everything_and_large_threshold_nothing() {
         let eager = test_telemetry(Duration::ZERO);
         let lazy = test_telemetry(Duration::from_secs(3600));
+        let drained = |t: &ServerTelemetry, device_hash| {
+            let mut record = t.observe_queued(0x03, device_hash, 5, 10, 20, 30, 0);
+            record.flush_wait_ns = 40;
+            record.total_ns += 40;
+            record
+        };
         for i in 0..5 {
-            eager.observe_drained(eager.observe_queued(0x03, i, 5, 10, 20, 30, 0), 40);
-            lazy.observe_drained(lazy.observe_queued(0x03, i, 5, 10, 20, 30, 0), 40);
+            eager.observe_drained([drained(&eager, i)].iter());
+            lazy.observe_drained([drained(&lazy, i)].iter());
         }
         assert_eq!(eager.trace_snapshot().records.len(), 5);
         assert_eq!(lazy.trace_snapshot().records.len(), 0);

@@ -19,7 +19,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ropuf_proto::{ErrorCode, FrameReader, FrameWriter, RequestRef, Response, WireFlagReason};
+use ropuf_proto::{
+    append_frame, ErrorCode, FrameError, FrameReader, FrameWriter, Request, RequestRef, Response,
+    WireFlagReason, MAX_FRAME,
+};
 use ropuf_server::{
     Client, EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TcpTransport,
     TrafficPlan, Transport, VerifierHandler,
@@ -409,4 +412,182 @@ fn loop_topology_does_not_change_the_byte_stream() {
             "pipelined bytes diverged under topology {key:?}"
         );
     }
+}
+
+/// One unit of a hostile pipelined burst.
+enum Piece {
+    /// A well-formed request frame.
+    Request(Request),
+    /// A complete frame whose payload does not decode.
+    Garbage(Vec<u8>),
+    /// A frame header declaring more than `MAX_FRAME` bytes.
+    Oversize,
+    /// The first `n` bytes of a request's frame, never completed.
+    Truncated(Request, usize),
+}
+
+impl Piece {
+    fn append_to(&self, wire: &mut Vec<u8>) {
+        match self {
+            Piece::Request(request) => append_frame(wire, &request.encode()).expect("fits"),
+            Piece::Garbage(payload) => append_frame(wire, payload).expect("fits"),
+            Piece::Oversize => {
+                wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+                wire.extend_from_slice(&[0x03; 24]);
+            }
+            Piece::Truncated(request, n) => {
+                let mut frame = Vec::new();
+                append_frame(&mut frame, &request.encode()).expect("fits");
+                wire.extend_from_slice(&frame[..*n]);
+            }
+        }
+    }
+}
+
+/// Per device: its auths pipelined in one burst with an `Enroll`, two
+/// `QueryVerdict`s and hostile bytes between them. Every burst but the
+/// clean ones breaks off at its hostile frame, with auths still behind
+/// it: an auth too short to carry an id, one that carries an enrolled
+/// id and then garbage (the look-ahead sees a real device), an unknown
+/// message type, or a forged oversize length right behind an auth.
+/// Clean bursts end in a truncated auth frame.
+fn hostile_bursts(plan: &TrafficPlan) -> Vec<Vec<Piece>> {
+    plan.devices
+        .iter()
+        .enumerate()
+        .map(|(i, device)| {
+            let auth = |k: usize| {
+                Request::Authenticate(device.requests[k % device.requests.len()].clone())
+            };
+            let newcomer = 1_000_000 + device.device_id;
+            let mut burst = vec![
+                Piece::Request(auth(0)),
+                Piece::Request(Request::Enroll {
+                    device_id: newcomer,
+                    scheme_tag: device.enrollment.scheme_tag,
+                    helper: device.enrollment.helper.clone(),
+                    key_digest: [i as u8; 32],
+                }),
+                Piece::Request(auth(1)),
+                Piece::Request(Request::QueryVerdict {
+                    device_id: device.device_id,
+                }),
+                Piece::Request(auth(2)),
+                Piece::Request(Request::QueryVerdict {
+                    device_id: newcomer,
+                }),
+            ];
+            let mut id_then_garbage = vec![0x03];
+            id_then_garbage.extend_from_slice(&device.device_id.to_le_bytes());
+            id_then_garbage.extend_from_slice(&[0xFF; 5]);
+            match i % 5 {
+                0 => burst.push(Piece::Garbage(vec![0x03, 1, 2])),
+                1 => burst.push(Piece::Garbage(id_then_garbage)),
+                2 => burst.push(Piece::Garbage(vec![0xEE, 0, 1, 2, 3, 4, 5, 6, 7, 8])),
+                3 => burst.push(Piece::Oversize),
+                _ => {}
+            }
+            burst.extend((3..device.requests.len()).map(|k| Piece::Request(auth(k))));
+            let tail = auth(0).encode().len() / 2;
+            burst.push(Piece::Truncated(auth(3), 4 + tail));
+            burst
+        })
+        .collect()
+}
+
+/// The loopback oracle's answers to one burst: every request up to
+/// the first hostile frame, then the typed error the server gives it;
+/// nothing for a truncated frame.
+fn loopback_answers(burst: &[Piece], transport: &mut LoopbackTransport) -> Vec<Vec<u8>> {
+    let malformed = |e: FrameError| Response::Error {
+        code: ErrorCode::MalformedRequest,
+        detail: e.to_string(),
+    };
+    let mut answers = Vec::new();
+    for piece in burst {
+        let answer = match piece {
+            Piece::Request(request) => transport.roundtrip(request).expect("loopback answers"),
+            Piece::Garbage(payload) => match transport.roundtrip_frame(payload) {
+                Err(e) => {
+                    answers.push(malformed(e).encode());
+                    break;
+                }
+                Ok(answer) => panic!("garbage decoded: {answer:?}"),
+            },
+            Piece::Oversize => {
+                answers.push(malformed(FrameError::Oversize(MAX_FRAME + 1)).encode());
+                break;
+            }
+            Piece::Truncated(..) => break,
+        };
+        answers.push(answer.encode());
+    }
+    answers
+}
+
+/// The lookahead reads the frame behind the one being served; the
+/// hostile bursts put every shape of frame there. The server's
+/// answers must still be the loopback oracle's, byte for byte: a hint
+/// never changes an answer, and a frame the hint peeked at is still
+/// judged whole when its turn comes.
+#[test]
+fn hostile_lookahead_bursts_are_byte_identical_to_loopback() {
+    let plan = TrafficPlan::build(&spec());
+    let bursts = hostile_bursts(&plan);
+
+    let mut transport = LoopbackTransport::new(enrolled_handler(&plan, 4));
+    let expected: Vec<Vec<Vec<u8>>> = bursts
+        .iter()
+        .map(|burst| loopback_answers(burst, &mut transport))
+        .collect();
+
+    let server = EventedServer::spawn(
+        "127.0.0.1:0",
+        enrolled_handler(&plan, 4),
+        EventedConfig::default(),
+    )
+    .expect("bind");
+    for (burst, expected) in bursts.iter().zip(&expected) {
+        let mut wire = Vec::new();
+        for piece in burst {
+            piece.append_to(&mut wire);
+        }
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream.write_all(&wire).expect("send burst");
+        let mut reader = FrameReader::new(stream);
+        let mut answers = Vec::new();
+        // Exactly the oracle's count: a clean burst's truncated tail
+        // keeps the connection open, so reading on would only wait.
+        for _ in 0..expected.len() {
+            answers.push(
+                reader
+                    .read_frame()
+                    .expect("read")
+                    .expect("server answers every complete frame"),
+            );
+        }
+        assert_eq!(&answers, expected, "burst of {} pieces", burst.len());
+        // A burst that broke off at a hostile frame ends there: the
+        // server closes after the typed error, answering nothing
+        // behind it.
+        let hostile = burst
+            .iter()
+            .any(|p| matches!(p, Piece::Garbage(_) | Piece::Oversize));
+        if hostile {
+            match reader.read_frame() {
+                Ok(None) => {}
+                Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("expected the server to close, got {other:?}"),
+            }
+        }
+    }
+    server.shutdown();
+    assert!(
+        expected.iter().map(Vec::len).sum::<usize>() > 6 * bursts.len(),
+        "every burst served its leading requests"
+    );
 }

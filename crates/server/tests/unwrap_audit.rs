@@ -19,8 +19,6 @@ const ALLOWED: &[&str] = &[
     // evented.rs: shutdown-waker registry; poisoning requires a prior
     // panic while holding the lock.
     r#".expect("waker list poisoned")"#,
-    // evented.rs: the front was checked non-empty on the previous line.
-    r#"let entry = self.pending_flush.pop_front().expect("front checked");"#,
     // resilient.rs: the connection was populated two lines above.
     r#"Ok(self.conn.as_mut().expect("just ensured"))"#,
     // store/mod.rs: the segment mutex, same poisoning argument.

@@ -209,21 +209,27 @@ impl TimerHistogram {
     /// then any free stripe, and only blocks (briefly, on a
     /// record-duration critical section) if every stripe is busy.
     pub fn record(&self, value: u64) {
+        self.with_stripe(|h| h.record(value));
+    }
+
+    /// Records every sample of `values` under one stripe lock — the
+    /// batch form of [`TimerHistogram::record`]. Records (and
+    /// allocates) nothing when `values` is empty.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_some() {
+            self.with_stripe(|h| values.for_each(|v| h.record(v)));
+        }
+    }
+
+    /// Runs `f` on a locked stripe: the thread's own, else any free
+    /// one, else the own one once it frees up.
+    fn with_stripe(&self, f: impl FnOnce(&mut Histogram)) {
         let own = stripe_index() % HIST_STRIPES;
-        let record = |stripe: &mut Option<Histogram>| {
-            stripe.get_or_insert_with(Histogram::new).record(value);
-        };
-        if let Ok(mut g) = self.stripes[own].try_lock() {
-            record(&mut g);
-            return;
-        }
-        for offset in 1..HIST_STRIPES {
-            if let Ok(mut g) = self.stripes[(own + offset) % HIST_STRIPES].try_lock() {
-                record(&mut g);
-                return;
-            }
-        }
-        record(&mut unpoison(&self.stripes[own]));
+        let locked = (0..HIST_STRIPES)
+            .find_map(|offset| self.stripes[(own + offset) % HIST_STRIPES].try_lock().ok());
+        let mut guard = locked.unwrap_or_else(|| unpoison(&self.stripes[own]));
+        f(guard.get_or_insert_with(Histogram::new));
     }
 
     /// Records a [`Duration`] in nanoseconds (saturating).
@@ -318,6 +324,24 @@ mod tests {
         assert_eq!(written(&hist), 1, "one thread writes one stripe");
         assert_eq!(hist.count(), 2);
         assert_eq!(hist.merged().count(), 2);
+    }
+
+    #[test]
+    fn record_all_equals_one_record_per_sample() {
+        let one_by_one = TimerHistogram::new();
+        let batched = TimerHistogram::new();
+        let samples = [0u64, 1, 7, 1_000, 1_000, 123_456_789, u64::MAX];
+        for &v in &samples {
+            one_by_one.record(v);
+        }
+        batched.record_all(samples);
+        assert_eq!(batched.merged(), one_by_one.merged());
+        let empty = TimerHistogram::new();
+        empty.record_all(std::iter::empty());
+        assert!(
+            empty.stripes.iter().all(|s| unpoison(s).is_none()),
+            "an empty batch allocates no stripe"
+        );
     }
 
     #[test]

@@ -87,6 +87,7 @@
 #![warn(missing_docs)]
 
 pub mod detector;
+mod index;
 mod prefetch;
 pub mod registry;
 pub mod service;

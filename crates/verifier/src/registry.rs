@@ -15,15 +15,19 @@
 //! # Entry layout: chunked slab + compact handles
 //!
 //! A shard is **not** a `HashMap<u64, DeviceEntry>`. Entries live in a
-//! per-shard slab indexed by a compact `u32` [`DeviceHandle`], and a
-//! side map resolves device id → handle. The slab grows in fixed-size
-//! chunks of [`SLAB_CHUNK`] entries, so growth never copies the entries
-//! already stored (a doubling `Vec` would briefly hold two copies of
-//! the shard, under its lock). The hot auth path resolves the handle
-//! once and then works on the slab slot; the id map stays small and
-//! dense — 12 bytes of key material per device instead of a map entry
-//! dragging the ~190-byte entry around — and batched authentication
-//! walks the slab instead of pointer-chasing a big map.
+//! per-shard slab indexed by a compact `u32` [`DeviceHandle`], and an
+//! open-addressed id index resolves device id → handle. The slab grows
+//! in fixed-size chunks of [`SLAB_CHUNK`] entries, so growth never
+//! copies the entries already stored (a doubling `Vec` would briefly
+//! hold two copies of the shard, under its lock). The hot auth path
+//! resolves the handle once and then works on the slab slot; the index
+//! stays small and dense — a 16-byte `(id, handle)` slot per device at
+//! a load of at most ¾ instead of a map entry dragging the ~190-byte
+//! entry around. Its hash is keyed once per registry, since ids come
+//! off the wire, and a lookup reads one slot whose address is known as
+//! soon as the id is hashed, so callers can prefetch it: the server
+//! asks for the next pipelined auth's slot
+//! ([`Verifier::prefetch`](crate::Verifier::prefetch)).
 //!
 //! # Persistence
 //!
@@ -37,8 +41,9 @@
 //!   before it is acknowledged, and crash recovery replays
 //!   latest-valid-snapshot + WAL tail.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::RandomState;
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -47,6 +52,7 @@ use ropuf_hash::HmacKey;
 use ropuf_numeric::splitmix64 as mix;
 
 use crate::detector::{AuthVerdict, DetectorConfig, DetectorState, FlagReason};
+use crate::index::IdIndex;
 use crate::store::snapshot::{self, SnapshotDevice, SnapshotV2Error};
 use crate::store::DeviceStore;
 
@@ -218,21 +224,28 @@ impl DeviceEntry {
 
 /// One shard: the chunked entry slab plus the id → handle index.
 /// Entries sit in enrollment order, handle `h` in chunk
-/// `h / SLAB_CHUNK`; the index map carries only `(u64, u32)` pairs.
-#[derive(Debug, Default)]
+/// `h / SLAB_CHUNK`; the index carries only `(u64, u32)` pairs.
+#[derive(Debug)]
 pub(crate) struct Shard {
     chunks: Vec<Vec<DeviceEntry>>,
-    index: HashMap<u64, DeviceHandle>,
+    index: IdIndex,
 }
 
 impl Shard {
+    fn new(hasher: RandomState) -> Self {
+        Self {
+            chunks: Vec::new(),
+            index: IdIndex::new(hasher),
+        }
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
     /// Resolves a device id to its slab handle.
     pub(crate) fn handle_of(&self, device_id: u64) -> Option<DeviceHandle> {
-        self.index.get(&device_id).copied()
+        self.index.get(device_id)
     }
 
     /// Direct slab access by handle (the post-resolution hot path).
@@ -248,24 +261,26 @@ impl Shard {
     }
 
     pub(crate) fn contains(&self, device_id: u64) -> bool {
-        self.index.contains_key(&device_id)
+        self.handle_of(device_id).is_some()
     }
 
-    /// Appends an entry to the slab and indexes it, opening a new chunk
-    /// when the last one is full. The caller has already rejected
-    /// duplicates.
-    fn insert(&mut self, entry: DeviceEntry) -> DeviceHandle {
+    /// Indexes an entry and appends it to the slab, opening a new chunk
+    /// when the last one is full. `false`, dropping the entry, when the
+    /// shard already holds its device.
+    fn insert(&mut self, entry: DeviceEntry) -> bool {
         let len = self.index.len();
         let handle = DeviceHandle::try_from(len).expect("shard slab exceeds u32 handles");
+        if !self.index.insert(entry.device_id, handle) {
+            return false;
+        }
         if len.is_multiple_of(SLAB_CHUNK) {
             self.chunks.push(Vec::with_capacity(SLAB_CHUNK));
         }
-        self.index.insert(entry.device_id, handle);
         self.chunks
             .last_mut()
             .expect("a chunk with room")
             .push(entry);
-        handle
+        true
     }
 
     /// Iterates the slab in enrollment order.
@@ -289,8 +304,13 @@ impl ShardedRegistry {
     /// to 1). Every enrolled device is judged with `detector_config`.
     pub fn new(shards: usize, detector_config: DetectorConfig) -> Self {
         let n = shards.max(1);
+        // One hash key per registry: ids come off the wire, so the
+        // index must not hash them predictably.
+        let hasher = RandomState::new();
         Self {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..n)
+                .map(|_| Mutex::new(Shard::new(hasher.clone())))
+                .collect(),
             detector_config,
             store: None,
         }
@@ -374,16 +394,20 @@ impl ShardedRegistry {
     fn insert_one(&self, entry: DeviceEntry, log: bool) -> Result<(), RegistryError> {
         let device_id = entry.device_id;
         let mut shard = self.lock(self.shard_of(device_id));
-        if shard.contains(device_id) {
-            return Err(RegistryError::Duplicate { device_id });
-        }
         if let Some(store) = self.store.as_ref().filter(|_| log) {
+            // Only a new device reaches the log.
+            if shard.contains(device_id) {
+                return Err(RegistryError::Duplicate { device_id });
+            }
             store
                 .log_enrolls(std::iter::once((device_id, entry.record)))
                 .map_err(|e| RegistryError::Storage(e.to_string()))?;
         }
-        shard.insert(entry);
-        Ok(())
+        if shard.insert(entry) {
+            Ok(())
+        } else {
+            Err(RegistryError::Duplicate { device_id })
+        }
     }
 
     /// Enrolls a whole batch, locking each shard **once** per batch
@@ -460,7 +484,8 @@ impl ShardedRegistry {
             }
             shard.index.reserve(staged.len());
             for (_, entry) in staged.drain(..) {
-                shard.insert(entry);
+                let fresh = shard.insert(entry);
+                debug_assert!(fresh, "duplicates were filtered above");
             }
         }
         results
@@ -506,6 +531,15 @@ impl ShardedRegistry {
     pub(crate) fn log_flag(&self, device_id: u64, at: u64, reason: FlagReason) {
         if let Some(store) = &self.store {
             store.log_flag_best_effort(device_id, at, reason);
+        }
+    }
+
+    /// Asks for the index line a lookup of `device_id` will read,
+    /// under its shard lock. Changes no state. A hint, so it never
+    /// waits: a shard that is held elsewhere (or poisoned) is skipped.
+    pub(crate) fn prefetch(&self, device_id: u64) {
+        if let Ok(shard) = self.shards[self.shard_of(device_id)].try_lock() {
+            shard.index.prefetch(device_id);
         }
     }
 
@@ -587,11 +621,32 @@ impl ShardedRegistry {
         detector_config: DetectorConfig,
     ) -> Result<Self, SnapshotV2Error> {
         let decoded = snapshot::decode(bytes)?;
-        let registry = Self::new(decoded.shards, detector_config);
-        for device in decoded.devices {
+        Self::restore(decoded, detector_config).map_err(SnapshotV2Error::DuplicateDevice)
+    }
+
+    /// A registry holding a decoded snapshot's devices, each shard's
+    /// index sized once for its share before the inserts (so a cold
+    /// start never rehashes a growing table).
+    ///
+    /// # Errors
+    ///
+    /// The id of a device that appears twice.
+    pub(crate) fn restore(
+        snapshot: snapshot::SnapshotV2,
+        detector_config: DetectorConfig,
+    ) -> Result<Self, u64> {
+        let registry = Self::new(snapshot.shards, detector_config);
+        let mut share = vec![0usize; registry.shard_count()];
+        for device in &snapshot.devices {
+            share[registry.shard_of(device.device_id)] += 1;
+        }
+        for (shard_index, n) in share.into_iter().enumerate() {
+            registry.lock(shard_index).index.reserve(n);
+        }
+        for device in snapshot.devices {
             registry
                 .enroll_recovered(device.device_id, device.record, device.flag)
-                .map_err(|_| SnapshotV2Error::DuplicateDevice(device.device_id))?;
+                .map_err(|_| device.device_id)?;
         }
         Ok(registry)
     }
@@ -691,6 +746,71 @@ mod tests {
         for id in 0..16u64 {
             assert_eq!(pre.record(id), seq.record(id), "device {id}");
         }
+    }
+
+    #[test]
+    fn enroll_batch_and_restore_size_each_shard_table_for_its_own_share() {
+        // A batch reserves each shard's table for the entries that
+        // shard accepts, once, before inserting them, and a snapshot
+        // restore reserves for each shard's share of the snapshot (the
+        // index's reserve test pins that the inserts then never regrow
+        // it), so every table ends at the smallest size its population
+        // needs.
+        let r = ShardedRegistry::new(4, DetectorConfig::default());
+        r.enroll(1 << 40, record(1)).unwrap();
+        let batch: Vec<(u64, EnrollmentRecord)> =
+            (0..5000u64).map(|id| (id, record(id as u8))).collect();
+        assert!(r.enroll_batch(batch).iter().all(Result::is_ok));
+        let restored =
+            ShardedRegistry::from_snapshot_v2(&r.snapshot_v2(), DetectorConfig::default()).unwrap();
+        for registry in [&r, &restored] {
+            for i in 0..registry.shard_count() {
+                let shard = registry.lock(i);
+                assert_eq!(
+                    shard.index.capacity(),
+                    crate::index::slots_for(shard.len()),
+                    "shard {i} holds {} entries",
+                    shard.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_skips_a_held_or_poisoned_shard_instead_of_waiting() {
+        let r = Arc::new(ShardedRegistry::new(2, DetectorConfig::default()));
+        r.enroll(7, record(7)).unwrap();
+        // Held elsewhere: the hint returns at once (a waiting hint
+        // would block until this guard drops, after the timeout).
+        let held = r.lock(r.shard_of(7));
+        let (done, hinted) = std::sync::mpsc::channel();
+        let hinter = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                r.prefetch(7);
+                done.send(()).unwrap();
+            })
+        };
+        assert!(
+            hinted
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .is_ok(),
+            "prefetch waited on a held shard lock"
+        );
+        drop(held);
+        hinter.join().unwrap();
+        // Poisoned: the hint neither panics nor changes anything.
+        let poisoner = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                let _guard = r.lock(r.shard_of(7));
+                panic!("poison the shard");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        r.prefetch(7);
+        r.prefetch(8);
+        assert_eq!(r.shards.iter().filter(|s| s.is_poisoned()).count(), 1);
     }
 
     #[test]

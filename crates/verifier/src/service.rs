@@ -499,6 +499,16 @@ impl Verifier {
         }
     }
 
+    /// Asks the CPU for the index line that an upcoming
+    /// authentication of `device_id` will read first. Changes nothing
+    /// and never waits: it takes the device's shard lock only when the
+    /// lock is free. A server calls it for the next pipelined request
+    /// before it serves the current one, so the line arrives while the
+    /// current request hashes.
+    pub fn prefetch(&self, device_id: u64) {
+        self.registry.prefetch(device_id);
+    }
+
     /// Monitoring entry for closed-loop scenarios where an application
     /// gateway already established whether the response verified (e.g.
     /// the campaign engine observing an attack's oracle traffic):
@@ -544,7 +554,10 @@ impl Verifier {
     /// the step asks for the entry's lines first, digests the presented
     /// helper (which reads no registry state) while they arrive, then
     /// asks for the rate window's lines, reachable only through the
-    /// entry, and verifies the tag while those arrive.
+    /// entry, and verifies the tag while those arrive. The id index
+    /// slot that led to the entry can be asked for one request earlier
+    /// by the caller: the server does so for the next pipelined frame
+    /// ([`Verifier::prefetch`]).
     fn judge(
         config: &DetectorConfig,
         entry: &mut DeviceEntry,

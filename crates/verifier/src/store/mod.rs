@@ -622,12 +622,8 @@ pub fn recover(
     let (registry, snapshot_seq) = match base {
         Some((seq, snap)) => {
             report.snapshot_seq = Some(seq);
-            let registry = ShardedRegistry::new(snap.shards, detector_config);
-            for device in snap.devices {
-                registry
-                    .enroll_recovered(device.device_id, device.record, device.flag)
-                    .expect("decoded snapshot ids are strictly ascending");
-            }
+            let registry = ShardedRegistry::restore(snap, detector_config)
+                .expect("decoded snapshot ids are strictly ascending");
             (registry, seq)
         }
         None => (ShardedRegistry::new(default_shards, detector_config), 0),
