@@ -36,12 +36,12 @@
 //! | → | [`Request::Authenticate`] | one nonce/tag attempt |
 //! | → | [`Request::BatchAuthenticate`] | many attempts, amortized locking |
 //! | → | [`Request::QueryVerdict`] | a device's flag state |
-//! | → | [`Request::SnapshotV2`] | binary registry snapshot |
-//! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`], [`Response::SnapshotBin`] | success answers |
+//! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`] | success answers |
 //! | ← | [`Response::Error`] | typed failure ([`ErrorCode`]) — notably [`ErrorCode::DeviceFlagged`]: quarantined devices are rejected at the wire |
 //!
-//! Type bytes `0x06`/`0x86` (a JSON registry snapshot) and `0x0A`/`0x8A`
-//! (a time-series history dump) are retired and decode as
+//! Type bytes `0x06`/`0x86` (a JSON registry snapshot), `0x07`/`0x87`
+//! (the binary registry snapshot) and `0x0A`/`0x8A` (a time-series
+//! history dump) are retired and decode as
 //! [`DecodeError::UnknownMessage`].
 //!
 //! # Example

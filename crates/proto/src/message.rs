@@ -27,8 +27,8 @@ mod ty {
     pub const AUTHENTICATE: u8 = 0x03;
     pub const BATCH_AUTHENTICATE: u8 = 0x04;
     pub const QUERY_VERDICT: u8 = 0x05;
-    // 0x06 (a JSON registry snapshot) is retired.
-    pub const SNAPSHOT_V2: u8 = 0x07;
+    // 0x06 (a JSON registry snapshot) and 0x07 (the binary registry
+    // snapshot) are retired.
     pub const METRICS_SNAPSHOT: u8 = 0x08;
     pub const TRACE_DUMP: u8 = 0x09;
     // 0x0A (a time-series history dump) is retired.
@@ -38,8 +38,7 @@ mod ty {
     pub const VERDICT: u8 = 0x83;
     pub const VERDICT_BATCH: u8 = 0x84;
     pub const FLAG_INFO: u8 = 0x85;
-    // 0x86 (the JSON snapshot answer) is retired.
-    pub const SNAPSHOT_BIN: u8 = 0x87;
+    // 0x86 and 0x87 (the two snapshot answers) are retired.
     pub const METRICS_BIN: u8 = 0x88;
     pub const TRACE_BIN: u8 = 0x89;
     // 0x8A (the time-series answer) is retired.
@@ -311,21 +310,14 @@ pub enum Request {
         /// Device to look up.
         device_id: u64,
     },
-    /// Ask for the binary registry snapshot (the compact,
-    /// CRC-protected, flag-preserving format the verifier's store
-    /// writes).
-    SnapshotV2,
     /// Ask for a `ropuf-metrics/v1` telemetry snapshot covering every
     /// instrumented layer behind this connection (server + verifier).
     MetricsSnapshot,
     /// Ask for the server's slow-request trace ring as a
     /// `ropuf-trace/v1` blob.
     TraceDump,
-    /// Ask which event loop owns this connection. The evented server
-    /// answers with the accepting loop's id; loopback answers
-    /// `(0, 1)`. Topology-aware clients use this to route a device's
-    /// traffic to a connection on the loop that owns the device's
-    /// registry shard.
+    /// Ask which event loop owns this connection, out of how many.
+    /// The server runs one loop, so the answer is `(0, 1)`.
     LoopInfo,
 }
 
@@ -357,7 +349,6 @@ impl Request {
             Request::QueryVerdict { device_id } => RequestRef::QueryVerdict {
                 device_id: *device_id,
             },
-            Request::SnapshotV2 => RequestRef::SnapshotV2,
             Request::MetricsSnapshot => RequestRef::MetricsSnapshot,
             Request::TraceDump => RequestRef::TraceDump,
             Request::LoopInfo => RequestRef::LoopInfo,
@@ -443,8 +434,6 @@ pub enum RequestRef<'a> {
         /// Device to look up.
         device_id: u64,
     },
-    /// See [`Request::SnapshotV2`].
-    SnapshotV2,
     /// See [`Request::MetricsSnapshot`].
     MetricsSnapshot,
     /// See [`Request::TraceDump`].
@@ -477,7 +466,6 @@ impl<'a> RequestRef<'a> {
                 items: items.iter().map(AuthItemRef::to_owned).collect(),
             },
             RequestRef::QueryVerdict { device_id } => Request::QueryVerdict { device_id },
-            RequestRef::SnapshotV2 => Request::SnapshotV2,
             RequestRef::MetricsSnapshot => Request::MetricsSnapshot,
             RequestRef::TraceDump => Request::TraceDump,
             RequestRef::LoopInfo => Request::LoopInfo,
@@ -522,7 +510,6 @@ impl<'a> RequestRef<'a> {
                 out.put_u8(ty::QUERY_VERDICT);
                 out.put_u64(*device_id);
             }
-            RequestRef::SnapshotV2 => out.put_u8(ty::SNAPSHOT_V2),
             RequestRef::MetricsSnapshot => out.put_u8(ty::METRICS_SNAPSHOT),
             RequestRef::TraceDump => out.put_u8(ty::TRACE_DUMP),
             RequestRef::LoopInfo => out.put_u8(ty::LOOP_INFO),
@@ -576,7 +563,6 @@ impl<'a> RequestRef<'a> {
             ty::QUERY_VERDICT => RequestRef::QueryVerdict {
                 device_id: r.u64()?,
             },
-            ty::SNAPSHOT_V2 => RequestRef::SnapshotV2,
             ty::METRICS_SNAPSHOT => RequestRef::MetricsSnapshot,
             ty::TRACE_DUMP => RequestRef::TraceDump,
             ty::LOOP_INFO => RequestRef::LoopInfo,
@@ -605,8 +591,8 @@ pub enum ErrorCode {
     /// The frame decoded to no valid request.
     MalformedRequest,
     /// The server produced a response that exceeds the frame cap
-    /// (e.g. a registry snapshot past `MAX_FRAME`); the request was
-    /// served but the answer cannot travel this protocol revision.
+    /// (e.g. a handler's metrics blob past `MAX_FRAME`); the request
+    /// was served but the answer cannot travel this protocol revision.
     ResponseTooLarge,
     /// The server could not serve a well-formed request for an
     /// internal reason — e.g. its durable write-ahead log rejected an
@@ -706,16 +692,9 @@ pub enum Response {
         /// device is enrolled and unflagged.
         flagged: Option<(u64, WireFlagReason)>,
     },
-    /// The binary registry snapshot. The payload is
-    /// opaque to the wire layer — it is the self-validating (magic +
-    /// version + CRC) blob the verifier's store module defines.
-    SnapshotBin {
-        /// The snapshot bytes.
-        bytes: Vec<u8>,
-    },
     /// A `ropuf-metrics/v1` telemetry snapshot. Opaque to the wire
-    /// layer, like [`Response::SnapshotBin`]: the blob carries its own
-    /// magic, version and CRC (see `ropuf_telemetry::codec`).
+    /// layer: the blob carries its own magic, version and CRC (see
+    /// `ropuf_telemetry::codec`).
     MetricsBin {
         /// The metrics blob.
         bytes: Vec<u8>,
@@ -730,8 +709,7 @@ pub enum Response {
     LoopInfoOk {
         /// Id of the loop that owns this connection (`0`-based).
         loop_id: u32,
-        /// Total event loops the server runs (`1` for single-threaded
-        /// backends).
+        /// Total event loops the server runs.
         loops: u32,
     },
     /// Typed failure.
@@ -788,10 +766,6 @@ impl Response {
                         out.put_u8(reason.code());
                     }
                 }
-            }
-            Response::SnapshotBin { bytes } => {
-                out.put_u8(ty::SNAPSHOT_BIN);
-                out.put_bytes(bytes);
             }
             Response::MetricsBin { bytes } => {
                 out.put_u8(ty::METRICS_BIN);
@@ -851,12 +825,9 @@ impl Response {
                     }
                 },
             },
-            ty::SNAPSHOT_BIN => Response::SnapshotBin {
-                // Snapshots may legitimately exceed MAX_BYTES; the
-                // frame-size cap is the allocation bound here.
-                bytes: r.bytes("snapshot_v2", crate::frame::MAX_FRAME as usize)?,
-            },
             ty::METRICS_BIN => Response::MetricsBin {
+                // Blobs may legitimately exceed MAX_BYTES; the
+                // frame-size cap is the allocation bound here.
                 bytes: r.bytes("metrics", crate::frame::MAX_FRAME as usize)?,
             },
             ty::TRACE_BIN => Response::TraceBin {
@@ -938,7 +909,6 @@ mod tests {
                 ],
             },
             Request::QueryVerdict { device_id: 1 },
-            Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
             Request::LoopInfo,
@@ -968,9 +938,6 @@ mod tests {
             Response::FlagInfo {
                 flagged: Some((77, WireFlagReason::FailureStreak)),
             },
-            Response::SnapshotBin {
-                bytes: b"RPUFSNP2\x02\x00rest-is-opaque-here".to_vec(),
-            },
             Response::MetricsBin {
                 bytes: b"RPUFMET1\x01\x00opaque-to-this-layer".to_vec(),
             },
@@ -998,15 +965,15 @@ mod tests {
             Request::decode(&[0x7F]),
             Err(DecodeError::UnknownMessage(0x7F))
         );
-        // The retired JSON snapshot and time-series pairs decode as
+        // The retired snapshot and time-series pairs decode as
         // unknown.
-        for retired in [0x06, 0x0A] {
+        for retired in [0x06, 0x07, 0x0A] {
             assert_eq!(
                 Request::decode(&[retired]),
                 Err(DecodeError::UnknownMessage(retired))
             );
         }
-        for retired in [0x86, 0x8A] {
+        for retired in [0x86, 0x87, 0x8A] {
             assert_eq!(
                 Response::decode(&[retired, 0, 0, 0, 0]),
                 Err(DecodeError::UnknownMessage(retired))

@@ -67,7 +67,6 @@ proptest! {
             },
             Request::QueryVerdict { device_id },
             Request::LoopInfo,
-            Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
         ];
@@ -126,7 +125,6 @@ proptest! {
             Response::VerdictBatch(shapes.iter().map(|&s| verdict_from(s)).collect()),
             Response::FlagInfo { flagged: None },
             Response::FlagInfo { flagged: Some((at, reason_from(reason_code))) },
-            Response::SnapshotBin { bytes: blob.clone() },
             Response::MetricsBin { bytes: blob.clone() },
             Response::TraceBin { bytes: blob },
             Response::Error {
@@ -163,7 +161,6 @@ proptest! {
             },
             Request::Hello { protocol: seed as u16, client: format!("c{seed}") },
             Request::LoopInfo,
-            Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
         ];

@@ -41,7 +41,7 @@ pub enum RequestClass {
     Mutate,
     /// `QueryVerdict` — point lookups, shed at brown-out.
     Verdict,
-    /// Snapshots and observability dumps — shed first at brown-out.
+    /// Metrics scrapes and trace dumps — shed first at brown-out.
     Scrape,
     /// `Hello` and unclassifiable bytes — handshakes are admitted
     /// always (they are how a client learns who it is talking to),
@@ -58,7 +58,7 @@ impl RequestClass {
             0x03 | 0x04 => RequestClass::Auth,
             0x02 => RequestClass::Mutate,
             0x05 => RequestClass::Verdict,
-            0x07..=0x09 => RequestClass::Scrape,
+            0x08 | 0x09 => RequestClass::Scrape,
             _ => RequestClass::Other,
         }
     }
@@ -156,7 +156,7 @@ impl Default for OverloadPolicy {
 }
 
 /// The server's admission gate: the policy and the shed counters.
-/// Shareable across event loops; a decision compares the pressure
+/// Shareable across threads; a decision compares the pressure
 /// against the two thresholds.
 #[derive(Debug)]
 pub struct Admission {
@@ -221,13 +221,14 @@ mod tests {
         assert_eq!(RequestClass::of(0x04), RequestClass::Auth);
         assert_eq!(RequestClass::of(0x02), RequestClass::Mutate);
         assert_eq!(RequestClass::of(0x05), RequestClass::Verdict);
-        for scrape in 0x07..=0x09 {
+        for scrape in [0x08, 0x09] {
             assert_eq!(RequestClass::of(scrape), RequestClass::Scrape);
         }
         // Retired bytes are garbage now: rejected by the decoder, not
         // shed.
-        assert_eq!(RequestClass::of(0x06), RequestClass::Other);
-        assert_eq!(RequestClass::of(0x0A), RequestClass::Other);
+        for retired in [0x06, 0x07, 0x0A] {
+            assert_eq!(RequestClass::of(retired), RequestClass::Other);
+        }
         assert_eq!(RequestClass::of(0x01), RequestClass::Other);
         // LoopInfo is topology discovery, admitted like the handshake.
         assert_eq!(RequestClass::of(0x0B), RequestClass::Other);

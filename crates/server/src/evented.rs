@@ -1,9 +1,9 @@
-//! The event-driven TCP serving surface: epoll readiness loops driving
-//! per-connection state machines.
+//! The event-driven TCP serving surface: one epoll readiness loop
+//! driving per-connection state machines.
 //!
 //! ```text
-//!   event loop 0 .. N-1 (std::thread each, own epoll instance,
-//!                        own SO_REUSEPORT accept queue)
+//!   the event loop (one std::thread, one epoll instance,
+//!                   one listener with a 1,024-deep accept queue)
 //!   ┌────────────────────────────────────────────────────────────┐
 //!   │ epoll_wait ──▶ listener readable?  accept until WouldBlock │
 //!   │           ──▶ waker readable?      drain, re-check flags   │
@@ -27,12 +27,12 @@
 //!   │       ▼                                                    │
 //!   │   nothing buffered: the read buffer goes back              │
 //!   └────────────────────────────────────────────────────────────┘
-//!        │ all loops share one Arc<dyn RequestHandler>
+//!        │ one Arc<dyn RequestHandler>
 //!        ▼
 //!   shared Verifier (per-shard locks)
 //! ```
 //!
-//! The server multiplexes **thousands of connections per loop
+//! The server multiplexes **thousands of connections on its one loop
 //! thread**: each connection is a small state machine that only runs
 //! when the kernel says its socket is ready. Connections support
 //! pipelining (many requests in flight back-to-back on one socket;
@@ -49,12 +49,12 @@
 //! These mechanisms keep the p999 flat when thousands of connections
 //! are held open, and the per-frame cost low when they pipeline:
 //!
-//! * **Per-loop accept queues** — with [`EventedConfig::reuseport`]
-//!   (the default on IPv4) every loop binds its own `SO_REUSEPORT`
-//!   listener, so the kernel shards incoming connections across loops
-//!   and an accept never wakes more than one thread.
+//! * **A deep accept queue** — the listener queues up to
+//!   [`LISTEN_BACKLOG`](crate::sys::net::LISTEN_BACKLOG) connections,
+//!   not `std`'s 128, so a connect storm waits for the loop to accept
+//!   it instead of for the kernel's SYN retransmit.
 //! * **Per-readiness I/O** — syscalls are paid per readiness, not per
-//!   frame. Each loop owns one 64 KiB read buffer and lends it to the
+//!   frame. The loop owns one 64 KiB read buffer and lends it to the
 //!   connection it is servicing; the connection's [`FrameAccum`]
 //!   reads a pipelined burst in one `read` and serves every frame
 //!   already buffered without another. Responses are appended to one
@@ -71,13 +71,6 @@
 //!   line its lookup needs loads while the current frame is served. A
 //!   hint changes no answer and never waits on a lock; it fires only
 //!   when frames queue up.
-//! * **Loop-affine sharding** — clients that ask
-//!   [`Request::LoopInfo`](ropuf_proto::Request::LoopInfo) per
-//!   connection can steer a device's traffic to the loop its registry
-//!   shard folds onto (`shard % loops`); the `server.affinity`
-//!   counters measure how well they steered. Cross-loop requests are
-//!   served identically — affinity is an optimization, never a
-//!   correctness requirement.
 //!
 //! Protocol semantics are **identical** to the in-process
 //! [`LoopbackTransport`](crate::LoopbackTransport), the semantic
@@ -86,16 +79,15 @@
 //! with a typed [`ErrorCode::MalformedRequest`] before the connection
 //! closes, and oversized responses degrade to
 //! [`ErrorCode::ResponseTooLarge`]. The equivalence suite replays
-//! identical traffic through the server — in every loop/reuseport
-//! topology — and through loopback, and asserts bit-for-bit identical
-//! response bytes.
+//! identical traffic through the server and through loopback, and
+//! asserts bit-for-bit identical response bytes.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,7 +95,7 @@ use ropuf_proto::{
     append_frame, ErrorCode, FrameAccum, FrameError, FramePoll, RequestRef, Response,
 };
 
-use ropuf_telemetry::{Counter, TraceRecord};
+use ropuf_telemetry::TraceRecord;
 
 use crate::admission::{evented_pressure, Admission, OverloadPolicy, RequestClass};
 use crate::handler::RequestHandler;
@@ -115,16 +107,6 @@ use crate::telemetry::{elapsed_ns, request_device_hash, LaneStats, ServerTelemet
 /// the production shape; tests shrink the timeouts to milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventedConfig {
-    /// Event-loop threads. Each owns an epoll instance; accepted
-    /// connections stay on the loop that accepted them. `0` is
-    /// promoted to 1.
-    pub loops: usize,
-    /// Give every loop its own `SO_REUSEPORT` accept queue (IPv4
-    /// only): the kernel shards incoming connections across loops and
-    /// an accept wakes exactly one thread. When off — or when the
-    /// address is IPv6, or the reuseport bind is refused — all loops
-    /// fall back to sharing one listener.
-    pub reuseport: bool,
     /// A connection with no complete frame for this long — and no
     /// frame in progress — is evicted.
     pub idle_timeout: Duration,
@@ -158,8 +140,6 @@ pub struct EventedConfig {
 impl Default for EventedConfig {
     fn default() -> Self {
         Self {
-            loops: 1,
-            reuseport: true,
             idle_timeout: Duration::from_secs(60),
             frame_timeout: Duration::from_secs(10),
             max_write_buffer: 1024 * 1024,
@@ -176,17 +156,17 @@ struct Shared {
     stop: AtomicBool,
     /// Force stop: close everything now.
     force: AtomicBool,
-    /// Aggregate serving counters, phase histograms, and the
-    /// slow-request ring, shared by all loops.
+    /// Serving counters, phase histograms, and the slow-request ring.
     telemetry: Arc<ServerTelemetry>,
-    /// Admission gate (policy + shed tallies), shared by all loops.
+    /// Admission gate (policy + shed tallies).
     admission: Admission,
-    /// Write halves of each loop's waker pipe.
-    wakers: Mutex<Vec<UnixStream>>,
+    /// Write half of the loop's waker pair: a byte here wakes the loop
+    /// to re-check the stop flags.
+    waker: UnixStream,
 }
 
 impl Shared {
-    fn new(config: &EventedConfig) -> Self {
+    fn new(config: &EventedConfig, waker: UnixStream) -> Self {
         let telemetry = ServerTelemetry::new(config.slow_trace_threshold, config.trace_capacity);
         let admission = Admission::new(config.overload, &telemetry);
         Self {
@@ -194,7 +174,7 @@ impl Shared {
             force: AtomicBool::new(false),
             telemetry,
             admission,
-            wakers: Mutex::new(Vec::new()),
+            waker,
         }
     }
 }
@@ -202,124 +182,43 @@ impl Shared {
 /// A running event-driven TCP server.
 ///
 /// Dropping the handle without calling [`EventedServer::shutdown`] /
-/// [`EventedServer::force_shutdown`] leaks the loop threads until
+/// [`EventedServer::force_shutdown`] leaks the loop thread until
 /// process exit.
 #[derive(Debug)]
 pub struct EventedServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-/// Binds one listener per loop. With `reuseport` on and an IPv4
-/// address, every loop gets its **own** kernel accept queue on the
-/// same address; otherwise (reuseport off, IPv6, or the reuseport
-/// bind refused) one listener is bound and cloned per loop.
-fn bind_listeners(
-    addr: &impl ToSocketAddrs,
-    loops: usize,
-    reuseport: bool,
-) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
-    if reuseport {
-        let v4 = addr.to_socket_addrs()?.find_map(|a| match a {
-            SocketAddr::V4(v4) => Some(v4),
-            SocketAddr::V6(_) => None,
-        });
-        if let Some(v4) = v4 {
-            if let Ok(first) = net::bind_reuseport(v4) {
-                // Port 0 resolves on the first bind; the siblings join
-                // the same reuseport group on the resolved port.
-                let local = first.local_addr()?;
-                if let SocketAddr::V4(resolved) = local {
-                    let mut listeners = vec![first];
-                    for _ in 1..loops {
-                        listeners.push(net::bind_reuseport(resolved)?);
-                    }
-                    return Ok((listeners, local));
-                }
-            }
-            // Refused (exotic kernel / container policy): take the
-            // shared-listener path below — correctness is identical,
-            // only accept scalability differs.
-        }
-    }
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let mut listeners = Vec::with_capacity(loops);
-    for _ in 1..loops {
-        listeners.push(listener.try_clone()?);
-    }
-    listeners.push(listener);
-    Ok((listeners, local))
+    thread: JoinHandle<()>,
 }
 
 impl EventedServer {
-    /// Binds `addr` (port 0 = ephemeral) and starts `config.loops`
-    /// event-loop threads — each owning its own `SO_REUSEPORT` accept
-    /// queue when [`EventedConfig::reuseport`] applies, sharing one
-    /// listener otherwise.
+    /// Binds `addr` (port 0 = ephemeral) and starts the event-loop
+    /// thread.
     ///
     /// # Errors
     ///
-    /// Propagates bind / epoll-creation / waker-creation failures.
+    /// Propagates bind / epoll-creation / waker-creation / thread-spawn
+    /// failures; nothing is left running after one.
     pub fn spawn(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn RequestHandler>,
         config: EventedConfig,
     ) -> io::Result<Self> {
-        let loops = config.loops.max(1);
-        let (listeners, local_addr) = bind_listeners(&addr, loops, config.reuseport)?;
-        let shared = Arc::new(Shared::new(&config));
-
-        // A failure partway through (a pair or spawn error) must not
-        // leak the loops already running, so fallible setup is
-        // collected and unwound explicitly.
-        let mut threads = Vec::new();
-        for (loop_id, listener) in listeners.into_iter().enumerate() {
-            let setup = (|| -> io::Result<(UnixStream, UnixStream)> {
-                let (wake_tx, wake_rx) = UnixStream::pair()?;
-                wake_rx.set_nonblocking(true)?;
-                wake_tx.set_nonblocking(true)?;
-                Ok((wake_tx, wake_rx))
-            })();
-            let (wake_tx, wake_rx) = match setup {
-                Ok(parts) => parts,
-                Err(e) => {
-                    Self::stop_loops(&shared, &mut threads, true);
-                    return Err(e);
-                }
-            };
-            shared
-                .wakers
-                .lock()
-                .expect("waker list poisoned")
-                .push(wake_tx);
-            let loop_shared = Arc::clone(&shared);
-            let handler = Arc::clone(&handler);
-            let spawned = std::thread::Builder::new()
-                .name(format!("evented-loop-{loop_id}"))
-                .spawn(move || {
-                    let mut event_loop =
-                        match EventLoop::new(listener, wake_rx, config, loop_id as u32) {
-                            Ok(event_loop) => event_loop,
-                            Err(e) => panic!("event loop {loop_id} failed to initialize: {e}"),
-                        };
-                    event_loop.run(handler.as_ref(), &loop_shared);
-                });
-            match spawned {
-                Ok(thread) => threads.push(thread),
-                Err(e) => {
-                    Self::stop_loops(&shared, &mut threads, true);
-                    return Err(e);
-                }
-            }
-        }
-
+        let listener = net::bind_listener(addr)?;
+        let local_addr = listener.local_addr()?;
+        let (waker, wake_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let mut event_loop = EventLoop::new(listener, wake_rx, config)?;
+        let shared = Arc::new(Shared::new(&config, waker));
+        let loop_shared = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("evented-loop".into())
+            .spawn(move || event_loop.run(handler.as_ref(), &loop_shared))?;
         Ok(Self {
             local_addr,
             shared,
-            threads,
+            thread,
         })
     }
 
@@ -328,7 +227,7 @@ impl EventedServer {
         self.local_addr
     }
 
-    /// Connections currently established across all loops.
+    /// Connections currently established.
     pub fn open_connections(&self) -> usize {
         usize::try_from(self.shared.telemetry.open_connections()).unwrap_or(usize::MAX)
     }
@@ -354,39 +253,30 @@ impl EventedServer {
         &self.shared.telemetry
     }
 
-    /// Flags the loops to stop (skipping the drain window when
-    /// `force`), wakes them, and joins `threads`. Shared by both
-    /// shutdown flavors and the spawn-failure unwind.
-    fn stop_loops(shared: &Shared, threads: &mut Vec<JoinHandle<()>>, force: bool) {
+    /// Flags the loop to stop (skipping the drain window when
+    /// `force`), wakes it, and joins its thread. Shared by both
+    /// shutdown flavors.
+    fn stop(self, force: bool) {
         if force {
-            shared.force.store(true, Ordering::SeqCst);
+            self.shared.force.store(true, Ordering::SeqCst);
         }
-        shared.stop.store(true, Ordering::SeqCst);
-        for waker in shared
-            .wakers
-            .lock()
-            .expect("waker list poisoned")
-            .iter_mut()
-        {
-            let _ = waker.write(&[1]);
-        }
-        for t in threads.drain(..) {
-            let _ = t.join();
-        }
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let _ = (&self.shared.waker).write(&[1]);
+        let _ = self.thread.join();
     }
 
     /// Graceful shutdown: stops accepting, flushes every buffered
     /// response, closes each connection once its write buffer drains,
     /// force-closes whatever remains after one second, and joins the
-    /// loop threads.
-    pub fn shutdown(mut self) {
-        Self::stop_loops(&self.shared, &mut self.threads, false);
+    /// loop thread.
+    pub fn shutdown(self) {
+        self.stop(false);
     }
 
     /// Immediate shutdown: every open connection is closed now,
     /// mid-exchange peers see EOF/reset.
-    pub fn force_shutdown(mut self) {
-        Self::stop_loops(&self.shared, &mut self.threads, true);
+    pub fn force_shutdown(self) {
+        self.stop(true);
     }
 }
 
@@ -537,7 +427,7 @@ impl Outbound {
             }
             framed => framed,
         };
-        // One giant snapshot must not pin MAX_FRAME of encode capacity
+        // One giant response must not pin MAX_FRAME of encode capacity
         // on the loop thread forever — same retention rule as every
         // other reused buffer.
         ropuf_proto::frame::bound_scratch(scratch);
@@ -673,15 +563,9 @@ struct EventLoop {
     listener: TcpListener,
     waker: UnixStream,
     config: EventedConfig,
-    /// Which loop thread this is — the `worker` field of the trace
-    /// records this loop emits, and the answer to `LoopInfo`.
-    loop_id: u32,
-    /// Total loops in this server (≥ 1) — `LoopInfo`'s denominator and
-    /// the affinity fold's modulus.
-    loops_total: u32,
     conns: Vec<Option<Conn>>,
     free: VecDeque<usize>,
-    /// Response-encode scratch shared by every connection on this loop
+    /// Response-encode scratch shared by every connection
     /// (handling is synchronous, so one buffer suffices).
     encode_scratch: Vec<u8>,
     /// Read buffer lent to the connection being serviced and taken
@@ -693,32 +577,21 @@ struct EventLoop {
     /// deregistered.
     draining: bool,
     drain_deadline: Option<Instant>,
-    /// This loop's saturation counters and high-water gauge, resolved
+    /// The loop's saturation counters and high-water gauge, resolved
     /// once at `run` entry (registry lookups are too slow per-frame).
     lane: Option<LaneStats>,
-    /// Loop-affinity counters `(local, remote)`, resolved once at
-    /// `run` entry.
-    affinity: Option<(Counter, Counter)>,
-    /// Registry shard count behind the handler (0 = unsharded) — the
-    /// affinity accounting's modulus, resolved once at `run` entry.
-    shard_count: usize,
     /// Ready events still waiting behind the one being serviced in the
     /// current batch — folded into admission pressure so a loop that
     /// wakes to a wall of work sheds from the front of it, not after
     /// digging through.
     ready_backlog: u64,
-    /// Largest pending out-queue any connection on this loop has
+    /// Largest pending out-queue any connection has
     /// reached; the gauge is only touched when this grows.
     out_highwater: usize,
 }
 
 impl EventLoop {
-    fn new(
-        listener: TcpListener,
-        waker: UnixStream,
-        config: EventedConfig,
-        loop_id: u32,
-    ) -> io::Result<Self> {
+    fn new(listener: TcpListener, waker: UnixStream, config: EventedConfig) -> io::Result<Self> {
         let epoll = Epoll::new()?;
         epoll.add(&listener, event::IN, TOKEN_LISTENER)?;
         epoll.add(&waker, event::IN, TOKEN_WAKER)?;
@@ -727,8 +600,6 @@ impl EventLoop {
             listener,
             waker,
             config,
-            loop_id,
-            loops_total: config.loops.max(1) as u32,
             conns: Vec::new(),
             free: VecDeque::new(),
             encode_scratch: Vec::new(),
@@ -736,8 +607,6 @@ impl EventLoop {
             draining: false,
             drain_deadline: None,
             lane: None,
-            affinity: None,
-            shard_count: 0,
             ready_backlog: 0,
             out_highwater: 0,
         })
@@ -756,9 +625,7 @@ impl EventLoop {
     }
 
     fn run(&mut self, handler: &dyn RequestHandler, shared: &Shared) {
-        self.lane = Some(shared.telemetry.lane(self.loop_id));
-        self.affinity = Some(shared.telemetry.affinity_counters());
-        self.shard_count = handler.shard_count();
+        self.lane = Some(shared.telemetry.lane());
         let mut events = vec![Event::default(); EVENTS_MIN];
         let tick = self.tick_ms();
         loop {
@@ -979,7 +846,6 @@ impl EventLoop {
                                 0,
                                 elapsed_ns(t0, t2),
                                 elapsed_ns(t2, t3),
-                                self.loop_id,
                             );
                             conn.out.track(record, t3);
                             last_queued = Some(t3);
@@ -1006,26 +872,6 @@ impl EventLoop {
                         let keep_going = match decoded {
                             Ok(request) => {
                                 let device_hash = request_device_hash(&request);
-                                // Loop-affinity accounting: the device
-                                // hash is the same splitmix64 the registry
-                                // shards by, so `hash % shards` *is* the
-                                // device's shard, and a shard is local
-                                // when it folds onto this loop. Cross-loop
-                                // requests are served identically — the
-                                // counters measure how well topology-aware
-                                // clients steered, nothing more.
-                                if device_hash != 0 && self.shard_count != 0 {
-                                    if let Some((local, remote)) = &self.affinity {
-                                        let shard = device_hash % self.shard_count as u64;
-                                        if shard % u64::from(self.loops_total)
-                                            == u64::from(self.loop_id)
-                                        {
-                                            local.add(1);
-                                        } else {
-                                            remote.add(1);
-                                        }
-                                    }
-                                }
                                 let response = match request {
                                     // The handler only knows the verifier's
                                     // metrics; the serving layer folds its
@@ -1036,14 +882,6 @@ impl EventLoop {
                                     // Traces live here, not in the
                                     // handler.
                                     RequestRef::TraceDump => shared.telemetry.trace_response(),
-                                    // Topology discovery is answered by
-                                    // the loop itself: the handler cannot
-                                    // know which accept queue a socket
-                                    // landed on.
-                                    RequestRef::LoopInfo => Response::LoopInfoOk {
-                                        loop_id: self.loop_id,
-                                        loops: self.loops_total,
-                                    },
                                     request => handler.handle_ref(request),
                                 };
                                 let t2 = Instant::now();
@@ -1056,7 +894,6 @@ impl EventLoop {
                                     elapsed_ns(t0, t1),
                                     elapsed_ns(t1, t2),
                                     elapsed_ns(t2, t3),
-                                    self.loop_id,
                                 );
                                 conn.out.track(record, t3);
                                 last_queued = Some(t3);
@@ -1080,7 +917,6 @@ impl EventLoop {
                                     elapsed_ns(t0, t1),
                                     elapsed_ns(t1, t2),
                                     elapsed_ns(t2, t3),
-                                    self.loop_id,
                                 );
                                 conn.out.track(record, t3);
                                 conn.closing = true;
@@ -1118,6 +954,15 @@ impl EventLoop {
                         conn.closing = true;
                         // No more frames will be read; the only remaining
                         // timer that should apply is the idle one.
+                        conn.frame_deadline = None;
+                        break None;
+                    }
+                    Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                        // The peer half-closed inside a frame: that
+                        // frame gets no answer, but every answer
+                        // already queued drains before the close, as
+                        // after a clean EOF.
+                        conn.closing = true;
                         conn.frame_deadline = None;
                         break None;
                     }
@@ -1275,11 +1120,12 @@ fn flush_out(conn: &mut Conn, telemetry: &ServerTelemetry) -> bool {
 mod tests {
     use super::*;
     use crate::handler::VerifierHandler;
-    use crate::transport::{Client, TcpTransport};
+    use crate::transport::{Client, TcpTransport, Transport};
     use ropuf_proto::{AuthItem, FaultPlan, FaultyStream, Request, WireAuthResponse, RATE_ONE};
     use ropuf_telemetry::{MetricValue, SERIES_PHASES};
     use ropuf_verifier::{DetectorConfig, Verifier};
     use std::net::TcpStream;
+    use std::sync::Mutex;
 
     fn spawn_default() -> EventedServer {
         let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
@@ -1398,54 +1244,25 @@ mod tests {
         server.shutdown();
     }
 
-    /// Drives `loops`-loop serving end to end: 6 concurrent clients
-    /// all get accepted and answered whatever listener topology is in
-    /// effect, and each connection learns its loop coordinates.
-    fn exercise_multi_loop(reuseport: bool) {
-        let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
-        let handler: Arc<dyn RequestHandler> = Arc::new(VerifierHandler::new(verifier));
-        let server = EventedServer::spawn(
-            "127.0.0.1:0",
-            handler,
-            EventedConfig {
-                loops: 3,
-                reuseport,
-                ..EventedConfig::default()
-            },
-        )
-        .expect("bind");
-        let addr = server.local_addr();
-        std::thread::scope(|scope| {
-            for t in 0..6 {
-                scope.spawn(move || {
-                    let mut client = Client::new(TcpTransport::connect(addr).unwrap());
-                    client.hello(&format!("loop-share-{t}")).unwrap();
-                    let (loop_id, loops) = client.loop_info().unwrap();
-                    assert_eq!(loops, 3);
-                    assert!(loop_id < 3, "loop id {loop_id} out of range");
-                });
-            }
-        });
-        assert_eq!(server.accepted_total(), 6);
-        server.shutdown();
-    }
-
-    #[test]
-    fn multiple_loops_serve_with_reuseport_listeners() {
-        exercise_multi_loop(true);
-    }
-
-    #[test]
-    fn multiple_loops_serve_sharing_one_listener() {
-        exercise_multi_loop(false);
-    }
-
     #[test]
     fn single_threaded_handler_answers_loop_zero_of_one() {
+        // Over loopback and over the wire alike: the server runs one
+        // loop.
+        let server = spawn_default();
         let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
-        let handler = Arc::new(VerifierHandler::new(verifier));
-        let mut client = Client::new(crate::transport::LoopbackTransport::new(handler));
-        assert_eq!(client.loop_info().unwrap(), (0, 1));
+        let mut loopback =
+            crate::transport::LoopbackTransport::new(Arc::new(VerifierHandler::new(verifier)));
+        let mut wire = TcpTransport::connect(server.local_addr()).unwrap();
+        for transport in [&mut loopback as &mut dyn Transport, &mut wire] {
+            assert_eq!(
+                transport.roundtrip(&Request::LoopInfo).unwrap(),
+                Response::LoopInfoOk {
+                    loop_id: 0,
+                    loops: 1
+                }
+            );
+        }
+        server.shutdown();
     }
 
     /// A handler that holds the loop for a long time on every hello —
@@ -1679,7 +1496,7 @@ mod tests {
                 detail: format!("response {i}"),
             };
             assert!(out.push(&response, &mut scratch));
-            let record = telemetry.observe_queued(msg_type, i, 1, 2, 3, 4, 0);
+            let record = telemetry.observe_queued(msg_type, i, 1, 2, 3, 4);
             out.track(record, Instant::now());
         }
     }
@@ -1764,20 +1581,21 @@ mod tests {
         assert_eq!(telemetry.trace_snapshot().records.len() as u64, n);
     }
 
-    /// Pipelines `burst` at a fresh one-loop server and serves it by
-    /// hand until `done` holds; returns the loop, its shared state and
-    /// the client socket.
+    /// Pipelines `burst` at a fresh server and serves it by hand until
+    /// `done` holds; returns the loop, its shared state and the client
+    /// socket.
     fn serve_by_hand(
         handler: &dyn RequestHandler,
         burst: &[Request],
         config: EventedConfig,
         done: impl Fn(&EventLoop, &Shared) -> bool,
     ) -> (EventLoop, Shared, TcpStream) {
-        let shared = Shared::new(&config);
-        let (mut listeners, addr) = bind_listeners(&"127.0.0.1:0", 1, false).unwrap();
-        let (_wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        let listener = net::bind_listener("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
         wake_rx.set_nonblocking(true).unwrap();
-        let mut event_loop = EventLoop::new(listeners.remove(0), wake_rx, config, 0).unwrap();
+        let shared = Shared::new(&config, wake_tx);
+        let mut event_loop = EventLoop::new(listener, wake_rx, config).unwrap();
         let mut wire = Vec::new();
         let mut writer = ropuf_proto::FrameWriter::new(&mut wire);
         for request in burst {

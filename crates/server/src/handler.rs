@@ -30,7 +30,7 @@ use ropuf_verifier::{AuthQuery, AuthVerdict, BatchScratch, FlagReason, Verifier}
 /// response out. Must be shareable across serving threads.
 pub trait RequestHandler: Send + Sync {
     /// Serves one borrowed request — the zero-copy path the event
-    /// loops decode into, straight from the frame buffer.
+    /// loop decodes into, straight from the frame buffer.
     fn handle_ref(&self, request: RequestRef<'_>) -> Response;
 
     /// Serves one owned request through
@@ -40,9 +40,9 @@ pub trait RequestHandler: Send + Sync {
     }
 
     /// Registry shard count behind this handler, or `0` when the
-    /// handler has no sharded registry. The evented server uses this
-    /// for the device-id → loop affinity accounting; the default opts
-    /// out.
+    /// handler has no sharded registry (the default). No server code
+    /// calls it; it stays for handlers outside this crate that
+    /// forward it.
     fn shard_count(&self) -> usize {
         0
     }
@@ -192,10 +192,10 @@ impl RequestHandler for VerifierHandler {
                 }
             }
             RequestRef::BatchAuthenticate { items } => {
-                // Per-worker-thread scratch: the serving threads are a
-                // fixed pool, so this amortizes the shard buckets and
-                // the verdict vector across every batch a worker ever
-                // serves instead of reallocating them per request.
+                // Per-thread scratch: the server serves from its one
+                // loop thread, so this amortizes the shard buckets and
+                // the verdict vector across every batch it ever serves
+                // instead of reallocating them per request.
                 thread_local! {
                     static BATCH_SCRATCH: std::cell::RefCell<(BatchScratch, Vec<AuthVerdict>)> =
                         std::cell::RefCell::new((BatchScratch::new(), Vec::new()));
@@ -219,9 +219,6 @@ impl RequestHandler for VerifierHandler {
                     },
                 }
             }
-            RequestRef::SnapshotV2 => Response::SnapshotBin {
-                bytes: self.verifier.snapshot_v2(),
-            },
             // The handler answers with the verifier's metrics only; a
             // server backend in front of this handler intercepts the
             // request, merges its own `server.*` namespace into the
@@ -235,10 +232,8 @@ impl RequestHandler for VerifierHandler {
             RequestRef::TraceDump => Response::TraceBin {
                 bytes: ropuf_telemetry::TraceSnapshot::default().encode(),
             },
-            // Topology discovery: the handler itself is single-context,
-            // so it answers loop 0 of 1. The evented server intercepts
-            // this request and substitutes the accepting loop's real
-            // coordinates.
+            // Topology discovery: the evented server runs one loop, so
+            // every connection is on loop 0 of 1, over loopback too.
             RequestRef::LoopInfo => Response::LoopInfoOk {
                 loop_id: 0,
                 loops: 1,
@@ -444,21 +439,6 @@ mod tests {
                     verdicts[1],
                     WireVerdict::Flagged(WireFlagReason::MalformedHelper)
                 );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v2_snapshot_is_served_and_loads() {
-        let h = handler();
-        let device = provisioned(6);
-        enroll(&h, &device, 11);
-        match h.handle(Request::SnapshotV2) {
-            Response::SnapshotBin { bytes } => {
-                let restored = Verifier::from_snapshot_v2(&bytes, DetectorConfig::default())
-                    .expect("served v2 snapshot loads");
-                assert!(restored.registry().record(11).is_some());
             }
             other => panic!("unexpected {other:?}"),
         }

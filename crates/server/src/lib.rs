@@ -18,15 +18,15 @@
 //!   shared [`Verifier`](ropuf_verifier::Verifier); quarantined
 //!   devices are rejected at the wire with
 //!   [`ErrorCode::DeviceFlagged`](ropuf_proto::ErrorCode).
-//! * [`evented`] (Linux) — [`EventedServer`]: non-blocking epoll
-//!   readiness loops driving per-connection state machines — many
-//!   thousands of connections per loop, with pipelining, bounded
+//! * [`evented`] (Linux) — [`EventedServer`]: one non-blocking epoll
+//!   readiness loop driving per-connection state machines — many
+//!   thousands of connections on one thread, with pipelining, bounded
 //!   buffers, slow-client eviction, and graceful shutdown. Proven
 //!   byte-for-byte equivalent to loopback by the `equivalence` test
 //!   suite.
-//! * [`sys`] (Linux) — the in-tree `epoll` and `SO_REUSEPORT`
-//!   syscall wrappers (no `libc` crate; the workspace stays
-//!   dependency-free).
+//! * [`sys`] (Linux) — the in-tree `epoll` wrapper and the one
+//!   `listen` call that deepens the listener's accept queue (no `libc`
+//!   crate; the workspace stays dependency-free).
 //! * [`admission`] (Linux) — [`Admission`]: the server's two-threshold
 //!   overload shedding.
 //! * [`telemetry`] (Linux) — [`ServerTelemetry`]: request and
@@ -58,8 +58,8 @@
 //! `equivalence` and `chaos` suites under `crates/server/tests`, and
 //! the `servebench` benchmark at the repository root.
 
-// `deny`, not `forbid`: the syscall wrappers in `sys::epoll` and
-// `sys::net` are the sanctioned `#[allow(unsafe_code)]` islands (FFI
+// `deny`, not `forbid`: `sys::epoll` and `sys::net`'s one `listen`
+// call are the sanctioned `#[allow(unsafe_code)]` islands (FFI
 // boundary only); everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Server-side telemetry: request/connection counters, per-message-type
-//! phase latency histograms, per-lane saturation counters and the
-//! slow-request trace ring — everything a wire scrape merges on top of
+//! phase latency histograms, the event loop's saturation counters and
+//! the slow-request trace ring — everything a wire scrape merges on top of
 //! the verifier's own metrics.
 //!
 //! The [`EventedServer`](crate::EventedServer) owns one
@@ -39,13 +39,12 @@ use ropuf_telemetry::{
 /// The `msg` label of each request byte the decoder accepts, in
 /// phase-table order. Every other byte, retired or hostile, counts
 /// under [`OTHER_LABEL`], so no byte can mint a label of its own.
-const MSG_LABELS: [(u8, &str); 9] = [
+const MSG_LABELS: [(u8, &str); 8] = [
     (0x01, "hello"),
     (0x02, "enroll"),
     (0x03, "auth"),
     (0x04, "batch-auth"),
     (0x05, "query-verdict"),
-    (0x07, "snapshot-v2"),
     (0x08, "metrics"),
     (0x09, "trace"),
     (0x0B, "loop-info"),
@@ -70,22 +69,6 @@ fn msg_slot(msg_type: u8) -> usize {
     usize::from(MSG_SLOTS[usize::from(msg_type)])
 }
 
-/// Label values for per-lane (event loop) saturation metrics. Lanes at
-/// or beyond the table's end share one overflow bucket, so a huge loop
-/// count cannot mint thousands of label sets.
-const LANE_LABELS: [&str; 33] = [
-    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
-    "17", "18", "19", "20", "21", "22", "23", "24", "25", "26", "27", "28", "29", "30", "31",
-    "32+",
-];
-
-fn lane_label(lane: u32) -> &'static str {
-    LANE_LABELS
-        .get(lane as usize)
-        .copied()
-        .unwrap_or(LANE_LABELS[LANE_LABELS.len() - 1])
-}
-
 /// Nanoseconds from `earlier` to `later`, saturating at `u64::MAX`
 /// (and at zero for out-of-order instants).
 pub(crate) fn elapsed_ns(earlier: Instant, later: Instant) -> u64 {
@@ -106,17 +89,17 @@ pub(crate) fn request_device_hash(request: &RequestRef<'_>) -> u64 {
     id.map_or(0, ropuf_numeric::splitmix64)
 }
 
-/// Per-lane saturation handles: one event loop. Utilization is
+/// The event loop's saturation handles. Utilization is
 /// `busy_ns / wall_ns` over any scrape interval.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneStats {
-    /// Nanoseconds the lane spent doing work (not parked waiting).
+    /// Nanoseconds the loop spent doing work (not parked waiting).
     pub(crate) busy_ns: Counter,
-    /// Wall nanoseconds the lane has existed for (accumulated in the
+    /// Wall nanoseconds the loop has existed for (accumulated in the
     /// same cadence as `busy_ns`, so the ratio is meaningful over any
     /// window).
     pub(crate) wall_ns: Counter,
-    /// Largest pending out-buffer this lane has ever observed, bytes.
+    /// Largest pending out-buffer the loop has ever observed, bytes.
     pub(crate) out_highwater: Gauge,
 }
 
@@ -207,27 +190,11 @@ impl ServerTelemetry {
             .counter("server.shed", &[("backend", BACKEND), ("class", class)])
     }
 
-    /// Registers (idempotently) and returns the pair of
-    /// `server.affinity` counters — `result=local` / `result=remote` —
-    /// tallying device-carrying requests that landed on (resp. missed)
-    /// the event loop owning their registry shard. Cold path: called
-    /// once per loop at startup.
-    pub(crate) fn affinity_counters(&self) -> (Counter, Counter) {
-        let local = self.registry.counter(
-            "server.affinity",
-            &[("backend", BACKEND), ("result", "local")],
-        );
-        let remote = self.registry.counter(
-            "server.affinity",
-            &[("backend", BACKEND), ("result", "remote")],
-        );
-        (local, remote)
-    }
-
-    /// Registers (idempotently) and returns the saturation handles for
-    /// one lane. Cold path: called once per loop at startup.
-    pub(crate) fn lane(&self, lane: u32) -> LaneStats {
-        let labels = [("backend", BACKEND), ("worker", lane_label(lane))];
+    /// Registers (idempotently) and returns the event loop's
+    /// saturation handles, labelled `worker="0"`. Cold path: called
+    /// once, when the loop starts.
+    pub(crate) fn lane(&self) -> LaneStats {
+        let labels = [("backend", BACKEND), ("worker", "0")];
         LaneStats {
             busy_ns: self.registry.counter("server.worker.busy_ns", &labels),
             wall_ns: self.registry.counter("server.worker.wall_ns", &labels),
@@ -266,8 +233,8 @@ impl ServerTelemetry {
     /// phase timings (ready-wait through flush) the moment its response
     /// is queued. Records nothing: the caller completes the lifecycle
     /// with [`ServerTelemetry::observe_drained`] once the response
-    /// bytes have actually left the out-buffer.
-    #[allow(clippy::too_many_arguments)]
+    /// bytes have actually left the out-buffer. The record's `worker`
+    /// is always 0: the server runs one event loop.
     pub(crate) fn observe_queued(
         &self,
         msg_type: u8,
@@ -276,7 +243,6 @@ impl ServerTelemetry {
         decode_ns: u64,
         handle_ns: u64,
         flush_ns: u64,
-        worker: u32,
     ) -> TraceRecord {
         let total_ns = ready_ns
             .saturating_add(decode_ns)
@@ -292,7 +258,7 @@ impl ServerTelemetry {
             flush_ns,
             flush_wait_ns: 0,
             total_ns,
-            worker,
+            worker: 0,
         }
     }
 
@@ -417,8 +383,8 @@ mod tests {
     #[test]
     fn msg_labels_cover_every_wire_byte() {
         // A byte is named exactly when the decoder knows it, so the
-        // labels cannot drift from the wire: retired bytes (0x06, 0x0A)
-        // and hostile ones share the catch-all.
+        // labels cannot drift from the wire: retired bytes (0x06, 0x07,
+        // 0x0A) and hostile ones share the catch-all.
         for ty in 0..=u8::MAX {
             let known = !matches!(
                 RequestRef::decode(&[ty]),
@@ -433,7 +399,7 @@ mod tests {
         let eager = test_telemetry(Duration::ZERO);
         let lazy = test_telemetry(Duration::from_secs(3600));
         let drained = |t: &ServerTelemetry, device_hash| {
-            let mut record = t.observe_queued(0x03, device_hash, 5, 10, 20, 30, 0);
+            let mut record = t.observe_queued(0x03, device_hash, 5, 10, 20, 30);
             record.flush_wait_ns = 40;
             record.total_ns += 40;
             record
@@ -476,27 +442,19 @@ mod tests {
     }
 
     #[test]
-    fn lanes_register_and_overflow_into_one_bucket() {
+    fn the_loop_registers_its_lane_as_worker_zero() {
         let t = test_telemetry(Duration::ZERO);
-        t.lane(0).busy_ns.add(100);
-        t.lane(0).wall_ns.add(200);
-        t.lane(99).busy_ns.add(7);
-        t.lane(1_000_000).busy_ns.add(3);
+        t.lane().busy_ns.add(100);
+        t.lane().wall_ns.add(200);
         let snap = t.snapshot();
-        match snap.find(
-            "server.worker.busy_ns",
-            &[("backend", "evented"), ("worker", "0")],
-        ) {
-            Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, 100),
-            other => panic!("expected lane-0 busy counter, got {other:?}"),
-        }
-        // Every out-of-table lane shares the overflow label.
-        match snap.find(
-            "server.worker.busy_ns",
-            &[("backend", "evented"), ("worker", "32+")],
-        ) {
-            Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, 10),
-            other => panic!("expected overflow busy counter, got {other:?}"),
+        for (name, want) in [
+            ("server.worker.busy_ns", 100),
+            ("server.worker.wall_ns", 200),
+        ] {
+            match snap.find(name, &[("backend", "evented"), ("worker", "0")]) {
+                Some(ropuf_telemetry::MetricValue::Counter(v)) => assert_eq!(*v, want, "{name}"),
+                other => panic!("expected {name}, got {other:?}"),
+            }
         }
     }
 

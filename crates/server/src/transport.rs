@@ -111,11 +111,11 @@ impl Transport for TcpTransport {
     }
 }
 
-/// In-process transport: the same handler the server's event loops
-/// call, reached through a full encode/decode of both the request and
+/// In-process transport: the same handler the server's event loop
+/// calls, reached through a full encode/decode of both the request and
 /// the response, without sockets. Deterministic and dependency-free —
 /// the campaign/test path. Requests are decoded with the same
-/// borrowing decoder the event loops use, so a loopback exchange
+/// borrowing decoder the event loop uses, so a loopback exchange
 /// exercises byte-identical wire behavior (minus the kernel).
 pub struct LoopbackTransport {
     handler: Arc<dyn RequestHandler>,
@@ -142,7 +142,7 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn roundtrip_frame(&mut self, request_payload: &[u8]) -> Result<Response, FrameError> {
-        // Borrowing decode, exactly as the event loops do.
+        // Borrowing decode, exactly as the event loop does.
         let decoded = RequestRef::decode(request_payload)?;
         let response = self.handler.handle_ref(decoded);
         // And the response takes the same trip back.
@@ -339,20 +339,6 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// The binary registry snapshot — the compact, CRC-protected,
-    /// flag-preserving format; the bytes load directly via
-    /// `Verifier::from_snapshot_v2`.
-    ///
-    /// # Errors
-    ///
-    /// Transport/shape failures.
-    pub fn snapshot_v2(&mut self) -> Result<Vec<u8>, ClientError> {
-        match self.exchange(&Request::SnapshotV2)? {
-            Response::SnapshotBin { bytes } => Ok(bytes),
-            _ => Err(ClientError::UnexpectedResponse("SnapshotBin")),
-        }
-    }
-
     /// A live `ropuf-metrics/v1` scrape of the serving stack: the
     /// server's own metrics merged with the verifier's. Decoded
     /// and CRC-verified client-side;
@@ -388,23 +374,6 @@ impl<T: Transport> Client<T> {
             _ => Err(ClientError::UnexpectedResponse("TraceBin")),
         }
     }
-
-    /// Which event loop this connection landed on: `(loop_id, loops)`.
-    ///
-    /// The evented server answers with the accepting loop's
-    /// coordinates; loopback answers `(0, 1)`. Topology-aware clients
-    /// use this to steer device traffic onto connections owned by the
-    /// device's shard-affine loop.
-    ///
-    /// # Errors
-    ///
-    /// Transport/shape failures.
-    pub fn loop_info(&mut self) -> Result<(u32, u32), ClientError> {
-        match self.exchange(&Request::LoopInfo)? {
-            Response::LoopInfoOk { loop_id, loops } => Ok((loop_id, loops)),
-            _ => Err(ClientError::UnexpectedResponse("LoopInfoOk")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -433,13 +402,5 @@ mod tests {
         let err = client.query_verdict(12345).unwrap_err();
         assert_eq!(err.error_code(), Some(ErrorCode::UnknownDevice));
         assert!(err.to_string().contains("12345"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_v2_over_loopback() {
-        let mut client = loopback_client();
-        let bytes = client.snapshot_v2().unwrap();
-        let restored = Verifier::from_snapshot_v2(&bytes, DetectorConfig::default()).unwrap();
-        assert!(restored.registry().is_empty());
     }
 }

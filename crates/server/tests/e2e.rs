@@ -3,7 +3,7 @@
 //! 1. **Real sockets** (Linux) — spawn the evented server on an
 //!    ephemeral localhost port, then enroll, authenticate, and flag an
 //!    attacker entirely over the wire, from multiple concurrent client
-//!    connections.
+//!    connections, and check every outcome with `QueryVerdict`.
 //! 2. **Deterministic loopback replay** — the same traffic plan built
 //!    twice and replayed through two fresh loopback stacks must
 //!    produce byte-identical response streams (requests already
@@ -24,13 +24,13 @@ use ropuf_constructions::pairing::lisa::{LisaScheme, LISA_TAG};
 #[cfg(target_os = "linux")]
 use ropuf_constructions::{Device, DeviceResponse};
 #[cfg(target_os = "linux")]
-use ropuf_proto::{AuthItem, ErrorCode, WireAuthResponse, WireFlagReason, WireVerdict};
+use ropuf_proto::{
+    AuthItem, ErrorCode, RequestRef, Response, WireAuthResponse, WireFlagReason, WireVerdict,
+};
 #[cfg(target_os = "linux")]
 use ropuf_server::{Client, EventedConfig, EventedServer, TcpTransport};
 #[cfg(target_os = "linux")]
 use ropuf_sim::{ArrayDims, Environment, RoArrayBuilder};
-#[cfg(target_os = "linux")]
-use ropuf_verifier::{store::snapshot, BatchEnrollment, FlagReason};
 
 #[cfg(target_os = "linux")]
 fn provisioned(seed: u64) -> Device {
@@ -135,18 +135,10 @@ fn enroll_authenticate_and_flag_over_real_sockets() {
         Some(WireFlagReason::HelperMismatch)
     );
     assert_eq!(second.query_verdict(10).unwrap(), None, "genuine unflagged");
-
-    // The snapshot travels the wire, names both devices and carries
-    // the attacker's quarantine.
-    let snapshot = snapshot::decode(&second.snapshot_v2().unwrap()).unwrap();
-    let devices: Vec<(u64, Option<FlagReason>)> = snapshot
-        .devices
-        .iter()
-        .map(|d| (d.device_id, d.flag.map(|(_, reason)| reason)))
-        .collect();
+    // Only the two enrolled ids are known.
     assert_eq!(
-        devices,
-        [(10, None), (11, Some(FlagReason::HelperMismatch))]
+        second.query_verdict(12).unwrap_err().error_code(),
+        Some(ErrorCode::UnknownDevice)
     );
 
     server.shutdown();
@@ -176,14 +168,15 @@ fn concurrent_connections_share_one_registry() {
         }
     });
 
+    // Every connection's enrollments landed, and are visible from a
+    // fifth connection.
     let mut client = Client::new(TcpTransport::connect(addr).expect("connect"));
     client.hello("checker").unwrap();
-    let snapshot = snapshot::decode(&client.snapshot_v2().unwrap()).unwrap();
-    assert_eq!(
-        snapshot.devices.len(),
-        80,
-        "all 4 connections' enrollments landed"
-    );
+    for t in 0..4u64 {
+        for i in 0..20u64 {
+            assert_eq!(client.query_verdict(t * 100 + i).unwrap(), None);
+        }
+    }
     server.shutdown();
 }
 
@@ -225,39 +218,42 @@ fn malformed_frames_get_a_typed_error_not_a_crash() {
     server.shutdown();
 }
 
+/// Answers `QueryVerdict` for device 0 with a metrics blob one frame
+/// cap long, too large for any frame, and every other `QueryVerdict`
+/// with "unflagged".
+#[cfg(target_os = "linux")]
+struct JumboHandler;
+
+#[cfg(target_os = "linux")]
+impl RequestHandler for JumboHandler {
+    fn handle_ref(&self, request: RequestRef<'_>) -> Response {
+        match request {
+            RequestRef::QueryVerdict { device_id: 0 } => Response::MetricsBin {
+                bytes: vec![0; ropuf_proto::MAX_FRAME as usize],
+            },
+            RequestRef::QueryVerdict { .. } => Response::FlagInfo { flagged: None },
+            _ => Response::Error {
+                code: ErrorCode::MalformedRequest,
+                detail: "jumbo handler only answers verdict queries".into(),
+            },
+        }
+    }
+}
+
 #[cfg(target_os = "linux")]
 #[test]
-fn oversize_snapshot_is_a_typed_error_and_connection_survives() {
-    let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
-    let handler = Arc::new(VerifierHandler::new(Arc::clone(&verifier)));
-    let server =
-        EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default()).expect("bind");
-
-    // A snapshot record is 74 bytes whatever the helper size, so the
-    // fleet itself must be large enough to pass the 4 MiB frame cap.
-    let devices = u64::from(ropuf_proto::MAX_FRAME) / 74 + 512;
-    let results = verifier.enroll_batch(
-        (0..devices)
-            .map(|id| BatchEnrollment {
-                device_id: id,
-                scheme_tag: LISA_TAG,
-                helper: vec![LISA_TAG, 1],
-                key_digest: [1; 32],
-            })
-            .collect(),
-    );
-    assert!(results.iter().all(Result::is_ok));
-    assert!(
-        verifier.snapshot_v2().len() > ropuf_proto::MAX_FRAME as usize,
-        "test precondition: snapshot must exceed the frame cap"
-    );
-
+fn oversize_response_is_a_typed_error_and_connection_survives() {
+    let server = EventedServer::spawn(
+        "127.0.0.1:0",
+        Arc::new(JumboHandler),
+        EventedConfig::default(),
+    )
+    .expect("bind");
     let mut client = Client::new(TcpTransport::connect(server.local_addr()).expect("connect"));
-    client.hello("jumbo").unwrap();
-    let err = client.snapshot_v2().unwrap_err();
+    let err = client.query_verdict(0).unwrap_err();
     assert_eq!(err.error_code(), Some(ErrorCode::ResponseTooLarge));
     // The connection is still frame-aligned and serviceable.
-    assert_eq!(client.query_verdict(0).unwrap(), None);
+    assert_eq!(client.query_verdict(1).unwrap(), None);
     server.shutdown();
 }
 

@@ -364,56 +364,6 @@ fn shard_count_does_not_change_the_byte_stream() {
     assert_eq!(streams[0], streams[2], "1 vs 16 shards");
 }
 
-/// Loop topology equivalence: however the evented server is sharded —
-/// one loop or four, per-loop `SO_REUSEPORT` accept queues or one
-/// shared listener — the served bytes are identical, sequential and
-/// pipelined alike. Multi-loop is a scheduling optimization; it may
-/// never leak into an answer.
-#[test]
-fn loop_topology_does_not_change_the_byte_stream() {
-    let plan = TrafficPlan::build(&spec());
-    let mut sequential_streams = Vec::new();
-    let mut pipelined_streams = Vec::new();
-    for loops in [1usize, 4] {
-        for reuseport in [true, false] {
-            let config = EventedConfig {
-                loops,
-                reuseport,
-                ..EventedConfig::default()
-            };
-            // Fresh stack per replay: the plan's attack traffic latches
-            // flags, so reusing a server would change later answers.
-            let server = EventedServer::spawn("127.0.0.1:0", enrolled_handler(&plan, 4), config)
-                .expect("bind");
-            sequential_streams.push((
-                (loops, reuseport),
-                replay_sequential(&plan, server.local_addr()),
-            ));
-            server.shutdown();
-            let server = EventedServer::spawn("127.0.0.1:0", enrolled_handler(&plan, 4), config)
-                .expect("bind");
-            pipelined_streams.push((
-                (loops, reuseport),
-                replay_pipelined(&plan, server.local_addr()),
-            ));
-            server.shutdown();
-        }
-    }
-    let (baseline_key, baseline) = &sequential_streams[0];
-    for (key, stream) in &sequential_streams[1..] {
-        assert_eq!(
-            baseline, stream,
-            "sequential bytes diverged: {baseline_key:?} vs {key:?}"
-        );
-    }
-    for (key, stream) in &pipelined_streams {
-        assert_eq!(
-            baseline, stream,
-            "pipelined bytes diverged under topology {key:?}"
-        );
-    }
-}
-
 /// One unit of a hostile pipelined burst.
 enum Piece {
     /// A well-formed request frame.

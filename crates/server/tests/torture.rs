@@ -2,12 +2,11 @@
 //! against the evented server.
 //!
 //! Every scenario that is about protocol correctness (byte-at-a-time
-//! delivery, mid-frame disconnects, oversized frames, pipelining) runs
-//! against a single-loop and a multi-loop server through one
-//! parametrized harness — the topologies must be indistinguishable at
-//! the wire. Scenarios about resource policy (slow-loris eviction,
-//! idle eviction, backpressure, overload shedding, churn gauges, the
-//! held fan) run against one configured server each.
+//! delivery, mid-frame disconnects, oversized frames, pipelining,
+//! half-closes) runs against a fresh default server. Scenarios about
+//! resource policy (slow-loris eviction, idle eviction, backpressure,
+//! overload shedding, churn gauges, the held fan) run against one
+//! configured server each.
 
 #![cfg(target_os = "linux")]
 
@@ -34,29 +33,12 @@ fn handler() -> Arc<dyn RequestHandler> {
     Arc::new(VerifierHandler::new(verifier))
 }
 
-/// Runs `scenario` against a fresh server in each topology — the
-/// single-loop default and four loops with per-loop `SO_REUSEPORT`
-/// accept queues (the tail-latency topology): hostile bytes must be
-/// handled identically whichever loop the kernel hashes the
-/// connection onto.
-fn for_each_topology(scenario: impl Fn(&str, SocketAddr)) {
-    let single_loop = EventedServer::spawn("127.0.0.1:0", handler(), EventedConfig::default())
-        .expect("bind single-loop");
-    scenario("single-loop", single_loop.local_addr());
-    single_loop.shutdown();
-
-    let multi_loop = EventedServer::spawn(
-        "127.0.0.1:0",
-        handler(),
-        EventedConfig {
-            loops: 4,
-            reuseport: true,
-            ..EventedConfig::default()
-        },
-    )
-    .expect("bind multi-loop");
-    scenario("multi-loop", multi_loop.local_addr());
-    multi_loop.shutdown();
+/// Runs `scenario` against a fresh default server, then shuts it down.
+fn with_server(scenario: impl FnOnce(SocketAddr)) {
+    let server = EventedServer::spawn("127.0.0.1:0", handler(), EventedConfig::default())
+        .expect("bind evented");
+    scenario(server.local_addr());
+    server.shutdown();
 }
 
 fn hello_frame() -> Vec<u8> {
@@ -104,7 +86,7 @@ fn assert_closed_within(stream: &mut TcpStream, window: Duration) {
 
 #[test]
 fn byte_at_a_time_delivery_is_reassembled() {
-    for_each_topology(|topology, addr| {
+    with_server(|addr| {
         let mut stream = TcpStream::connect(addr).unwrap();
         for byte in hello_frame() {
             stream.write_all(&[byte]).unwrap();
@@ -113,14 +95,14 @@ fn byte_at_a_time_delivery_is_reassembled() {
         }
         match read_response(&mut stream) {
             Response::HelloOk { protocol, .. } => assert_eq!(protocol, PROTOCOL_VERSION),
-            other => panic!("[{topology}] unexpected {other:?}"),
+            other => panic!("unexpected {other:?}"),
         }
     });
 }
 
 #[test]
 fn mid_frame_disconnects_leave_the_server_healthy() {
-    for_each_topology(|topology, addr| {
+    with_server(|addr| {
         // A burst of peers that declare a frame and vanish mid-payload
         // (and one that vanishes mid-header).
         for i in 0..20 {
@@ -138,23 +120,21 @@ fn mid_frame_disconnects_leave_the_server_healthy() {
         stream.write_all(&hello_frame()).unwrap();
         assert!(
             matches!(read_response(&mut stream), Response::HelloOk { .. }),
-            "[{topology}] server must keep serving after mid-frame disconnects"
+            "server must keep serving after mid-frame disconnects"
         );
     });
 }
 
 #[test]
 fn oversized_frame_is_rejected_with_a_typed_error() {
-    for_each_topology(|topology, addr| {
+    with_server(|addr| {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
         match read_response(&mut stream) {
-            Response::Error { code, .. } => assert_eq!(
-                code,
-                ErrorCode::MalformedRequest,
-                "[{topology}] oversize must be typed"
-            ),
-            other => panic!("[{topology}] unexpected {other:?}"),
+            Response::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::MalformedRequest, "oversize must be typed")
+            }
+            other => panic!("unexpected {other:?}"),
         }
         // And the connection is closed afterwards — the stream cannot
         // be re-synchronized once a forged length was declared.
@@ -164,7 +144,7 @@ fn oversized_frame_is_rejected_with_a_typed_error() {
 
 #[test]
 fn garbage_payload_is_rejected_with_a_typed_error() {
-    for_each_topology(|topology, addr| {
+    with_server(|addr| {
         let mut stream = TcpStream::connect(addr).unwrap();
         let payload = [0x55u8, 1, 2, 3, 4];
         stream
@@ -172,12 +152,10 @@ fn garbage_payload_is_rejected_with_a_typed_error() {
             .unwrap();
         stream.write_all(&payload).unwrap();
         match read_response(&mut stream) {
-            Response::Error { code, .. } => assert_eq!(
-                code,
-                ErrorCode::MalformedRequest,
-                "[{topology}] garbage must be typed"
-            ),
-            other => panic!("[{topology}] unexpected {other:?}"),
+            Response::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::MalformedRequest, "garbage must be typed")
+            }
+            other => panic!("unexpected {other:?}"),
         }
         assert_closed_within(&mut stream, Duration::from_secs(2));
     });
@@ -185,7 +163,7 @@ fn garbage_payload_is_rejected_with_a_typed_error() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    for_each_topology(|topology, addr| {
+    with_server(|addr| {
         let count = 64u64;
         // Hello + a run of QueryVerdicts for distinct unknown ids, all
         // written in a single burst before reading anything back.
@@ -216,7 +194,7 @@ fn pipelined_requests_are_answered_in_order() {
                 reader.read_response().unwrap(),
                 Some(Response::HelloOk { .. })
             ),
-            "[{topology}] first answer is the hello"
+            "first answer is the hello"
         );
         for id in 0..count {
             match reader.read_response().unwrap() {
@@ -224,11 +202,11 @@ fn pipelined_requests_are_answered_in_order() {
                     assert_eq!(code, ErrorCode::UnknownDevice);
                     assert!(
                         detail.contains(&(1000 + id).to_string()),
-                        "[{topology}] answer out of order: wanted id {}, got {detail:?}",
+                        "answer out of order: wanted id {}, got {detail:?}",
                         1000 + id
                     );
                 }
-                other => panic!("[{topology}] unexpected {other:?}"),
+                other => panic!("unexpected {other:?}"),
             }
         }
     });
@@ -236,7 +214,7 @@ fn pipelined_requests_are_answered_in_order() {
 
 #[test]
 fn half_closed_pipeline_is_answered_in_full_before_the_close() {
-    for_each_topology(|topology, addr| {
+    with_server(|addr| {
         // The whole pipeline and the FIN arrive together: the server
         // reads the frames and the EOF in the same pass, and must still
         // answer every frame it already holds, in order, then close.
@@ -266,17 +244,61 @@ fn half_closed_pipeline_is_answered_in_full_before_the_close() {
                     assert_eq!(code, ErrorCode::UnknownDevice);
                     assert!(
                         detail.contains(&(5000 + id).to_string()),
-                        "[{topology}] answer {id} out of order: {detail:?}"
+                        "answer {id} out of order: {detail:?}"
                     );
                 }
-                other => panic!("[{topology}] answer {id}: {other:?}"),
+                other => panic!("answer {id}: {other:?}"),
             }
         }
         assert!(
             matches!(reader.read_response(), Ok(None)),
-            "[{topology}] the server closes after the last answer"
+            "the server closes after the last answer"
         );
     });
+}
+
+#[test]
+fn half_close_inside_a_frame_still_drains_the_answers_before_it() {
+    // One complete frame, the first bytes of a second, then the FIN:
+    // the server meets EOF inside a frame. That frame gets no answer,
+    // but the one before it does, and only then does the server close.
+    let query = |device_id| {
+        let mut frame = Vec::new();
+        FrameWriter::new(&mut frame)
+            .write_request(&Request::QueryVerdict { device_id })
+            .unwrap();
+        frame
+    };
+    let server = EventedServer::spawn("127.0.0.1:0", handler(), EventedConfig::default())
+        .expect("bind evented");
+    // Two bytes of the second frame's header; its header and three
+    // bytes of its payload.
+    for (cut, part) in [(2, "header"), (4 + 3, "payload")] {
+        let mut wire = query(7000);
+        wire.extend_from_slice(&query(7001)[..cut]);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(&wire).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = FrameReader::new(&stream);
+        match reader.read_response() {
+            Ok(Some(Response::Error {
+                code: ErrorCode::UnknownDevice,
+                detail,
+            })) => assert!(detail.contains("7000"), "partial {part}: {detail:?}"),
+            other => panic!("partial {part}: the queued answer was dropped: {other:?}"),
+        }
+        assert!(
+            matches!(reader.read_response(), Ok(None)),
+            "partial {part}: the server closes after the answer"
+        );
+    }
+    // The server settles its counters before it closes a socket, so the
+    // EOFs above mean both connections are already reaped.
+    assert_eq!(server.open_connections(), 0);
+    server.shutdown();
 }
 
 // ── Resource policies ───────────────────────────────────────────────
@@ -589,49 +611,5 @@ fn pipelined_scrapes_past_the_budget_are_shed_with_a_retry_hint() {
         server.telemetry().snapshot().counter_total("server.shed"),
         shed
     );
-    server.shutdown();
-}
-
-#[test]
-fn held_fan_spreads_across_reuseport_loops() {
-    // The same held-open fan against the multi-loop topology: the
-    // kernel hashes the connections across per-loop accept queues,
-    // every one is served, and the loops really did share the work —
-    // with 256 distinct 4-tuples over 2 queues, a topology where one
-    // loop accepted everything means reuseport binding is broken.
-    let server = spawn_evented(EventedConfig {
-        loops: 2,
-        reuseport: true,
-        ..EventedConfig::default()
-    });
-    let addr = server.local_addr();
-    let fan = 256;
-    let mut streams: Vec<TcpStream> = (0..fan)
-        .map(|_| TcpStream::connect(addr).expect("connect fan"))
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.open_connections() < fan && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(server.open_connections(), fan, "all held open at once");
-    let mut seen_loops = std::collections::HashSet::new();
-    for (i, stream) in streams.iter_mut().enumerate() {
-        let mut writer = FrameWriter::new(stream.try_clone().unwrap());
-        writer.write_request(&Request::LoopInfo).unwrap();
-        match read_response(stream) {
-            Response::LoopInfoOk { loop_id, loops } => {
-                assert_eq!(loops, 2);
-                assert!(loop_id < 2, "connection {i} reported loop {loop_id}");
-                seen_loops.insert(loop_id);
-            }
-            other => panic!("connection {i}: unexpected {other:?}"),
-        }
-    }
-    assert_eq!(
-        seen_loops.len(),
-        2,
-        "kernel never spread 256 connections across 2 accept queues"
-    );
-    assert_eq!(server.requests_served(), fan as u64);
     server.shutdown();
 }

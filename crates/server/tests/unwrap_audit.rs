@@ -16,9 +16,6 @@ use std::path::{Path, PathBuf};
 /// Trimmed source lines allowed to contain `.unwrap()` / `.expect(`.
 /// Keep sorted by file for reviewability.
 const ALLOWED: &[&str] = &[
-    // evented.rs: shutdown-waker registry; poisoning requires a prior
-    // panic while holding the lock.
-    r#".expect("waker list poisoned")"#,
     // resilient.rs: the connection was populated two lines above.
     r#"Ok(self.conn.as_mut().expect("just ensured"))"#,
     // store/mod.rs: the segment mutex, same poisoning argument.

@@ -72,10 +72,9 @@ pub type DeviceHandle = u32;
 /// The shard a device id hashes to in a registry of `shards` shards.
 ///
 /// This is the pure form of [`ShardedRegistry::shard_of`], exposed so
-/// remote parties (the multi-loop server's affinity accounting, the
-/// load generator's loop-affine routing) can predict placement without
-/// holding a registry. Returns `0` when `shards` is `0` so callers
-/// never divide by zero on an unsharded handler.
+/// a caller outside the registry (servebench's connection routing) can
+/// predict placement without holding one. Returns `0` when `shards` is
+/// `0` so callers never divide by zero on an unsharded handler.
 pub fn shard_for(device_id: u64, shards: usize) -> usize {
     if shards == 0 {
         return 0;
