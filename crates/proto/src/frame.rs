@@ -19,7 +19,10 @@
 //! [`FramePoll::Pending`] on `WouldBlock` instead of blocking. An
 //! event-driven server parks the connection until the next readiness
 //! notification and resumes exactly where the byte stream stopped —
-//! mid-header, mid-payload, anywhere. The blocking [`FrameReader`]
+//! mid-header, mid-payload, anywhere. A server that serves a pipelined
+//! run in one step walks every complete frame one read buffered with
+//! [`FrameAccum::frames`] and releases the run with
+//! [`FrameAccum::finish_frames`]. The blocking [`FrameReader`]
 //! reads are built on the same accumulator, so every reader shares one
 //! set of framing rules (length cap before allocation, clean-EOF
 //! detection, buffer bounded by [`SCRATCH_RETAIN`] across frames *and*
@@ -205,27 +208,18 @@ impl FrameAccum {
         }
     }
 
-    /// The payload of the frame the next [`FrameAccum::poll`] will
-    /// report after the current one is finished — the frame behind the
-    /// reported one, or the first buffered frame when none is reported
-    /// — if it is already complete in the buffer. Consumes nothing and
-    /// reads nothing past the received bytes: `None` for a partial
-    /// header or payload, and for a declared length above
-    /// [`MAX_FRAME`]. A server uses it to look one pipelined request
-    /// ahead.
-    pub fn next_payload(&self) -> Option<&[u8]> {
-        let at = if self.ready {
-            self.start + 4 + self.declared_len()? as usize
-        } else {
-            self.start
-        };
-        let rest = self.buf.get(at..self.end)?;
-        let (header, body) = rest.split_first_chunk::<4>()?;
-        let len = u32::from_le_bytes(*header);
-        if len > MAX_FRAME {
-            return None;
+    /// The payloads of the complete frames buffered from the front, in
+    /// stream order: the frame [`FrameAccum::poll`] reported first when
+    /// there is one, then every complete frame behind it. Consumes
+    /// nothing and reads nothing past the received bytes: the iterator
+    /// ends at a partial header or payload, and at a declared length
+    /// above [`MAX_FRAME`]. An event loop uses it to serve a pipelined
+    /// run of frames from one read, then releases them with
+    /// [`FrameAccum::finish_frames`].
+    pub fn frames(&self) -> BufferedFrames<'_> {
+        BufferedFrames {
+            rest: &self.buf[self.start..self.end],
         }
-        body.get(..len as usize)
     }
 
     /// Retained capacity of the read buffer — observable so tests (and
@@ -264,11 +258,16 @@ impl FrameAccum {
     /// none) and re-bounds the buffer. Bytes received after it — the
     /// next frame, whole or partial — stay buffered.
     pub fn finish_frame(&mut self) {
-        if self.ready {
-            self.ready = false;
-            let len = self.declared_len().unwrap_or(0);
-            self.start += 4 + len as usize;
-        }
+        self.finish_frames(usize::from(self.ready));
+    }
+
+    /// Consumes the first `n` frames [`FrameAccum::frames`] yields (all
+    /// of them when it yields fewer), the reported one included, and
+    /// re-bounds the buffer. Bytes behind them stay buffered.
+    pub fn finish_frames(&mut self, n: usize) {
+        let consumed: usize = self.frames().take(n).map(|payload| 4 + payload.len()).sum();
+        self.start += consumed;
+        self.ready = false;
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
@@ -373,6 +372,29 @@ impl FrameAccum {
                 }
             }
         }
+    }
+}
+
+/// The complete frames buffered in a [`FrameAccum`], front first (see
+/// [`FrameAccum::frames`]).
+#[derive(Debug, Clone)]
+pub struct BufferedFrames<'a> {
+    /// Received bytes not yet walked, starting at a frame header.
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for BufferedFrames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (header, body) = self.rest.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*header);
+        if len > MAX_FRAME {
+            return None;
+        }
+        let (payload, rest) = body.split_at_checked(len as usize)?;
+        self.rest = rest;
+        Some(payload)
     }
 }
 

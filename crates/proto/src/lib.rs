@@ -72,8 +72,8 @@ pub mod message;
 pub use codec::DecodeError;
 pub use faults::{derive_seed, FaultPlan, FaultStats, FaultyStream, RATE_ONE};
 pub use frame::{
-    append_frame, FrameAccum, FrameError, FramePoll, FrameReader, FrameWriter, MAX_FRAME,
-    SCRATCH_RETAIN,
+    append_frame, BufferedFrames, FrameAccum, FrameError, FramePoll, FrameReader, FrameWriter,
+    MAX_FRAME, SCRATCH_RETAIN,
 };
 pub use message::{
     overload_detail, parse_retry_after_ms, AuthItem, AuthItemRef, ErrorCode, Request, RequestRef,

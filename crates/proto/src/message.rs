@@ -516,19 +516,6 @@ impl<'a> RequestRef<'a> {
         }
     }
 
-    /// The device id an encoded [`RequestRef::Authenticate`] payload
-    /// claims (its bytes 1..9), read without decoding the rest: a cheap
-    /// look at a pipelined request before its turn comes. `None` for
-    /// every other message type and for a payload too short to carry
-    /// an id. A hint only: [`RequestRef::decode`] still judges the
-    /// whole payload.
-    pub fn peek_auth_device(payload: &[u8]) -> Option<u64> {
-        match payload.split_first()? {
-            (&ty::AUTHENTICATE, rest) => rest.first_chunk::<8>().map(|id| u64::from_le_bytes(*id)),
-            _ => None,
-        }
-    }
-
     /// Decodes one frame payload without copying byte fields (the
     /// batch-item list itself is the only allocation). Strictness and
     /// error behavior are identical to [`Request::decode`] — the owned
@@ -859,28 +846,6 @@ mod tests {
             nonce: b"nonce-0".to_vec(),
             response: WireAuthResponse::Tag([9; 32]),
             presented_helper: Some(vec![0x4C, 1, 2, 3]),
-        }
-    }
-
-    #[test]
-    fn auth_device_peek_reads_only_an_authenticate_header() {
-        let auth = Request::Authenticate(sample_item()).encode();
-        assert_eq!(RequestRef::peek_auth_device(&auth), Some(42));
-        // Nine bytes carry the id; the rest of the frame is not read.
-        assert_eq!(RequestRef::peek_auth_device(&auth[..9]), Some(42));
-        for cut in 0..9 {
-            assert_eq!(RequestRef::peek_auth_device(&auth[..cut]), None, "{cut}");
-        }
-        let others = [
-            Request::QueryVerdict { device_id: 42 }.encode(),
-            Request::BatchAuthenticate {
-                items: vec![sample_item()],
-            }
-            .encode(),
-            Request::MetricsSnapshot.encode(),
-        ];
-        for payload in others {
-            assert_eq!(RequestRef::peek_auth_device(&payload), None);
         }
     }
 

@@ -508,38 +508,50 @@ fn frame_reader_resumes_a_frame_after_a_read_timeout() {
 }
 
 proptest! {
-    /// `next_payload` is a pure peek: under any chunking, what it shows
-    /// is exactly the payload the next poll reports, and peeking (even
-    /// repeatedly) leaves the decoded sequence unchanged.
+    /// `frames` is a pure listing: under any chunking, what it shows
+    /// starts at the frame the poll reported and is the next stretch of
+    /// the stream's frames, listing it twice changes nothing, and
+    /// consuming any number of listed frames with `finish_frames`
+    /// leaves the rest of the sequence to later polls.
     #[test]
-    fn next_payload_peeks_the_next_frame_without_consuming(
+    fn frames_list_the_buffered_run_without_consuming(
         nonces in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..48),
             1..9,
         ),
         chunks in proptest::collection::vec(1usize..256, 1..8),
+        takes in proptest::collection::vec(1usize..5, 1..8),
     ) {
         let requests = requests_from(&nonces);
+        let payloads: Vec<Vec<u8>> = requests.iter().map(Request::encode).collect();
         let wire = framed_stream(&requests);
         let mut source = ChunkedSource::new(wire, chunks);
         let mut accum = FrameAccum::new();
         accum.lend(vec![0; 64 * 1024]);
         let mut decoded = Vec::new();
-        let mut peeked: Option<Vec<u8>> = None;
+        let mut step = 0;
         loop {
             match accum.poll(&mut source).expect("well-formed stream") {
                 FramePoll::Frame => {
-                    if let Some(expected) = peeked.take() {
-                        prop_assert_eq!(accum.payload(), &expected[..]);
+                    let listed: Vec<Vec<u8>> = accum.frames().map(<[u8]>::to_vec).collect();
+                    prop_assert_eq!(&listed[0][..], accum.payload());
+                    prop_assert_eq!(
+                        accum.frames().map(<[u8]>::to_vec).collect::<Vec<_>>(),
+                        listed.clone()
+                    );
+                    let at = decoded.len();
+                    prop_assert_eq!(&listed[..], &payloads[at..at + listed.len()]);
+                    // Serve a run of the listed frames, then release it.
+                    let take = takes[step % takes.len()].min(listed.len());
+                    step += 1;
+                    for payload in &listed[..take] {
+                        decoded.push(RequestRef::decode(payload).unwrap().into_owned());
                     }
-                    let next = accum.next_payload().map(<[u8]>::to_vec);
-                    prop_assert_eq!(accum.next_payload().map(<[u8]>::to_vec), next.clone());
-                    decoded.push(RequestRef::decode(accum.payload()).unwrap().into_owned());
-                    accum.finish_frame();
-                    // Once the reported frame is finished, the peek
-                    // shows the frame at the front: the same one.
-                    prop_assert_eq!(accum.next_payload().map(<[u8]>::to_vec), next.clone());
-                    peeked = next;
+                    accum.finish_frames(take);
+                    prop_assert_eq!(
+                        accum.frames().map(<[u8]>::to_vec).collect::<Vec<_>>(),
+                        listed[take..].to_vec()
+                    );
                 }
                 FramePoll::Pending => continue,
                 FramePoll::Eof => break,
@@ -550,7 +562,7 @@ proptest! {
 }
 
 #[test]
-fn next_payload_is_none_for_a_partial_next_frame_and_never_reads_past_the_received_bytes() {
+fn frames_end_at_a_partial_frame_and_never_read_past_the_received_bytes() {
     let requests = vec![
         Request::QueryVerdict { device_id: 1 },
         Request::Authenticate(AuthItem {
@@ -562,48 +574,65 @@ fn next_payload_is_none_for_a_partial_next_frame_and_never_reads_past_the_receiv
         }),
     ];
     let wire = framed_stream(&requests);
-    let first = framed_stream(&requests[..1]).len();
-    let second = &wire[first + 4..];
-    for cut in first..wire.len() {
+    let first_frame = framed_stream(&requests[..1]).len();
+    let first = &wire[4..first_frame];
+    let second = &wire[first_frame + 4..];
+    for cut in first_frame..wire.len() {
         // The lent buffer already holds the whole stream, so the bytes
         // past the received ones would complete the next frame: only a
-        // peek that reads past them could see it.
+        // listing that reads past them could see it.
         let mut stale = wire.clone();
         stale.shrink_to_fit();
         let mut accum = FrameAccum::new();
         accum.lend(stale);
-        assert_eq!(accum.next_payload(), None, "nothing received yet");
+        assert_eq!(accum.frames().count(), 0, "nothing received yet");
         let mut source = Piece(&wire[..cut]);
         assert_eq!(accum.poll(&mut source).unwrap(), FramePoll::Frame);
-        assert_eq!(accum.next_payload(), None, "cut at {cut}");
-        accum.finish_frame();
-        assert_eq!(accum.next_payload(), None, "cut at {cut}, first finished");
-        assert!(accum.mid_frame() || cut == first);
+        assert_eq!(accum.frames().collect::<Vec<_>>(), [first], "cut at {cut}");
+        // Asking for more frames than are complete consumes only the
+        // complete one; the partial bytes stay buffered.
+        accum.finish_frames(2);
+        assert_eq!(accum.frames().count(), 0, "cut at {cut}, first finished");
+        assert!(accum.mid_frame() || cut == first_frame);
     }
-    // Whole: the peek shows the second payload, before and after the
-    // first frame is finished.
+    // Whole: the listing shows both payloads, then the second once the
+    // first is finished.
     let mut accum = FrameAccum::new();
     accum.lend(vec![0; 64 * 1024]);
     assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
-    assert_eq!(accum.next_payload(), Some(second));
+    assert_eq!(accum.frames().collect::<Vec<_>>(), [first, second]);
     accum.finish_frame();
-    assert_eq!(accum.next_payload(), Some(second));
+    assert_eq!(accum.frames().collect::<Vec<_>>(), [second]);
     assert_eq!(accum.poll(&mut Piece(&[])).unwrap(), FramePoll::Frame);
     assert_eq!(accum.payload(), second);
-    assert_eq!(accum.next_payload(), None, "nothing behind the last frame");
+    accum.finish_frames(1);
+    assert_eq!(accum.frames().count(), 0, "nothing behind the last frame");
+    assert!(!accum.mid_frame());
+    // Both frames consumed at once, without a poll for the second.
+    let mut accum = FrameAccum::new();
+    accum.lend(vec![0; 64 * 1024]);
+    assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
+    accum.finish_frames(2);
+    assert!(!accum.has_frame() && !accum.mid_frame());
+    assert_eq!(accum.poll(&mut Piece(&[])).unwrap(), FramePoll::Pending);
 }
 
 #[test]
-fn next_payload_is_none_for_a_forged_oversize_next_length() {
+fn frames_end_at_a_forged_oversize_length() {
     let mut wire = framed_stream(&[Request::QueryVerdict { device_id: 9 }]);
+    let first = wire[4..].to_vec();
     wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
     wire.extend_from_slice(&[0x03; 64]);
     let mut accum = FrameAccum::new();
     accum.lend(vec![0; 64 * 1024]);
     assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
-    assert_eq!(accum.next_payload(), None);
-    accum.finish_frame();
-    assert_eq!(accum.next_payload(), None);
+    assert_eq!(accum.frames().collect::<Vec<_>>(), [&first[..]]);
+    // The iterator stays ended: the forged header is never walked past.
+    let mut frames = accum.frames();
+    assert!(frames.next().is_some());
+    assert_eq!((frames.next(), frames.next()), (None, None));
+    accum.finish_frames(usize::MAX);
+    assert_eq!(accum.frames().count(), 0);
     // The forged header is still there for poll to refuse.
     assert!(matches!(
         accum.poll(&mut Piece(&[])),

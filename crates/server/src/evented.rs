@@ -13,8 +13,9 @@
 //!   │     │                                                      │
 //!   │     ▼                         yes                          │
 //!   │   ┌▶ frame complete in buffer? ──▶ decode → handle →       │
-//!   │   │   │ no                        append to the flat       │
-//!   │   │   ▼                           out-queue                │
+//!   │   │   │ no                        (a run of buffered auths │
+//!   │   │   │                           as one batch) → append   │
+//!   │   │   ▼                           to the flat out-queue    │
 //!   │   ├─ read() into all free room        │ next frame         │
 //!   │   │   │ (a whole burst per read)      ▼                    │
 //!   │   └───┼─────────────────────────────◀─┘                    │
@@ -64,13 +65,18 @@
 //!   telemetry is paid per write too: the write's one clock read
 //!   settles every response it completed, and a frame that was already
 //!   buffered starts its clock where its predecessor's stopped.
-//! * **One frame of look-ahead** — once a frame is decoded, before it
-//!   is handled, the loop peeks at the next one buffered behind it
-//!   ([`FrameAccum::next_payload`]). When that is an `Authenticate`, its
-//!   device id goes to [`RequestHandler::prefetch`], so the registry
-//!   line its lookup needs loads while the current frame is served. A
-//!   hint changes no answer and never waits on a lock; it fires only
-//!   when frames queue up.
+//! * **Runs of auths served as one batch** — when an `Authenticate`
+//!   frame has more complete auths buffered right behind it
+//!   ([`FrameAccum::frames`]), the loop decodes the whole run borrowed
+//!   from the read buffer and serves it in one
+//!   [`RequestHandler::handle_auths`] call, which the production
+//!   handler turns into one verifier batch that overlaps the items'
+//!   cache misses. The first frame that is not a complete auth that
+//!   decodes ends the run and is served on its own, so answers keep
+//!   frame order. A run reads the clock at its boundaries only, not
+//!   per frame, and is bounded by what one read buffered: at
+//!   saturation a 64 KiB read holds a few hundred auths, at a fixed
+//!   rate a run is usually one frame and takes the per-frame path.
 //!
 //! Protocol semantics are **identical** to the in-process
 //! [`LoopbackTransport`](crate::LoopbackTransport), the semantic
@@ -92,7 +98,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ropuf_proto::{
-    append_frame, ErrorCode, FrameAccum, FrameError, FramePoll, RequestRef, Response,
+    append_frame, AuthItemRef, ErrorCode, FrameAccum, FrameError, FramePoll, RequestRef, Response,
 };
 
 use ropuf_telemetry::TraceRecord;
@@ -443,8 +449,14 @@ impl Outbound {
     /// Files the trace record of the response queued last; its
     /// flush-wait clock starts at `queued_at`.
     fn track(&mut self, record: TraceRecord, queued_at: Instant) {
+        self.track_at(self.queued_total, record, queued_at);
+    }
+
+    /// Files the trace record of the response that ends at out-stream
+    /// offset `end`; responses are filed in queue order.
+    fn track_at(&mut self, end: u64, record: TraceRecord, queued_at: Instant) {
         self.pending.push_back(PendingFlush {
-            end: self.queued_total,
+            end,
             queued_at,
             record,
         });
@@ -558,6 +570,17 @@ const READ_BUF: usize = ropuf_proto::SCRATCH_RETAIN;
 /// connections to take their answers before force-closing them.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// The wire type byte of an `Authenticate` request.
+const AUTHENTICATE: u8 = 0x03;
+
+/// Buffers of the run path, reused across runs: the answers of the run
+/// being served, and the out-stream offset each one ends at.
+#[derive(Debug, Default)]
+struct RunScratch {
+    answers: Vec<Response>,
+    ends: Vec<u64>,
+}
+
 struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
@@ -568,6 +591,8 @@ struct EventLoop {
     /// Response-encode scratch shared by every connection
     /// (handling is synchronous, so one buffer suffices).
     encode_scratch: Vec<u8>,
+    /// The run path's answer and offset buffers, shared the same way.
+    run_scratch: RunScratch,
     /// Read buffer lent to the connection being serviced and taken
     /// back when its pass ends with nothing buffered, so idle
     /// connections hold no read memory. Empty while a connection
@@ -603,6 +628,7 @@ impl EventLoop {
             conns: Vec::new(),
             free: VecDeque::new(),
             encode_scratch: Vec::new(),
+            run_scratch: RunScratch::default(),
             read_buf: Vec::new(),
             draining: false,
             drain_deadline: None,
@@ -762,6 +788,10 @@ impl EventLoop {
     /// the ready-wait anchor for every frame serviced in this pass
     /// (pipelined frames behind the first accumulate the time earlier
     /// frames held the loop: genuine queueing, attributed).
+    ///
+    /// An admitted `Authenticate` with more complete auths buffered
+    /// behind it starts a run, served as one batch by
+    /// [`serve_auth_run`]; every other frame is served on its own.
     fn service(
         &mut self,
         index: usize,
@@ -824,7 +854,7 @@ impl EventLoop {
                         // metrics scrape itself are part of the tally, so
                         // `server.requests` equals the client-side op
                         // count exactly.
-                        shared.telemetry.request_started();
+                        shared.telemetry.requests_started(1);
                         let msg_type = conn.accum.payload().first().copied().unwrap_or(0);
                         // Admission off the type byte alone, metered by
                         // this connection's unsent response bytes plus the
@@ -855,22 +885,42 @@ impl EventLoop {
                             }
                             continue;
                         }
+                        // An admitted auth with another auth buffered
+                        // behind it starts a run. The frames behind it
+                        // share its admission: they carry the same class,
+                        // and nothing is queued while the run is gathered,
+                        // so they meet the same pressure. The run's
+                        // answers count toward the pressure of every
+                        // frame after it.
+                        let run_follows = msg_type == AUTHENTICATE
+                            && conn
+                                .accum
+                                .frames()
+                                .nth(1)
+                                .is_some_and(|next| next.first() == Some(&AUTHENTICATE));
+                        if run_follows {
+                            if let Some((t3, queued)) = serve_auth_run(
+                                conn,
+                                handler,
+                                &shared.telemetry,
+                                &mut self.run_scratch,
+                                &mut self.encode_scratch,
+                                (drain_start, t0),
+                            ) {
+                                last_queued = Some(t3);
+                                if !queued {
+                                    break Some(Teardown::Normal);
+                                }
+                                continue;
+                            }
+                        }
                         let decoded = RequestRef::decode(conn.accum.payload());
                         let t1 = Instant::now();
-                        // Look one frame ahead: when the next buffered
-                        // frame is an auth, the handler starts loading
-                        // its device's index line now, and the load
-                        // resolves while this frame is served. Timed
-                        // with the handle phase, not the decode phase.
-                        if let Some(device_id) = conn
-                            .accum
-                            .next_payload()
-                            .and_then(RequestRef::peek_auth_device)
-                        {
-                            handler.prefetch(device_id);
-                        }
                         let keep_going = match decoded {
                             Ok(request) => {
+                                if matches!(request, RequestRef::Authenticate(_)) {
+                                    shared.telemetry.auth_run(1);
+                                }
                                 let device_hash = request_device_hash(&request);
                                 let response = match request {
                                     // The handler only knows the verifier's
@@ -1083,6 +1133,86 @@ impl EventLoop {
             self.close(index, Teardown::Normal, shared);
         }
     }
+}
+
+/// The `Authenticate` request a frame payload holds, if it holds one
+/// that decodes. The type byte is read first, so no other message is
+/// decoded here.
+fn decode_auth(payload: &[u8]) -> Option<AuthItemRef<'_>> {
+    if payload.first() != Some(&AUTHENTICATE) {
+        return None;
+    }
+    match RequestRef::decode(payload) {
+        Ok(RequestRef::Authenticate(item)) => Some(item),
+        _ => None,
+    }
+}
+
+/// Serves the run of pipelined auths that starts at the connection's
+/// reported frame — it and every complete auth buffered right behind
+/// it that decodes — as one [`RequestHandler::handle_auths`] call, and
+/// queues the answers in frame order. The run's first frame is already
+/// counted and admitted and started at `t0`; `drain_start` is the
+/// pass's start.
+///
+/// The clock is read at the run's boundaries only. Each of the `n`
+/// frames is charged `1/n` of the run's decode, handle and flush
+/// spans, and the rest of its time from `drain_start` until the answers
+/// were queued is its ready-wait, so its phases sum exactly to its
+/// lifetime. Returns when the answers were queued and whether every
+/// one of them was, or `None`, serving nothing, when fewer than two
+/// frames form a run (the frame then takes the per-frame path).
+fn serve_auth_run(
+    conn: &mut Conn,
+    handler: &dyn RequestHandler,
+    telemetry: &ServerTelemetry,
+    scratch: &mut RunScratch,
+    encode: &mut Vec<u8>,
+    (drain_start, t0): (Instant, Instant),
+) -> Option<(Instant, bool)> {
+    let mut items = Vec::with_capacity(conn.accum.frames().count());
+    items.extend(conn.accum.frames().map_while(decode_auth));
+    let n = items.len();
+    if n < 2 {
+        return None;
+    }
+    telemetry.requests_started(n as u64 - 1);
+    let t1 = Instant::now();
+    handler.handle_auths(&items, &mut scratch.answers);
+    let t2 = Instant::now();
+    // One answer per frame keeps the connection frame-aligned, whatever
+    // a handler outside this crate returns.
+    scratch.answers.resize_with(n, || Response::Error {
+        code: ErrorCode::Internal,
+        detail: "the handler left an auth of the run unanswered".into(),
+    });
+    let mut queued = true;
+    scratch.ends.clear();
+    for answer in scratch.answers.drain(..) {
+        queued &= conn.out.push(&answer, encode);
+        scratch.ends.push(conn.out.queued_total);
+    }
+    let t3 = Instant::now();
+    let share = |from, to| elapsed_ns(from, to) / n as u64;
+    let (decode_ns, handle_ns, flush_ns) = (share(t0, t1), share(t1, t2), share(t2, t3));
+    let ready_ns = elapsed_ns(drain_start, t3)
+        .saturating_sub(decode_ns)
+        .saturating_sub(handle_ns)
+        .saturating_sub(flush_ns);
+    for (item, &end) in items.iter().zip(&scratch.ends) {
+        let record = telemetry.observe_queued(
+            AUTHENTICATE,
+            request_device_hash(&RequestRef::Authenticate(*item)),
+            ready_ns,
+            decode_ns,
+            handle_ns,
+            flush_ns,
+        );
+        conn.out.track_at(end, record, t3);
+    }
+    telemetry.auth_run(n as u64);
+    conn.accum.finish_frames(n);
+    Some((t3, queued))
 }
 
 /// Takes a connection's read buffer back as the loop's `spare` once
@@ -1590,19 +1720,25 @@ mod tests {
         config: EventedConfig,
         done: impl Fn(&EventLoop, &Shared) -> bool,
     ) -> (EventLoop, Shared, TcpStream) {
+        serve_raw_by_hand(handler, &wire_of(burst), config, done)
+    }
+
+    /// [`serve_by_hand`] for raw wire bytes: the whole of `wire` is in
+    /// the server's socket before the loop first reads it.
+    fn serve_raw_by_hand(
+        handler: &dyn RequestHandler,
+        wire: &[u8],
+        config: EventedConfig,
+        done: impl Fn(&EventLoop, &Shared) -> bool,
+    ) -> (EventLoop, Shared, TcpStream) {
         let listener = net::bind_listener("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
         wake_rx.set_nonblocking(true).unwrap();
         let shared = Shared::new(&config, wake_tx);
         let mut event_loop = EventLoop::new(listener, wake_rx, config).unwrap();
-        let mut wire = Vec::new();
-        let mut writer = ropuf_proto::FrameWriter::new(&mut wire);
-        for request in burst {
-            writer.write_request(request).unwrap();
-        }
         let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(&wire).unwrap();
+        client.write_all(wire).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while event_loop.conns.iter().flatten().count() == 0 {
             assert!(Instant::now() < deadline, "connection never accepted");
@@ -1671,79 +1807,406 @@ mod tests {
         }
     }
 
-    /// Logs, in call order, every device it is hinted (`Hint`) and
-    /// every auth or verdict query it serves (`Served`); answers every
-    /// request with a fixed error.
+    /// Logs, in call order, every run of auths it serves as one call
+    /// (`Run`) and every auth or verdict query it serves on its own
+    /// (`One`); answers every request with a fixed error.
     #[derive(Default)]
-    struct HintLog(Mutex<Vec<Call>>);
+    struct CallLog(Mutex<Vec<Call>>);
 
     #[derive(Debug, PartialEq)]
     enum Call {
-        Hint(u64),
-        Served(u64),
+        Run(Vec<u64>),
+        One(u64),
     }
 
-    impl RequestHandler for HintLog {
+    impl CallLog {
+        fn answer() -> Response {
+            Response::Error {
+                code: ErrorCode::UnknownDevice,
+                detail: "call log".into(),
+            }
+        }
+    }
+
+    impl RequestHandler for CallLog {
         fn handle_ref(&self, request: RequestRef<'_>) -> Response {
             match request {
-                RequestRef::Authenticate(item) => {
-                    self.0.lock().unwrap().push(Call::Served(item.device_id));
-                }
-                RequestRef::QueryVerdict { device_id } => {
-                    self.0.lock().unwrap().push(Call::Served(device_id));
+                RequestRef::Authenticate(AuthItemRef { device_id, .. })
+                | RequestRef::QueryVerdict { device_id } => {
+                    self.0.lock().unwrap().push(Call::One(device_id));
                 }
                 _ => {}
             }
-            Response::Error {
-                code: ErrorCode::UnknownDevice,
-                detail: "hint log".into(),
-            }
+            Self::answer()
         }
 
-        fn prefetch(&self, device_id: u64) {
-            self.0.lock().unwrap().push(Call::Hint(device_id));
+        fn handle_auths(&self, items: &[AuthItemRef<'_>], answers: &mut Vec<Response>) {
+            let ids = items.iter().map(|item| item.device_id).collect();
+            self.0.lock().unwrap().push(Call::Run(ids));
+            answers.extend(items.iter().map(|_| Self::answer()));
         }
     }
 
+    fn auth(device_id: u64) -> Request {
+        Request::Authenticate(AuthItem {
+            device_id,
+            now: 0,
+            nonce: b"n".to_vec(),
+            response: WireAuthResponse::Failure,
+            presented_helper: None,
+        })
+    }
+
+    /// Frames `requests` back to back.
+    fn wire_of(requests: &[Request]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for request in requests {
+            append_frame(&mut wire, &request.encode()).unwrap();
+        }
+        wire
+    }
+
     #[test]
-    fn the_next_buffered_auth_is_hinted_before_the_current_frame_is_served() {
-        let auth = |device_id| {
-            Request::Authenticate(AuthItem {
-                device_id,
-                now: 0,
-                nonce: b"n".to_vec(),
-                response: WireAuthResponse::Failure,
-                presented_helper: None,
-            })
-        };
-        // Only an auth behind the frame being served is hinted: not
-        // the first frame, not a query.
+    fn buffered_auths_are_served_as_runs_in_frame_order() {
+        // A run is an auth and the complete auths buffered right behind
+        // it; any other frame ends it and is served on its own, and a
+        // lone auth takes the per-frame path.
         let burst = [
             auth(11),
             auth(22),
             Request::QueryVerdict { device_id: 33 },
             auth(44),
-            auth(55),
+            Request::QueryVerdict { device_id: 55 },
+            auth(66),
+            auth(77),
+            auth(88),
         ];
-        let handler = HintLog::default();
-        let (_loop, shared, _client) =
+        let handler = CallLog::default();
+        let (mut event_loop, shared, mut client) =
             serve_by_hand(&handler, &burst, EventedConfig::default(), |_, shared| {
                 shared.telemetry.requests_served() == burst.len() as u64
             });
-        assert_eq!(shared.telemetry.requests_served(), 5);
-        use Call::{Hint, Served};
+        use Call::{One, Run};
         assert_eq!(
-            *handler.0.lock().unwrap(),
+            std::mem::take(&mut *handler.0.lock().unwrap()),
             [
-                Hint(22),
-                Served(11),
-                Served(22),
-                Hint(44),
-                Served(33),
-                Hint(55),
-                Served(44),
-                Served(55),
+                Run(vec![11, 22]),
+                One(33),
+                One(44),
+                One(55),
+                Run(vec![66, 77, 88]),
             ]
         );
+        // A run ends where the received bytes do: the auth cut short is
+        // not part of it, and is served once its last byte arrives.
+        let tail = wire_of(&[auth(99), auth(100), auth(101)]);
+        let cut = tail.len() - 3;
+        client.write_all(&tail[..cut]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shared.telemetry.requests_served() < burst.len() as u64 + 2 {
+            assert!(
+                Instant::now() < deadline,
+                "the complete auths were never served"
+            );
+            event_loop.service(0, false, Instant::now(), &handler, &shared);
+        }
+        assert_eq!(
+            std::mem::take(&mut *handler.0.lock().unwrap()),
+            [Run(vec![99, 100])]
+        );
+        client.write_all(&tail[cut..]).unwrap();
+        while shared.telemetry.requests_served() < burst.len() as u64 + 3 {
+            assert!(
+                Instant::now() < deadline,
+                "the completed auth was never served"
+            );
+            event_loop.service(0, false, Instant::now(), &handler, &shared);
+        }
+        assert_eq!(*handler.0.lock().unwrap(), [One(101)]);
+    }
+
+    #[test]
+    fn a_read_cut_anywhere_serves_every_frame_once_in_order() {
+        // The first read ends at every byte of the burst in turn: the
+        // runs it and the second read form differ per cut, but every
+        // frame is served exactly once, in frame order, and no run
+        // holds fewer than two auths.
+        let burst = [
+            auth(1),
+            auth(2),
+            auth(3),
+            Request::QueryVerdict { device_id: 4 },
+            auth(5),
+            auth(6),
+        ];
+        let wire = wire_of(&burst);
+        let ends: Vec<usize> = burst
+            .iter()
+            .scan(0, |end, request| {
+                *end += 4 + request.encode().len();
+                Some(*end)
+            })
+            .collect();
+        for cut in 1..wire.len() {
+            let handler = CallLog::default();
+            let whole = ends.iter().filter(|&&end| end <= cut).count() as u64;
+            let (mut event_loop, shared, mut client) = serve_raw_by_hand(
+                &handler,
+                &wire[..cut],
+                EventedConfig::default(),
+                |_, shared| shared.telemetry.requests_served() == whole,
+            );
+            client.write_all(&wire[cut..]).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while shared.telemetry.requests_served() < burst.len() as u64 {
+                assert!(
+                    Instant::now() < deadline,
+                    "cut at {cut}: burst never served"
+                );
+                event_loop.service(0, false, Instant::now(), &handler, &shared);
+            }
+            let calls = std::mem::take(&mut *handler.0.lock().unwrap());
+            let mut served = Vec::new();
+            for call in &calls {
+                match call {
+                    Call::Run(ids) => {
+                        assert!(ids.len() >= 2, "cut at {cut}: {calls:?}");
+                        served.extend(ids);
+                    }
+                    Call::One(id) => served.push(*id),
+                }
+            }
+            assert_eq!(served, [1, 2, 3, 4, 5, 6], "cut at {cut}: {calls:?}");
+            let mut reader = ropuf_proto::FrameReader::new(&client);
+            for _ in &burst {
+                assert_eq!(reader.read_response().unwrap(), Some(CallLog::answer()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_takes_only_whole_authenticates_that_decode() {
+        let item = AuthItem {
+            device_id: 42,
+            now: 7,
+            nonce: b"nonce-0".to_vec(),
+            response: WireAuthResponse::Tag([9; 32]),
+            presented_helper: Some(vec![0x4C, 1, 2, 3]),
+        };
+        let whole = Request::Authenticate(item.clone()).encode();
+        assert_eq!(decode_auth(&whole), Some(item.as_ref()));
+        // An auth cut anywhere, even past the nine bytes that carry
+        // its id, does not decode, and no other message is an auth.
+        for cut in 0..whole.len() {
+            assert_eq!(decode_auth(&whole[..cut]), None, "cut at {cut}");
+        }
+        let mut trailing = whole.clone();
+        trailing.push(0);
+        let others = [
+            trailing,
+            Request::QueryVerdict { device_id: 42 }.encode(),
+            Request::BatchAuthenticate { items: vec![item] }.encode(),
+            Request::MetricsSnapshot.encode(),
+            vec![0xEE; 32],
+        ];
+        for payload in others {
+            assert_eq!(decode_auth(&payload), None, "{payload:?}");
+        }
+        // In the loop, a frame that is not a whole auth ends the run in
+        // front of it: a QueryVerdict is served on its own, and an auth
+        // truncated inside its frame is answered as malformed and closes
+        // the connection, with nothing behind it served.
+        for (middle, closes) in [
+            (Request::QueryVerdict { device_id: 33 }.encode(), false),
+            (whole[..9].to_vec(), true),
+        ] {
+            let mut wire = wire_of(&[auth(1), auth(2)]);
+            append_frame(&mut wire, &middle).unwrap();
+            wire.extend(wire_of(&[auth(3), auth(4)]));
+            let handler = CallLog::default();
+            let (_loop, shared, client) = serve_raw_by_hand(
+                &handler,
+                &wire,
+                EventedConfig::default(),
+                |event_loop, shared| {
+                    event_loop.conns[0].is_none() || shared.telemetry.requests_served() == 5
+                },
+            );
+            use Call::{One, Run};
+            let served = std::mem::take(&mut *handler.0.lock().unwrap());
+            if closes {
+                assert_eq!(served, [Run(vec![1, 2])]);
+                let mut reader = ropuf_proto::FrameReader::new(&client);
+                for _ in 0..2 {
+                    assert_eq!(reader.read_response().unwrap(), Some(CallLog::answer()));
+                }
+                assert!(matches!(
+                    reader.read_response().unwrap(),
+                    Some(Response::Error {
+                        code: ErrorCode::MalformedRequest,
+                        ..
+                    })
+                ));
+                assert_eq!(reader.read_response().unwrap(), None, "closed after it");
+            } else {
+                assert_eq!(served, [Run(vec![1, 2]), One(33), Run(vec![3, 4])]);
+                assert_eq!(shared.telemetry.requests_served(), 5);
+            }
+        }
+    }
+
+    /// The `server.loop.auth_run` histogram.
+    fn auth_runs(telemetry: &ServerTelemetry) -> ropuf_telemetry::HistogramSnapshot {
+        match telemetry
+            .snapshot()
+            .find("server.loop.auth_run", &[("backend", "evented")])
+        {
+            Some(MetricValue::Histogram(h)) => h.clone(),
+            other => panic!("auth run histogram: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_run_of_k_auths_charges_each_frame_a_kth_and_sums_exactly() {
+        let k = 7u64;
+        let handler = VerifierHandler::new(Arc::new(Verifier::new(2, DetectorConfig::default())));
+        let burst: Vec<Request> = (0..k).map(auth).collect();
+        let config = EventedConfig {
+            slow_trace_threshold: Duration::ZERO,
+            ..EventedConfig::default()
+        };
+        let (_loop, shared, client) = serve_by_hand(&handler, &burst, config, |_, shared| {
+            shared.telemetry.trace_snapshot().recorded == k
+        });
+        let mut reader = ropuf_proto::FrameReader::new(&client);
+        for _ in 0..k {
+            assert_eq!(
+                reader.read_response().unwrap(),
+                Some(Response::Verdict(ropuf_proto::WireVerdict::Reject))
+            );
+        }
+        // Exactly k samples in each auth phase row and in the total.
+        let snap = shared.telemetry.snapshot();
+        for phase in SERIES_PHASES {
+            match snap.find(
+                "server.request.phase_ns",
+                &[("backend", "evented"), ("msg", "auth"), ("phase", phase)],
+            ) {
+                Some(MetricValue::Histogram(h)) => assert_eq!(h.count, k, "{phase}"),
+                other => panic!("auth {phase}: {other:?}"),
+            }
+        }
+        assert_eq!(phase_samples(&shared.telemetry), ([k; 5], k));
+        // One run of k: its frames share the run's decode, handle and
+        // flush spans equally, and each sums exactly to its lifetime.
+        let runs = auth_runs(&shared.telemetry);
+        assert_eq!((runs.count, runs.sum, runs.max), (1, u128::from(k), k));
+        let records = shared.telemetry.trace_snapshot().records;
+        assert_eq!(records.len() as u64, k);
+        for record in &records {
+            assert_eq!(record.msg_type, AUTHENTICATE);
+            assert_eq!(
+                (record.decode_ns, record.handle_ns, record.flush_ns),
+                (
+                    records[0].decode_ns,
+                    records[0].handle_ns,
+                    records[0].flush_ns
+                ),
+                "{record:?}"
+            );
+            assert_eq!(
+                record.total_ns,
+                record.ready_ns
+                    + record.decode_ns
+                    + record.handle_ns
+                    + record.flush_ns
+                    + record.flush_wait_ns,
+                "{record:?}"
+            );
+        }
+        let hashes: std::collections::HashSet<u64> =
+            records.iter().map(|r| r.device_hash).collect();
+        assert_eq!(hashes.len() as u64, k, "each frame keeps its own device");
+    }
+
+    #[test]
+    fn admission_decides_each_frame_in_order_and_a_shed_frame_ends_the_run() {
+        let handler = VerifierHandler::new(Arc::new(Verifier::new(2, DetectorConfig::default())));
+        let hello = Request::Hello {
+            protocol: ropuf_proto::PROTOCOL_VERSION,
+            client: "between runs".into(),
+        };
+        let reject = Response::Verdict(ropuf_proto::WireVerdict::Reject);
+        // Brown-out once anything is queued: the verdict query behind
+        // the first run is shed and ends it, and the auths behind it,
+        // which brown-out admits, form the next run. At the hard limit
+        // the auths behind the handshake are each shed, one by one.
+        let cases = [
+            (
+                OverloadPolicy {
+                    brownout_pressure: 1,
+                    max_pressure: u64::MAX,
+                    retry_after_ms: 50,
+                },
+                vec![
+                    auth(1),
+                    auth(2),
+                    Request::QueryVerdict { device_id: 1 },
+                    auth(3),
+                    auth(4),
+                ],
+                vec![true, true, false, true, true],
+                vec![2u64, 2],
+            ),
+            (
+                OverloadPolicy {
+                    brownout_pressure: u64::MAX,
+                    max_pressure: 1,
+                    retry_after_ms: 50,
+                },
+                vec![auth(1), auth(2), auth(3), hello, auth(4), auth(5)],
+                vec![true, true, true, true, false, false],
+                vec![3],
+            ),
+        ];
+        for (policy, burst, admitted, runs) in cases {
+            let config = EventedConfig {
+                overload: policy,
+                ..EventedConfig::default()
+            };
+            let (_loop, shared, client) = serve_by_hand(&handler, &burst, config, |_, shared| {
+                shared.telemetry.requests_served() == burst.len() as u64
+            });
+            let mut reader = ropuf_proto::FrameReader::new(&client);
+            for (request, admitted) in burst.iter().zip(&admitted) {
+                let answer = reader.read_response().unwrap().expect("answered");
+                match (request, admitted) {
+                    (_, false) => assert!(
+                        matches!(
+                            answer,
+                            Response::Error {
+                                code: ErrorCode::Overloaded,
+                                ..
+                            }
+                        ),
+                        "{request:?}: {answer:?}"
+                    ),
+                    (Request::Authenticate(_), true) => assert_eq!(answer, reject),
+                    (_, true) => assert!(
+                        matches!(answer, Response::HelloOk { .. }),
+                        "{request:?}: {answer:?}"
+                    ),
+                }
+            }
+            let shed = admitted.iter().filter(|a| !**a).count() as u64;
+            assert_eq!(
+                shared.telemetry.snapshot().counter_total("server.shed"),
+                shed
+            );
+            let served = auth_runs(&shared.telemetry);
+            assert_eq!(served.count, runs.len() as u64);
+            assert_eq!(served.sum, u128::from(runs.iter().sum::<u64>()));
+            assert_eq!(served.max, *runs.iter().max().unwrap());
+        }
     }
 }

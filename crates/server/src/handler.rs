@@ -5,10 +5,12 @@
 //! the evented server and the in-process loopback transport both
 //! funnel decoded requests through the same `handle_ref` call, so a
 //! scenario exercised over loopback is bit-for-bit the scenario the
-//! socket path serves. The evented server also passes the handler a
-//! hint, [`RequestHandler::prefetch`], naming the device of the next
-//! pipelined auth; a hint changes no answer, so loopback, which has no
-//! pipeline, needs none.
+//! socket path serves. The evented server also hands the handler each
+//! run of pipelined auths one read buffered as one
+//! [`RequestHandler::handle_auths`] call. Its default serves the items
+//! one by one through `handle_ref`, and [`VerifierHandler`] serves them
+//! as one verifier batch with the same answers, so loopback, which has
+//! no pipeline, needs no such call.
 //!
 //! The one deliberate asymmetry: a **single** [`Request::Authenticate`]
 //! for a quarantined device is answered with a typed wire error
@@ -39,6 +41,19 @@ pub trait RequestHandler: Send + Sync {
         self.handle_ref(request.as_ref())
     }
 
+    /// Serves a run of pipelined `Authenticate` requests, in order,
+    /// appending one answer per item to `answers`: the answers
+    /// [`RequestHandler::handle_ref`] gives the same items one by one.
+    /// The evented server calls it for the auths one read buffered
+    /// back to back; the default does exactly that loop.
+    fn handle_auths(&self, items: &[AuthItemRef<'_>], answers: &mut Vec<Response>) {
+        answers.extend(
+            items
+                .iter()
+                .map(|&item| self.handle_ref(RequestRef::Authenticate(item))),
+        );
+    }
+
     /// Registry shard count behind this handler, or `0` when the
     /// handler has no sharded registry (the default). No server code
     /// calls it; it stays for handlers outside this crate that
@@ -46,16 +61,6 @@ pub trait RequestHandler: Send + Sync {
     fn shard_count(&self) -> usize {
         0
     }
-
-    /// A hint that an `Authenticate` for `device_id` is buffered right
-    /// behind the request being served: the handler may start loading
-    /// what serving it will read, so the loads resolve while the
-    /// current request runs. It must change no state and no answer,
-    /// and must not wait on a lock: a hint that cannot be delivered at
-    /// once is better dropped.
-    /// The evented server calls it for each pipelined auth one frame
-    /// ahead; the default does nothing.
-    fn prefetch(&self, _device_id: u64) {}
 }
 
 /// Converts the verifier's flag reason to its wire representation.
@@ -74,6 +79,19 @@ pub fn wire_verdict(verdict: AuthVerdict) -> WireVerdict {
         AuthVerdict::Accept => WireVerdict::Accept,
         AuthVerdict::Reject => WireVerdict::Reject,
         AuthVerdict::Flagged(reason) => WireVerdict::Flagged(wire_reason(reason)),
+    }
+}
+
+/// The answer to a single `Authenticate`: a quarantined device draws
+/// the typed [`ErrorCode::DeviceFlagged`] error, every other verdict
+/// travels as itself.
+fn auth_answer(verdict: AuthVerdict) -> Response {
+    match verdict {
+        AuthVerdict::Flagged(reason) => Response::Error {
+            code: ErrorCode::DeviceFlagged,
+            detail: format!("device quarantined: {}", reason.label()),
+        },
+        verdict => Response::Verdict(wire_verdict(verdict)),
     }
 }
 
@@ -114,6 +132,30 @@ impl VerifierHandler {
     /// The served verifier (inspection, snapshots, direct enrollment).
     pub fn verifier(&self) -> &Arc<Verifier> {
         &self.verifier
+    }
+
+    /// Judges `items` as one verifier batch and hands the verdicts, in
+    /// item order, to `answer`.
+    fn with_batch<R>(
+        &self,
+        items: &[AuthItemRef<'_>],
+        answer: impl FnOnce(&[AuthVerdict]) -> R,
+    ) -> R {
+        // Per-thread scratch: the server serves from its one loop
+        // thread, so this amortizes the shard buckets and the verdict
+        // vector across every batch it ever serves instead of
+        // reallocating them per request.
+        thread_local! {
+            static BATCH_SCRATCH: std::cell::RefCell<(BatchScratch, Vec<AuthVerdict>)> =
+                std::cell::RefCell::new((BatchScratch::new(), Vec::new()));
+        }
+        let queries: Vec<AuthQuery<'_>> = items.iter().map(auth_query).collect();
+        BATCH_SCRATCH.with(|cell| {
+            let (scratch, verdicts) = &mut *cell.borrow_mut();
+            self.verifier
+                .authenticate_batch_with(&queries, scratch, verdicts);
+            answer(verdicts)
+        })
     }
 
     /// `true` once the durable store has latched its read-only degraded
@@ -183,31 +225,11 @@ impl RequestHandler for VerifierHandler {
                 }
             }
             RequestRef::Authenticate(item) => {
-                match self.verifier.authenticate_query(auth_query(&item)) {
-                    AuthVerdict::Flagged(reason) => Response::Error {
-                        code: ErrorCode::DeviceFlagged,
-                        detail: format!("device quarantined: {}", reason.label()),
-                    },
-                    verdict => Response::Verdict(wire_verdict(verdict)),
-                }
+                auth_answer(self.verifier.authenticate_query(auth_query(&item)))
             }
-            RequestRef::BatchAuthenticate { items } => {
-                // Per-thread scratch: the server serves from its one
-                // loop thread, so this amortizes the shard buckets and
-                // the verdict vector across every batch it ever serves
-                // instead of reallocating them per request.
-                thread_local! {
-                    static BATCH_SCRATCH: std::cell::RefCell<(BatchScratch, Vec<AuthVerdict>)> =
-                        std::cell::RefCell::new((BatchScratch::new(), Vec::new()));
-                }
-                let queries: Vec<AuthQuery<'_>> = items.iter().map(auth_query).collect();
-                BATCH_SCRATCH.with(|cell| {
-                    let (scratch, verdicts) = &mut *cell.borrow_mut();
-                    self.verifier
-                        .authenticate_batch_with(&queries, scratch, verdicts);
-                    Response::VerdictBatch(verdicts.iter().copied().map(wire_verdict).collect())
-                })
-            }
+            RequestRef::BatchAuthenticate { items } => self.with_batch(&items, |verdicts| {
+                Response::VerdictBatch(verdicts.iter().copied().map(wire_verdict).collect())
+            }),
             RequestRef::QueryVerdict { device_id } => {
                 match self.verifier.registry().enrolled_flag(device_id) {
                     None => Response::Error {
@@ -241,12 +263,18 @@ impl RequestHandler for VerifierHandler {
         }
     }
 
-    fn shard_count(&self) -> usize {
-        self.verifier.registry().shard_count()
+    /// One verifier batch for the whole run, each verdict answered as
+    /// a single auth's ([`Verifier::authenticate_batch_with`] judges
+    /// every device's items in run order, so the answers are the
+    /// one-by-one answers).
+    fn handle_auths(&self, items: &[AuthItemRef<'_>], answers: &mut Vec<Response>) {
+        self.with_batch(items, |verdicts| {
+            answers.extend(verdicts.iter().copied().map(auth_answer));
+        });
     }
 
-    fn prefetch(&self, device_id: u64) {
-        self.verifier.prefetch(device_id);
+    fn shard_count(&self) -> usize {
+        self.verifier.registry().shard_count()
     }
 }
 

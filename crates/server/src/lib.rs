@@ -20,8 +20,9 @@
 //!   [`ErrorCode::DeviceFlagged`](ropuf_proto::ErrorCode).
 //! * [`evented`] (Linux) — [`EventedServer`]: one non-blocking epoll
 //!   readiness loop driving per-connection state machines — many
-//!   thousands of connections on one thread, with pipelining, bounded
-//!   buffers, slow-client eviction, and graceful shutdown. Proven
+//!   thousands of connections on one thread, with pipelining (each
+//!   read's run of pipelined auths served as one verifier batch),
+//!   bounded buffers, slow-client eviction, and graceful shutdown. Proven
 //!   byte-for-byte equivalent to loopback by the `equivalence` test
 //!   suite.
 //! * [`sys`] (Linux) — the in-tree `epoll` wrapper and the one

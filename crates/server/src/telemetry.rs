@@ -15,10 +15,17 @@
 //! * decode — from the frame's start to its decoded request: admission
 //!   and decoding, and for a frame started at its predecessor's queue
 //!   time also taking its header out of the buffer.
-//! * handle — the handler call, plus the look-ahead hint for the next
-//!   buffered auth that precedes it.
+//! * handle — the handler call.
 //! * flush — appending the response to the out-buffer.
 //! * flush-wait — out-buffer residency until the socket drained.
+//!
+//! A run of `n` pipelined auths served as one batch has one decode,
+//! one handle and one flush span. Each of its frames is charged `1/n`
+//! of each, so the auth rows stay per-item costs, and the rest of its
+//! time from the pass's start until the run's answers were queued is
+//! its ready-wait: its five phases still sum exactly to its lifetime.
+//! `server.loop.auth_run` records each run's length (a lone auth
+//! records 1).
 //!
 //! A frame's phases are recorded once its response has left, together
 //! with every other frame the same write drained: one clock read per
@@ -129,6 +136,8 @@ pub struct ServerTelemetry {
     first_frame: TimerHistogram,
     /// Ready-list batch sizes per epoll wakeup.
     ready_batch: TimerHistogram,
+    /// Auths per served run (a lone auth is a run of 1).
+    auth_run: TimerHistogram,
     ring: TraceRing,
     threshold_ns: u64,
 }
@@ -164,6 +173,7 @@ impl ServerTelemetry {
         let total = registry.histogram("server.request.total_ns", &b);
         let first_frame = registry.histogram("server.conn.first_frame_ns", &b);
         let ready_batch = registry.histogram("server.loop.ready_batch", &b);
+        let auth_run = registry.histogram("server.loop.auth_run", &b);
         let threshold_ns = u64::try_from(slow_threshold.as_nanos()).unwrap_or(u64::MAX);
         Arc::new(Self {
             registry,
@@ -177,6 +187,7 @@ impl ServerTelemetry {
             total,
             first_frame,
             ready_batch,
+            auth_run,
             ring: TraceRing::new(trace_capacity),
             threshold_ns,
         })
@@ -221,12 +232,12 @@ impl ServerTelemetry {
         }
     }
 
-    /// Counts a request the moment its frame is complete — before
-    /// decode, so malformed frames and the scrape request itself are
-    /// part of the tally. This is what makes the CI equality check
+    /// Counts `n` requests the moment their frames are complete —
+    /// before decode, so malformed frames and the scrape request itself
+    /// are part of the tally. This is what makes the CI equality check
     /// (`server.requests == client-side ops`) exact.
-    pub(crate) fn request_started(&self) {
-        self.requests.inc();
+    pub(crate) fn requests_started(&self, n: u64) {
+        self.requests.add(n);
     }
 
     /// Builds a served frame's trace candidate from its first four
@@ -304,6 +315,11 @@ impl ServerTelemetry {
     /// Records one epoll wakeup's ready-list batch size.
     pub(crate) fn ready_batch(&self, n: u64) {
         self.ready_batch.record(n);
+    }
+
+    /// Records the length of one served run of pipelined auths.
+    pub(crate) fn auth_run(&self, n: u64) {
+        self.auth_run.record(n);
     }
 
     /// Connections accepted since spawn.

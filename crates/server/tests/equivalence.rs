@@ -20,15 +20,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ropuf_proto::{
-    append_frame, ErrorCode, FrameError, FrameReader, FrameWriter, Request, RequestRef, Response,
-    WireFlagReason, MAX_FRAME,
+    append_frame, AuthItem, ErrorCode, FaultPlan, FaultyStream, FrameError, FrameReader,
+    FrameWriter, Request, RequestRef, Response, WireAuthResponse, WireFlagReason, WireVerdict,
+    MAX_FRAME, RATE_ONE,
 };
 use ropuf_server::{
     Client, EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TcpTransport,
     TrafficPlan, Transport, VerifierHandler,
 };
 use ropuf_telemetry::{MetricValue, SERIES_PHASES};
-use ropuf_verifier::{DetectorConfig, StoreOptions, Verifier};
+use ropuf_verifier::{client_tag, DetectorConfig, StoreOptions, Verifier};
 
 mod common;
 use common::{device_requests, enrolled_handler, spec};
@@ -398,9 +399,9 @@ impl Piece {
 /// `QueryVerdict`s and hostile bytes between them. Every burst but the
 /// clean ones breaks off at its hostile frame, with auths still behind
 /// it: an auth too short to carry an id, one that carries an enrolled
-/// id and then garbage (the look-ahead sees a real device), an unknown
-/// message type, or a forged oversize length right behind an auth.
-/// Clean bursts end in a truncated auth frame.
+/// id and then garbage, an unknown message type, or a forged oversize
+/// length right behind an auth. Clean bursts end in a truncated auth
+/// frame.
 fn hostile_bursts(plan: &TrafficPlan) -> Vec<Vec<Piece>> {
     plan.devices
         .iter()
@@ -475,29 +476,35 @@ fn loopback_answers(burst: &[Piece], transport: &mut LoopbackTransport) -> Vec<V
     answers
 }
 
-/// The lookahead reads the frame behind the one being served; the
-/// hostile bursts put every shape of frame there. The server's
-/// answers must still be the loopback oracle's, byte for byte: a hint
-/// never changes an answer, and a frame the hint peeked at is still
-/// judged whole when its turn comes.
-#[test]
-fn hostile_lookahead_bursts_are_byte_identical_to_loopback() {
-    let plan = TrafficPlan::build(&spec());
-    let bursts = hostile_bursts(&plan);
-
-    let mut transport = LoopbackTransport::new(enrolled_handler(&plan, 4));
-    let expected: Vec<Vec<Vec<u8>>> = bursts
+/// The loopback oracle's answers to every burst, in order, from one
+/// fresh enrolled stack.
+fn oracle(plan: &TrafficPlan, bursts: &[Vec<Piece>]) -> Vec<Vec<Vec<u8>>> {
+    let mut transport = LoopbackTransport::new(enrolled_handler(plan, 4));
+    bursts
         .iter()
         .map(|burst| loopback_answers(burst, &mut transport))
-        .collect();
+        .collect()
+}
 
+/// Sends each burst on its own connection to a fresh evented stack,
+/// writing its bytes with `send`, and checks the answers against the
+/// oracle's byte for byte. A burst that broke off at a hostile frame
+/// must see the connection close right after its typed error; the
+/// close may cut short the write of the bytes behind that frame.
+/// Returns the longest run of auths the server served as one batch.
+fn serve_bursts(
+    plan: &TrafficPlan,
+    bursts: &[Vec<Piece>],
+    expected: &[Vec<Vec<u8>>],
+    send: impl Fn(&mut TcpStream, &[u8]) -> std::io::Result<()>,
+) -> u64 {
     let server = EventedServer::spawn(
         "127.0.0.1:0",
-        enrolled_handler(&plan, 4),
+        enrolled_handler(plan, 4),
         EventedConfig::default(),
     )
     .expect("bind");
-    for (burst, expected) in bursts.iter().zip(&expected) {
+    for (burst, expected) in bursts.iter().zip(expected) {
         let mut wire = Vec::new();
         for piece in burst {
             piece.append_to(&mut wire);
@@ -507,7 +514,12 @@ fn hostile_lookahead_bursts_are_byte_identical_to_loopback() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");
-        stream.write_all(&wire).expect("send burst");
+        let hostile = burst
+            .iter()
+            .any(|p| matches!(p, Piece::Garbage(_) | Piece::Oversize));
+        if let Err(e) = send(&mut stream, &wire) {
+            assert!(hostile, "a clean burst's write failed: {e}");
+        }
         let mut reader = FrameReader::new(stream);
         let mut answers = Vec::new();
         // Exactly the oracle's count: a clean burst's truncated tail
@@ -524,9 +536,6 @@ fn hostile_lookahead_bursts_are_byte_identical_to_loopback() {
         // A burst that broke off at a hostile frame ends there: the
         // server closes after the typed error, answering nothing
         // behind it.
-        let hostile = burst
-            .iter()
-            .any(|p| matches!(p, Piece::Garbage(_) | Piece::Oversize));
         if hostile {
             match reader.read_frame() {
                 Ok(None) => {}
@@ -535,9 +544,167 @@ fn hostile_lookahead_bursts_are_byte_identical_to_loopback() {
             }
         }
     }
+    let longest_run = match server
+        .telemetry()
+        .snapshot()
+        .find("server.loop.auth_run", &[("backend", "evented")])
+    {
+        Some(MetricValue::Histogram(h)) => h.max,
+        other => panic!("auth run histogram: {other:?}"),
+    };
     server.shutdown();
+    longest_run
+}
+
+/// The evented server serves the auths a read buffered back to back as
+/// one batch; the hostile bursts put every shape of frame behind an
+/// auth. The server's answers must still be the loopback oracle's,
+/// byte for byte: a frame that cannot join a run ends it and is judged
+/// on its own when its turn comes.
+#[test]
+fn hostile_lookahead_bursts_are_byte_identical_to_loopback() {
+    let plan = TrafficPlan::build(&spec());
+    let bursts = hostile_bursts(&plan);
+    let expected = oracle(&plan, &bursts);
+    serve_bursts(&plan, &bursts, &expected, |stream, wire| {
+        stream.write_all(wire)
+    });
     assert!(
         expected.iter().map(Vec::len).sum::<usize>() > 6 * bursts.len(),
         "every burst served its leading requests"
     );
+}
+
+/// Per device: runs of its own auths cut, one after another, by an
+/// `Enroll` whose id the next auth uses, a `QueryVerdict`, a helper
+/// tampered with mid-run (benign devices, which the tamper flags) or a
+/// rate-budget overrun of one repeated auth (attackers, already
+/// flagged), then by the burst's hostile frame — a malformed auth, an
+/// unknown type byte or a forged oversize length — and, on clean
+/// bursts, a truncated tail. A last burst interleaves every device's
+/// auths, so one run spans every shard. Each device's auths keep their
+/// timestamps' order.
+fn run_bursts(plan: &TrafficPlan) -> Vec<Vec<Piece>> {
+    let mut bursts: Vec<Vec<Piece>> = plan
+        .devices
+        .iter()
+        .enumerate()
+        .map(|(i, device)| {
+            let last = device.requests.len() - 1;
+            let auth = |k: usize| Request::Authenticate(device.requests[k.min(last)].clone());
+            let newcomer = 2_000_000 + device.device_id;
+            let key_digest = [0xA0 | i as u8; 32];
+            let nonce = b"newcomer".to_vec();
+            let mut burst: Vec<Piece> = (0..3).map(|k| Piece::Request(auth(k))).collect();
+            burst.push(Piece::Request(Request::Enroll {
+                device_id: newcomer,
+                scheme_tag: device.enrollment.scheme_tag,
+                helper: device.enrollment.helper.clone(),
+                key_digest,
+            }));
+            burst.push(Piece::Request(Request::Authenticate(AuthItem {
+                device_id: newcomer,
+                now: 0,
+                response: WireAuthResponse::Tag(client_tag(&key_digest, &nonce)),
+                nonce,
+                presented_helper: Some(device.enrollment.helper.clone()),
+            })));
+            burst.push(Piece::Request(auth(3)));
+            burst.push(Piece::Request(Request::QueryVerdict {
+                device_id: newcomer,
+            }));
+            match device.role {
+                Role::Benign => {
+                    let mut tampered = device.requests[4.min(last)].clone();
+                    let helper = tampered.presented_helper.as_mut().expect("benign helper");
+                    *helper.last_mut().expect("non-empty helper") ^= 1;
+                    burst.push(Piece::Request(auth(4)));
+                    burst.push(Piece::Request(Request::Authenticate(tampered)));
+                    burst.extend((5..8).map(|k| Piece::Request(auth(k))));
+                }
+                Role::LisaAttacker => burst.extend((0..40).map(|_| Piece::Request(auth(4)))),
+            }
+            let mut id_then_garbage = vec![0x03];
+            id_then_garbage.extend_from_slice(&device.device_id.to_le_bytes());
+            id_then_garbage.extend_from_slice(&[0xFF; 5]);
+            match i % 5 {
+                0 => burst.push(Piece::Garbage(id_then_garbage)),
+                1 => burst.push(Piece::Garbage(vec![0xEE, 0, 1, 2, 3, 4, 5, 6, 7, 8])),
+                2 => burst.push(Piece::Oversize),
+                3 => burst.push(Piece::Garbage(vec![0x03, 1, 2])),
+                _ => {}
+            }
+            burst.extend((8..20).map(|k| Piece::Request(auth(k))));
+            burst.push(Piece::Truncated(auth(20), 4 + auth(20).encode().len() / 2));
+            burst
+        })
+        .collect();
+    let fleet: Vec<Piece> = (20..24)
+        .flat_map(|k| {
+            plan.devices.iter().map(move |device| {
+                let at = k.min(device.requests.len() - 1);
+                Piece::Request(Request::Authenticate(device.requests[at].clone()))
+            })
+        })
+        .collect();
+    bursts.push(fleet);
+    bursts
+}
+
+/// Runs cut every way a run ends, served from whole writes (runs as
+/// long as each burst's stretch of auths) and from writes of 1–8
+/// bytes under a [`FaultPlan`] (runs cut wherever a read ends): both
+/// answer as the loopback oracle does, byte for byte.
+#[test]
+fn hostile_run_bursts_are_byte_identical_to_loopback_under_any_read_cuts() {
+    let plan = TrafficPlan::build(&spec());
+    let bursts = run_bursts(&plan);
+    let expected = oracle(&plan, &bursts);
+    // The bursts do what they claim: a newcomer enrolled mid-burst
+    // authenticates, and a device is flagged in the middle of a run.
+    let answers = |k: usize| -> Vec<Response> {
+        expected[k]
+            .iter()
+            .map(|bytes| Response::decode(bytes).expect("oracle answers decode"))
+            .collect()
+    };
+    let flagged = |r: &Response| {
+        matches!(
+            r,
+            Response::Error {
+                code: ErrorCode::DeviceFlagged,
+                ..
+            }
+        )
+    };
+    let accept = Response::Verdict(WireVerdict::Accept);
+    for (k, device) in plan.devices.iter().enumerate() {
+        let answers = answers(k);
+        assert_eq!(
+            answers[4], accept,
+            "newcomer of device {}",
+            device.device_id
+        );
+        if device.role == Role::Benign {
+            assert_eq!(answers[7], accept, "device {}", device.device_id);
+            assert!(answers[8..11].iter().all(flagged), "{answers:?}");
+        }
+    }
+    assert!(
+        answers(bursts.len() - 1).iter().any(flagged),
+        "the fleet burst meets flagged devices"
+    );
+    let longest = serve_bursts(&plan, &bursts, &expected, |stream, wire| {
+        stream.write_all(wire)
+    });
+    assert!(
+        longest >= 12,
+        "whole writes served runs of {longest} at most"
+    );
+    for seed in [1u64, 2] {
+        serve_bursts(&plan, &bursts, &expected, |stream, wire| {
+            FaultyStream::new(stream, FaultPlan::new(seed).with_partial_io(RATE_ONE))
+                .write_all(wire)
+        });
+    }
 }

@@ -6,8 +6,11 @@
 //! hash would let a client pick ids that all land on one run of
 //! slots. The load stays at or below ¾, so a lookup usually reads one
 //! slot, and a slot is 16 bytes: the address of the cache line a
-//! lookup needs is known as soon as the id is hashed, which is what
-//! lets the server ask for it one request ahead ([`IdIndex::prefetch`]).
+//! lookup needs is known as soon as the id is hashed. So a lookup
+//! splits in two halves: [`IdIndex::prefetch_home`] hashes the id and
+//! asks for that line, and [`IdIndex::get_from`] probes from it later.
+//! A batch of auths runs the first half for every item before it
+//! finishes any lookup, so the slots load while earlier items hash.
 //! Devices are never evicted, so the table supports no deletions and
 //! needs no tombstones.
 
@@ -76,8 +79,31 @@ impl IdIndex {
         if self.slots.is_empty() {
             return None;
         }
+        self.get_from(self.home(id), id)
+    }
+
+    /// The first half of a lookup: hashes `id`, asks the CPU for the
+    /// cache line of the slot a lookup starts at, and returns that
+    /// slot for [`IdIndex::get_from`]. Changes nothing; `0` on an empty
+    /// table, which holds no id.
+    pub(crate) fn prefetch_home(&self, id: u64) -> usize {
+        if self.slots.is_empty() {
+            return 0;
+        }
+        let home = self.home(id);
+        prefetch::lines(&self.slots[home]);
+        home
+    }
+
+    /// The second half of a lookup: the handle `id` maps to, probing
+    /// from `home`, the slot [`IdIndex::prefetch_home`] returned for
+    /// `id` with no insert since.
+    pub(crate) fn get_from(&self, home: usize, id: u64) -> Option<DeviceHandle> {
+        if self.slots.is_empty() {
+            return None;
+        }
         let mask = self.slots.len() - 1;
-        let mut i = self.home(id);
+        let mut i = home & mask;
         // Terminates: the load cap keeps at least a quarter of the
         // slots unused.
         loop {
@@ -89,14 +115,6 @@ impl IdIndex {
                 return Some(slot.handle);
             }
             i = (i + 1) & mask;
-        }
-    }
-
-    /// Asks the CPU for the cache line a lookup of `id` reads first.
-    /// Changes nothing; a no-op on an empty table, which holds no id.
-    pub(crate) fn prefetch(&self, id: u64) {
-        if !self.slots.is_empty() {
-            prefetch::lines(&self.slots[self.home(id)]);
         }
     }
 
@@ -187,7 +205,8 @@ mod tests {
         let ix = index();
         assert_eq!(ix.get(0), None);
         assert_eq!(ix.get(u64::MAX), None);
-        ix.prefetch(7); // nothing to prefetch, and no slot to index
+        // Nothing to prefetch, and no slot to index.
+        assert_eq!(ix.get_from(ix.prefetch_home(7), 7), None);
         assert_eq!(ix.capacity(), 0);
         assert_eq!(ix.len(), 0);
     }
@@ -225,6 +244,22 @@ mod tests {
         assert!(!ix.insert(5, 9), "a second insert of id 5 is refused");
         assert_eq!(ix.get(5), Some(1));
         assert_eq!(ix.len(), 1);
+    }
+
+    #[test]
+    fn a_split_lookup_finds_what_get_finds() {
+        // Homes taken for a whole batch before any lookup finishes,
+        // as a batch of auths takes them: present ids, absent ids and
+        // ids whose probe runs collide all resolve as `get` does.
+        let mut ix = index();
+        for id in (0..3000u64).map(|k| k << 20) {
+            ix.insert(id, (id >> 20) as u32);
+        }
+        let batch: Vec<u64> = (0..4000u64).map(|k| (k << 20) | (k & 1)).collect();
+        let homes: Vec<usize> = batch.iter().map(|&id| ix.prefetch_home(id)).collect();
+        for (&id, &home) in batch.iter().zip(&homes) {
+            assert_eq!(ix.get_from(home, id), ix.get(id), "id {id:#x}");
+        }
     }
 
     #[test]

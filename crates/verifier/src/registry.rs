@@ -25,9 +25,10 @@
 //! a load of at most ¾ instead of a map entry dragging the ~190-byte
 //! entry around. Its hash is keyed once per registry, since ids come
 //! off the wire, and a lookup reads one slot whose address is known as
-//! soon as the id is hashed, so callers can prefetch it: the server
-//! asks for the next pipelined auth's slot
-//! ([`Verifier::prefetch`](crate::Verifier::prefetch)).
+//! soon as the id is hashed, so a caller can ask for it early: a batch
+//! of auths ([`Verifier::authenticate_batch_with`](crate::Verifier::authenticate_batch_with))
+//! asks for every item's slot under the shard lock before it judges
+//! any, and for each item's entry one item ahead.
 //!
 //! # Persistence
 //!
@@ -53,6 +54,7 @@ use ropuf_numeric::splitmix64 as mix;
 
 use crate::detector::{AuthVerdict, DetectorConfig, DetectorState, FlagReason};
 use crate::index::IdIndex;
+use crate::prefetch;
 use crate::store::snapshot::{self, SnapshotDevice, SnapshotV2Error};
 use crate::store::DeviceStore;
 
@@ -257,6 +259,21 @@ impl Shard {
     pub(crate) fn get_mut(&mut self, device_id: u64) -> Option<&mut DeviceEntry> {
         let handle = self.handle_of(device_id)?;
         Some(self.entry_at(handle))
+    }
+
+    /// Starts a lookup of `device_id`: hashes it and asks for its index
+    /// slot, whose position [`Shard::find_prefetched`] takes.
+    pub(crate) fn prefetch_slot(&self, device_id: u64) -> usize {
+        self.index.prefetch_home(device_id)
+    }
+
+    /// Finishes a lookup that [`Shard::prefetch_slot`] started at
+    /// `home`, and asks for the cache lines of the entry it finds.
+    pub(crate) fn find_prefetched(&self, home: usize, device_id: u64) -> Option<DeviceHandle> {
+        let handle = self.index.get_from(home, device_id)?;
+        let h = handle as usize;
+        prefetch::lines(&self.chunks[h / SLAB_CHUNK][h % SLAB_CHUNK]);
+        Some(handle)
     }
 
     pub(crate) fn contains(&self, device_id: u64) -> bool {
@@ -533,15 +550,6 @@ impl ShardedRegistry {
         }
     }
 
-    /// Asks for the index line a lookup of `device_id` will read,
-    /// under its shard lock. Changes no state. A hint, so it never
-    /// waits: a shard that is held elsewhere (or poisoned) is skipped.
-    pub(crate) fn prefetch(&self, device_id: u64) {
-        if let Ok(shard) = self.shards[self.shard_of(device_id)].try_lock() {
-            shard.index.prefetch(device_id);
-        }
-    }
-
     /// A device's stored record.
     pub fn record(&self, device_id: u64) -> Option<StoredRecord> {
         self.with_entry(device_id, |e| e.record)
@@ -773,43 +781,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn prefetch_skips_a_held_or_poisoned_shard_instead_of_waiting() {
-        let r = Arc::new(ShardedRegistry::new(2, DetectorConfig::default()));
-        r.enroll(7, record(7)).unwrap();
-        // Held elsewhere: the hint returns at once (a waiting hint
-        // would block until this guard drops, after the timeout).
-        let held = r.lock(r.shard_of(7));
-        let (done, hinted) = std::sync::mpsc::channel();
-        let hinter = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                r.prefetch(7);
-                done.send(()).unwrap();
-            })
-        };
-        assert!(
-            hinted
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .is_ok(),
-            "prefetch waited on a held shard lock"
-        );
-        drop(held);
-        hinter.join().unwrap();
-        // Poisoned: the hint neither panics nor changes anything.
-        let poisoner = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let _guard = r.lock(r.shard_of(7));
-                panic!("poison the shard");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        r.prefetch(7);
-        r.prefetch(8);
-        assert_eq!(r.shards.iter().filter(|s| s.is_poisoned()).count(), 1);
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! enrolled key digest, and online attack detection, and returns the
 //! combined [`AuthVerdict`].
 //! [`Verifier::authenticate_batch_with`] amortizes shard locking across
-//! a whole request batch. These two are the only tag-checking entry
-//! points.
+//! a whole request batch and pipelines its cache misses: it asks for
+//! every item's id-index slot before it judges any, and for the next
+//! item's entry while the current one hashes (the group prefetching
+//! of Chen et al., ICDE 2004). The evented server serves each read's
+//! run of pipelined auths through it. These two are the only
+//! tag-checking entry points.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -125,7 +129,11 @@ pub struct AuthQuery<'a> {
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     buckets: Vec<Vec<usize>>,
-    latched: Vec<(u64, u64, FlagReason)>,
+    /// The id-index slot each item of the shard being served starts
+    /// its lookup at.
+    homes: Vec<usize>,
+    /// `(query index, at, reason)` of every flag the batch latched.
+    latched: Vec<(usize, u64, FlagReason)>,
 }
 
 impl BatchScratch {
@@ -449,10 +457,17 @@ impl Verifier {
     /// Serves a batch of borrowed queries, locking each shard **once**
     /// per batch instead of once per query. Verdicts come back in
     /// query order; queries for the same device are judged in their
-    /// slice order, so batched and sequential serving agree. The
-    /// per-shard buckets and the verdict vector are caller-owned and
-    /// reused across batches, so a steady-state batch loop allocates
-    /// nothing. `verdicts` is cleared and refilled.
+    /// slice order, and the flags the batch latches reach the WAL in
+    /// query order, so batched and sequential serving agree answer for
+    /// answer and log byte for byte. The per-shard buckets and the
+    /// verdict vector are caller-owned and reused across batches, so a
+    /// steady-state batch loop allocates nothing. `verdicts` is
+    /// cleared and refilled.
+    ///
+    /// Under each shard lock the batch's misses overlap: every item's
+    /// id-index slot is asked for before any item is judged, and item
+    /// k+1's entry is looked up and asked for before item k hashes, so
+    /// its lines arrive during item k's digest and HMAC.
     pub fn authenticate_batch_with(
         &self,
         queries: &[AuthQuery<'_>],
@@ -476,37 +491,41 @@ impl Verifier {
             if indices.is_empty() {
                 continue;
             }
-            let latched = &mut scratch.latched;
+            let (homes, latched) = (&mut scratch.homes, &mut scratch.latched);
             self.registry.with_shard(shard_index, |shard| {
-                for &i in indices {
-                    let query = &queries[i];
-                    if let Some(entry) = shard.get_mut(query.device_id) {
-                        let (verdict, newly) = Self::judge(&config, entry, query);
-                        verdicts[i] = verdict;
-                        if let Some((at, reason)) = newly {
-                            latched.push((query.device_id, at, reason));
-                        }
+                homes.clear();
+                homes.extend(
+                    indices
+                        .iter()
+                        .map(|&i| shard.prefetch_slot(queries[i].device_id)),
+                );
+                let mut next = shard.find_prefetched(homes[0], queries[indices[0]].device_id);
+                for (k, &i) in indices.iter().enumerate() {
+                    let current = next;
+                    next = indices
+                        .get(k + 1)
+                        .and_then(|&j| shard.find_prefetched(homes[k + 1], queries[j].device_id));
+                    let Some(handle) = current else {
+                        continue;
+                    };
+                    let (verdict, newly) =
+                        Self::judge(&config, shard.entry_at(handle), &queries[i]);
+                    verdicts[i] = verdict;
+                    if let Some((at, reason)) = newly {
+                        latched.push((i, at, reason));
                     }
                 }
             });
         }
-        // Flag latches hit the WAL after every shard lock is released.
-        for &(device_id, at, reason) in &scratch.latched {
-            self.registry.log_flag(device_id, at, reason);
+        // Flag latches hit the WAL after every shard lock is released,
+        // in query order: the order sequential serving logs them in.
+        scratch.latched.sort_unstable_by_key(|&(i, ..)| i);
+        for &(i, at, reason) in &scratch.latched {
+            self.registry.log_flag(queries[i].device_id, at, reason);
         }
         for &verdict in verdicts.iter() {
             self.metrics.note(verdict);
         }
-    }
-
-    /// Asks the CPU for the index line that an upcoming
-    /// authentication of `device_id` will read first. Changes nothing
-    /// and never waits: it takes the device's shard lock only when the
-    /// lock is free. A server calls it for the next pipelined request
-    /// before it serves the current one, so the line arrives while the
-    /// current request hashes.
-    pub fn prefetch(&self, device_id: u64) {
-        self.registry.prefetch(device_id);
     }
 
     /// Monitoring entry for closed-loop scenarios where an application
@@ -554,10 +573,10 @@ impl Verifier {
     /// the step asks for the entry's lines first, digests the presented
     /// helper (which reads no registry state) while they arrive, then
     /// asks for the rate window's lines, reachable only through the
-    /// entry, and verifies the tag while those arrive. The id index
-    /// slot that led to the entry can be asked for one request earlier
-    /// by the caller: the server does so for the next pipelined frame
-    /// ([`Verifier::prefetch`]).
+    /// entry, and verifies the tag while those arrive. A batch asks for
+    /// the entry one item earlier and for the id-index slot that led to
+    /// it before any item ([`Verifier::authenticate_batch_with`]); the
+    /// entry prefetch here is then a no-op on lines already loading.
     fn judge(
         config: &DetectorConfig,
         entry: &mut DeviceEntry,

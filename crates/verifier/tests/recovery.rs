@@ -21,8 +21,8 @@ use ropuf_constructions::DeviceResponse;
 use ropuf_verifier::store::wal::{WalDecodeError, WalReader, WalRecord, FRAME_HEADER};
 use ropuf_verifier::store::{self, StoreOptions};
 use ropuf_verifier::{
-    client_tag, AuthRequest, AuthVerdict, DetectorConfig, EnrollmentRecord, FlagReason,
-    ShardedRegistry, StoredRecord, Verifier,
+    client_tag, AuthRequest, AuthVerdict, BatchScratch, DetectorConfig, EnrollmentRecord,
+    FlagReason, ShardedRegistry, StoredRecord, Verifier,
 };
 
 const LISA_TAG: u8 = b'L';
@@ -488,4 +488,76 @@ fn recovered_fleet_replays_identically_to_never_crashed() {
         "post-crash streak latched identically"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A batch writes the `Flag` records it latches in query order, so the
+/// WAL a batch leaves is byte for byte the one the same queries served
+/// one at a time leave. The flags latch in several shards, in a query
+/// order that is not shard order (a batch judges shard by shard).
+#[test]
+fn a_batch_logs_its_flags_in_query_order() {
+    let fleet: Vec<u64> = (1..=16).collect();
+    let streak = u64::from(DetectorConfig::default().failure_streak);
+    // Round after round of failures, newest device first, spaced past
+    // the rate window: every device latches its streak in the last
+    // round, in descending id order.
+    let mut seed = 0x0DE5_C0DE_u64;
+    let queries: Vec<AuthRequest> = (0..streak)
+        .flat_map(|round| fleet.iter().rev().map(move |&id| (round, id)))
+        .map(|(round, id)| request(id, round * 1_000, false, xorshift(&mut seed)))
+        .collect();
+    let mut segments = Vec::new();
+    for batched in [false, true] {
+        let dir = scratch(if batched {
+            "flags-batched"
+        } else {
+            "flags-one-by-one"
+        });
+        let (verifier, _) =
+            Verifier::open_durable(&dir, 4, DetectorConfig::default(), StoreOptions::default())
+                .unwrap();
+        for &id in &fleet {
+            verifier.registry().enroll(id, record(id as u8)).unwrap();
+        }
+        let verdicts: Vec<AuthVerdict> = if batched {
+            let queries: Vec<_> = queries.iter().map(AuthRequest::as_query).collect();
+            let mut verdicts = Vec::new();
+            verifier.authenticate_batch_with(&queries, &mut BatchScratch::new(), &mut verdicts);
+            verdicts
+        } else {
+            queries
+                .iter()
+                .map(|r| verifier.authenticate_query(r.as_query()))
+                .collect()
+        };
+        let latched: Vec<u64> = queries
+            .iter()
+            .zip(&verdicts)
+            .filter(|(r, v)| v.is_flagged() && r.now == (streak - 1) * 1_000)
+            .map(|(r, _)| r.device_id)
+            .collect();
+        assert_eq!(latched.len(), fleet.len(), "every device latches");
+        let shards: Vec<usize> = latched
+            .iter()
+            .map(|&id| verifier.registry().shard_of(id))
+            .collect();
+        assert!(
+            shards.windows(2).any(|w| w[0] > w[1]),
+            "query order must not be shard order: {shards:?}"
+        );
+        let seq = verifier.registry().store().unwrap().active_segment_seq();
+        drop(verifier);
+        segments.push(fs::read(dir.join(format!("wal-{seq:020}.log"))).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let mut reader = WalReader::new(&segments[0]);
+    let mut flags = 0;
+    while let Some(record) = reader.next() {
+        flags += usize::from(matches!(record.unwrap(), WalRecord::Flag { .. }));
+    }
+    assert_eq!(flags, fleet.len(), "one Flag record per device");
+    assert_eq!(
+        segments[0], segments[1],
+        "batched and one-by-one serving logged different bytes"
+    );
 }
