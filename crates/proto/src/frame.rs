@@ -12,21 +12,21 @@
 //! # Incremental decoding
 //!
 //! [`FrameAccum`] is the non-blocking entry point: a read-ahead buffer
-//! that hands out one complete frame at a time. [`FrameAccum::poll`]
-//! returns a frame that is already buffered without touching the
-//! source; otherwise it reads as many bytes as the buffer has room for
-//! — often several pipelined frames in one `read` — and returns
-//! [`FramePoll::Pending`] on `WouldBlock` instead of blocking. An
-//! event-driven server parks the connection until the next readiness
-//! notification and resumes exactly where the byte stream stopped —
-//! mid-header, mid-payload, anywhere. A server that serves a pipelined
-//! run in one step walks every complete frame one read buffered with
-//! [`FrameAccum::frames`] and releases the run with
-//! [`FrameAccum::finish_frames`]. The blocking [`FrameReader`]
-//! reads are built on the same accumulator, so every reader shares one
-//! set of framing rules (length cap before allocation, clean-EOF
-//! detection, buffer bounded by [`SCRATCH_RETAIN`] across frames *and*
-//! error paths).
+//! that reports when a complete frame sits at its front.
+//! [`FrameAccum::poll`] reports a frame that is already buffered
+//! without touching the source; otherwise it reads as many bytes as the
+//! buffer has room for — often several pipelined frames in one `read` —
+//! and returns [`FramePoll::Pending`] on `WouldBlock` instead of
+//! blocking. An event-driven server parks the connection until the next
+//! readiness notification and resumes exactly where the byte stream
+//! stopped — mid-header, mid-payload, anywhere. Frames are consumed one
+//! way: [`FrameAccum::frames`] lists the complete frames buffered from
+//! the front, and [`FrameAccum::finish_frames`] releases the first `n`
+//! of them, one frame or a whole pipelined run. The blocking
+//! [`FrameReader`] reads are built on the same accumulator, so every
+//! reader shares one set of framing rules (length cap before
+//! allocation, clean-EOF detection, buffer bounded by
+//! [`SCRATCH_RETAIN`] across frames *and* error paths).
 
 use std::io::{self, Read, Write};
 
@@ -112,9 +112,10 @@ pub enum FramePoll {
     /// the next readiness notification. Never returned by a blocking
     /// source.
     Pending,
-    /// A complete frame payload is buffered: read it with
-    /// [`FrameAccum::payload`], then release it with
-    /// [`FrameAccum::finish_frame`] before polling for the next one.
+    /// A complete frame is buffered at the front: it is the first
+    /// payload [`FrameAccum::frames`] yields, and it stays there, so
+    /// every later poll reports it again, until
+    /// [`FrameAccum::finish_frames`] releases it.
     Frame,
     /// Clean EOF at a frame boundary — a normal end of stream.
     Eof,
@@ -126,11 +127,13 @@ pub enum FramePoll {
 /// One `FrameAccum` holds the read side of one connection: a buffer of
 /// received bytes not yet consumed, which may hold a partial frame,
 /// one complete frame, or a pipelined run of them. [`FrameAccum::poll`]
-/// serves a frame that is already complete in the buffer without any
+/// reports a frame that is already complete in the buffer without any
 /// `read`; otherwise it reads into all the free room the buffer has and
 /// never blocks beyond what the source itself does — a non-blocking
 /// socket yields [`FramePoll::Pending`] instead of spinning (exactly
-/// one `read` returning `WouldBlock` per poll, never a busy loop).
+/// one `read` returning `WouldBlock` per poll, never a busy loop). The
+/// caller reads the buffered payloads with [`FrameAccum::frames`] and
+/// consumes them with [`FrameAccum::finish_frames`].
 ///
 /// The buffer grows only to fit the frame in progress: its length cap
 /// is checked against [`MAX_FRAME`] before any allocation, and a fresh
@@ -139,7 +142,7 @@ pub enum FramePoll {
 /// [`lend`](FrameAccum::lend) it a larger buffer for the duration of a
 /// readiness pass and [`take it back`](FrameAccum::take_buffer) once
 /// nothing is buffered. Capacity is re-bounded to [`SCRATCH_RETAIN`]
-/// both on [`FrameAccum::finish_frame`] and on every framing error, so
+/// both on [`FrameAccum::finish_frames`] and on every framing error, so
 /// neither a multi-megabyte frame nor a hostile error path can pin
 /// memory for a connection's lifetime.
 #[derive(Debug, Default)]
@@ -151,8 +154,6 @@ pub struct FrameAccum {
     start: usize,
     /// One past the last received byte.
     end: usize,
-    /// `poll` reported the frame at `start`; it awaits `finish_frame`.
-    ready: bool,
 }
 
 impl FrameAccum {
@@ -161,7 +162,7 @@ impl FrameAccum {
         Self::default()
     }
 
-    /// Received bytes not yet consumed, a reported frame included.
+    /// Received bytes not yet consumed.
     fn held(&self) -> usize {
         self.end - self.start
     }
@@ -177,11 +178,11 @@ impl FrameAccum {
         ]))
     }
 
-    /// `true` when a whole frame sits in the buffer, reported by
-    /// [`FrameAccum::poll`] or not: the next poll returns it without a
-    /// `read`. Level-triggered readiness cannot see these bytes — they
-    /// already left the socket — so an event loop that stops reading
-    /// with one buffered must come back to it on its own.
+    /// `true` when a whole frame sits at the front of the buffer: the
+    /// next poll reports it without a `read`. Level-triggered readiness
+    /// cannot see these bytes — they already left the socket — so an
+    /// event loop that stops reading with one buffered must come back
+    /// to it on its own.
     pub fn has_complete_frame(&self) -> bool {
         self.declared_len()
             .is_some_and(|len| len <= MAX_FRAME && self.held() >= 4 + len as usize)
@@ -193,28 +194,13 @@ impl FrameAccum {
         self.held() > 0 && !self.has_complete_frame()
     }
 
-    /// `true` when a complete frame is buffered (i.e. [`FrameAccum::poll`]
-    /// returned [`FramePoll::Frame`] and [`FrameAccum::finish_frame`]
-    /// has not run yet).
-    pub fn has_frame(&self) -> bool {
-        self.ready
-    }
-
-    /// The completed frame's payload. Empty unless [`FrameAccum::has_frame`].
-    pub fn payload(&self) -> &[u8] {
-        match self.declared_len() {
-            Some(len) if self.ready => &self.buf[self.start + 4..self.start + 4 + len as usize],
-            _ => &[],
-        }
-    }
-
     /// The payloads of the complete frames buffered from the front, in
-    /// stream order: the frame [`FrameAccum::poll`] reported first when
-    /// there is one, then every complete frame behind it. Consumes
+    /// stream order: the frame [`FrameAccum::poll`] reports first, then
+    /// every complete frame behind it. Consumes
     /// nothing and reads nothing past the received bytes: the iterator
     /// ends at a partial header or payload, and at a declared length
-    /// above [`MAX_FRAME`]. An event loop uses it to serve a pipelined
-    /// run of frames from one read, then releases them with
+    /// above [`MAX_FRAME`]. A reader serves one frame or a pipelined run
+    /// of them from it, then releases them with
     /// [`FrameAccum::finish_frames`].
     pub fn frames(&self) -> BufferedFrames<'_> {
         BufferedFrames {
@@ -254,20 +240,12 @@ impl FrameAccum {
         Some(std::mem::take(&mut self.buf))
     }
 
-    /// Consumes the frame [`FrameAccum::poll`] reported (no-op when
-    /// none) and re-bounds the buffer. Bytes received after it — the
-    /// next frame, whole or partial — stay buffered.
-    pub fn finish_frame(&mut self) {
-        self.finish_frames(usize::from(self.ready));
-    }
-
     /// Consumes the first `n` frames [`FrameAccum::frames`] yields (all
-    /// of them when it yields fewer), the reported one included, and
-    /// re-bounds the buffer. Bytes behind them stay buffered.
+    /// of them when it yields fewer) and re-bounds the buffer. Bytes
+    /// behind them — the next frame, whole or partial — stay buffered.
     pub fn finish_frames(&mut self, n: usize) {
         let consumed: usize = self.frames().take(n).map(|payload| 4 + payload.len()).sum();
         self.start += consumed;
-        self.ready = false;
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
@@ -281,7 +259,6 @@ impl FrameAccum {
     /// Drops everything buffered after a framing error so a bad frame
     /// cannot pin capacity or leave the machine desynchronized.
     fn abort(&mut self) {
-        self.ready = false;
         self.start = 0;
         self.end = 0;
         bound_scratch(&mut self.buf);
@@ -310,15 +287,15 @@ impl FrameAccum {
         }
     }
 
-    /// Advances the frame state machine: returns a buffered frame
+    /// Advances the frame state machine: reports a buffered frame
     /// without reading, otherwise reads whatever `src` can deliver
     /// right now into the buffer's free room.
     ///
-    /// Returns [`FramePoll::Frame`] once a complete frame is buffered
-    /// (and again on every later call until [`FrameAccum::finish_frame`]
-    /// runs), [`FramePoll::Pending`] when the source reports
-    /// `WouldBlock`, and [`FramePoll::Eof`] on clean EOF *between*
-    /// frames.
+    /// Returns [`FramePoll::Frame`] whenever a complete frame is
+    /// buffered at the front (so again on every later call until
+    /// [`FrameAccum::finish_frames`] releases it), [`FramePoll::Pending`]
+    /// when the source reports `WouldBlock`, and [`FramePoll::Eof`] on
+    /// clean EOF *between* frames.
     ///
     /// # Errors
     ///
@@ -327,9 +304,6 @@ impl FrameAccum {
     /// failure or EOF mid-frame. Every error path drops the buffered
     /// bytes and re-bounds the buffer.
     pub fn poll(&mut self, src: &mut impl Read) -> Result<FramePoll, FrameError> {
-        if self.ready {
-            return Ok(FramePoll::Frame);
-        }
         loop {
             let need = match self.declared_len() {
                 Some(len) if len > MAX_FRAME => {
@@ -341,7 +315,6 @@ impl FrameAccum {
             };
             let held = self.held();
             if held >= need {
-                self.ready = true;
                 return Ok(FramePoll::Frame);
             }
             self.make_room(need);
@@ -425,8 +398,11 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError>
 /// `read_request`/`read_response`/`read_request_ref` call reuses, so a
 /// steady-state connection reads frames with zero allocations. The
 /// blocking reads below drive the same incremental state machine the
-/// evented server polls; callers that own a non-blocking stream drive
-/// a [`FrameAccum`] directly.
+/// evented server polls, one frame per read: each read releases the
+/// frame the previous one returned before it polls, so the request
+/// [`FrameReader::read_request_ref`] borrows stays valid until the
+/// caller reads again. Callers that own a non-blocking stream drive a
+/// [`FrameAccum`] directly.
 ///
 /// **The reader reads ahead.** Once its buffer has grown past one
 /// frame, a `read` may pull in the start of the next frame too, and
@@ -439,6 +415,9 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError>
 pub struct FrameReader<R: Read> {
     inner: R,
     accum: FrameAccum,
+    /// The last read returned the frame at the front of `accum`; the
+    /// next read releases it.
+    returned: bool,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -447,6 +426,7 @@ impl<R: Read> FrameReader<R> {
         Self {
             inner,
             accum: FrameAccum::new(),
+            returned: false,
         }
     }
 
@@ -465,13 +445,19 @@ impl<R: Read> FrameReader<R> {
     /// Blocking drive of the accumulator: consumes the frame a prior
     /// read returned (lazy finish keeps `read_request_ref`'s borrow
     /// valid until the caller comes back), then reads until a frame
-    /// completes or clean EOF. Partial bytes of the next frame stay
-    /// buffered. `Ok(true)` = frame buffered.
-    fn next_frame_blocking(&mut self) -> Result<bool, FrameError> {
-        self.accum.finish_frame();
+    /// completes or clean EOF, and returns that frame's payload,
+    /// `None` at clean EOF. Partial bytes of the next frame stay
+    /// buffered.
+    fn next_frame_blocking(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        if std::mem::take(&mut self.returned) {
+            self.accum.finish_frames(1);
+        }
         match self.accum.poll(&mut self.inner)? {
-            FramePoll::Frame => Ok(true),
-            FramePoll::Eof => Ok(false),
+            FramePoll::Frame => {
+                self.returned = true;
+                Ok(self.accum.frames().next())
+            }
+            FramePoll::Eof => Ok(None),
             // A blocking stream only reports WouldBlock when a read
             // timeout is configured; surface it as an Io error. The
             // bytes received so far stay buffered for the next call.
@@ -494,12 +480,14 @@ impl<R: Read> FrameReader<R> {
         // Release capacity a previous oversized frame may have pinned;
         // the buffer is refilled below regardless.
         bound_scratch(buf);
-        if !self.next_frame_blocking()? {
+        let Some(payload) = self.next_frame_blocking()? else {
             return Ok(false);
-        }
+        };
         buf.clear();
-        buf.extend_from_slice(self.accum.payload());
-        self.accum.finish_frame();
+        buf.extend_from_slice(payload);
+        // The copy is the caller's: release the frame now.
+        self.returned = false;
+        self.accum.finish_frames(1);
         Ok(true)
     }
 
@@ -526,10 +514,10 @@ impl<R: Read> FrameReader<R> {
     /// Any [`FrameError`]; malformed payloads are
     /// [`FrameError::Decode`], never a panic.
     pub fn read_request(&mut self) -> Result<Option<Request>, FrameError> {
-        if !self.next_frame_blocking()? {
-            return Ok(None);
+        match self.next_frame_blocking()? {
+            Some(payload) => Ok(Some(Request::decode(payload)?)),
+            None => Ok(None),
         }
-        Ok(Some(Request::decode(self.accum.payload())?))
     }
 
     /// Reads and decodes one [`RequestRef`] borrowing from the reader's
@@ -542,10 +530,10 @@ impl<R: Read> FrameReader<R> {
     /// Any [`FrameError`]; malformed payloads are
     /// [`FrameError::Decode`], never a panic.
     pub fn read_request_ref(&mut self) -> Result<Option<RequestRef<'_>>, FrameError> {
-        if !self.next_frame_blocking()? {
-            return Ok(None);
+        match self.next_frame_blocking()? {
+            Some(payload) => Ok(Some(RequestRef::decode(payload)?)),
+            None => Ok(None),
         }
-        Ok(Some(RequestRef::decode(self.accum.payload())?))
     }
 
     /// Reads and decodes one [`Response`]; `Ok(None)` on clean EOF. The
@@ -557,10 +545,10 @@ impl<R: Read> FrameReader<R> {
     /// Any [`FrameError`]; malformed payloads are
     /// [`FrameError::Decode`], never a panic.
     pub fn read_response(&mut self) -> Result<Option<Response>, FrameError> {
-        if !self.next_frame_blocking()? {
-            return Ok(None);
+        match self.next_frame_blocking()? {
+            Some(payload) => Ok(Some(Response::decode(payload)?)),
+            None => Ok(None),
         }
-        Ok(Some(Response::decode(self.accum.payload())?))
     }
 }
 

@@ -107,6 +107,12 @@ fn requests_from(nonces: &[Vec<u8>]) -> Vec<Request> {
         .collect()
 }
 
+/// The payload of the frame a poll reported: the first one `frames`
+/// lists.
+fn front(accum: &FrameAccum) -> &[u8] {
+    accum.frames().next().expect("a reported frame is listed")
+}
+
 /// Encodes `requests` as one contiguous framed byte stream.
 fn framed_stream(requests: &[Request]) -> Vec<u8> {
     let mut wire = Vec::new();
@@ -137,8 +143,8 @@ fn decode_all_with(mut accum: FrameAccum, source: &mut ChunkedSource) -> Vec<Req
     loop {
         match accum.poll(source).expect("well-formed stream") {
             FramePoll::Frame => {
-                decoded.push(RequestRef::decode(accum.payload()).unwrap().into_owned());
-                accum.finish_frame();
+                decoded.push(RequestRef::decode(front(&accum)).unwrap().into_owned());
+                accum.finish_frames(1);
             }
             FramePoll::Pending => continue, // next readiness notification
             FramePoll::Eof => return decoded,
@@ -233,8 +239,8 @@ proptest! {
         loop {
             match accum.poll(&mut faulty).expect("well-formed stream") {
                 FramePoll::Frame => {
-                    decoded.push(RequestRef::decode(accum.payload()).unwrap().into_owned());
-                    accum.finish_frame();
+                    decoded.push(RequestRef::decode(front(&accum)).unwrap().into_owned());
+                    accum.finish_frames(1);
                 }
                 FramePoll::Pending => continue,
                 FramePoll::Eof => break,
@@ -311,7 +317,7 @@ fn pending_keeps_partial_header_and_payload_state() {
             assert_eq!(poll, FramePoll::Frame, "all bytes delivered");
         }
     }
-    let decoded = RequestRef::decode(accum.payload()).unwrap().into_owned();
+    let decoded = RequestRef::decode(front(&accum)).unwrap().into_owned();
     assert_eq!(decoded, request);
 }
 
@@ -323,9 +329,9 @@ fn scratch_is_bounded_after_a_large_frame_completes() {
     let mut accum = FrameAccum::new();
     let mut src = &wire[..];
     assert_eq!(accum.poll(&mut src).unwrap(), FramePoll::Frame);
-    assert_eq!(accum.payload(), &big[..]);
+    assert_eq!(front(&accum), &big[..]);
     assert!(accum.scratch_capacity() >= big.len(), "grew for the frame");
-    accum.finish_frame();
+    accum.finish_frames(1);
     assert!(
         accum.scratch_capacity() <= SCRATCH_RETAIN,
         "capacity {} must be released after the frame",
@@ -363,7 +369,7 @@ fn scratch_is_bounded_across_error_paths() {
     let mut src = &wire[..];
     assert_eq!(accum.poll(&mut src).unwrap(), FramePoll::Frame);
     assert_eq!(
-        RequestRef::decode(accum.payload()).unwrap().into_owned(),
+        RequestRef::decode(front(&accum)).unwrap().into_owned(),
         Request::MetricsSnapshot
     );
 }
@@ -417,8 +423,8 @@ fn lent_buffer_decodes_a_pipelined_burst_in_two_reads() {
     loop {
         match accum.poll(&mut source).unwrap() {
             FramePoll::Frame => {
-                decoded.push(RequestRef::decode(accum.payload()).unwrap().into_owned());
-                accum.finish_frame();
+                decoded.push(RequestRef::decode(front(&accum)).unwrap().into_owned());
+                accum.finish_frames(1);
             }
             FramePoll::Pending => break,
             FramePoll::Eof => unreachable!("the socket stays open"),
@@ -534,7 +540,7 @@ proptest! {
             match accum.poll(&mut source).expect("well-formed stream") {
                 FramePoll::Frame => {
                     let listed: Vec<Vec<u8>> = accum.frames().map(<[u8]>::to_vec).collect();
-                    prop_assert_eq!(&listed[0][..], accum.payload());
+                    prop_assert!(!listed.is_empty(), "a reported frame is listed");
                     prop_assert_eq!(
                         accum.frames().map(<[u8]>::to_vec).collect::<Vec<_>>(),
                         listed.clone()
@@ -601,10 +607,10 @@ fn frames_end_at_a_partial_frame_and_never_read_past_the_received_bytes() {
     accum.lend(vec![0; 64 * 1024]);
     assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
     assert_eq!(accum.frames().collect::<Vec<_>>(), [first, second]);
-    accum.finish_frame();
+    accum.finish_frames(1);
     assert_eq!(accum.frames().collect::<Vec<_>>(), [second]);
     assert_eq!(accum.poll(&mut Piece(&[])).unwrap(), FramePoll::Frame);
-    assert_eq!(accum.payload(), second);
+    assert_eq!(front(&accum), second);
     accum.finish_frames(1);
     assert_eq!(accum.frames().count(), 0, "nothing behind the last frame");
     assert!(!accum.mid_frame());
@@ -613,7 +619,7 @@ fn frames_end_at_a_partial_frame_and_never_read_past_the_received_bytes() {
     accum.lend(vec![0; 64 * 1024]);
     assert_eq!(accum.poll(&mut Piece(&wire)).unwrap(), FramePoll::Frame);
     accum.finish_frames(2);
-    assert!(!accum.has_frame() && !accum.mid_frame());
+    assert!(accum.frames().next().is_none() && !accum.mid_frame());
     assert_eq!(accum.poll(&mut Piece(&[])).unwrap(), FramePoll::Pending);
 }
 

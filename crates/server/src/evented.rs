@@ -12,11 +12,11 @@
 //!   │   lend the loop's read buffer (kept: a partial frame)      │
 //!   │     │                                                      │
 //!   │     ▼                         yes                          │
-//!   │   ┌▶ frame complete in buffer? ──▶ decode → handle →       │
-//!   │   │   │ no                        (a run of buffered auths │
-//!   │   │   │                           as one batch) → append   │
-//!   │   │   ▼                           to the flat out-queue    │
-//!   │   ├─ read() into all free room        │ next frame         │
+//!   │   ┌▶ frame complete in buffer? ──▶ serve the run at the    │
+//!   │   │   │ no                        front (an auth and the   │
+//!   │   │   │                           auths behind it, or one  │
+//!   │   │   ▼                           frame) → append answers  │
+//!   │   ├─ read() into all free room        │ next run           │
 //!   │   │   │ (a whole burst per read)      ▼                    │
 //!   │   └───┼─────────────────────────────◀─┘                    │
 //!   │       │ WouldBlock                                         │
@@ -65,18 +65,20 @@
 //!   telemetry is paid per write too: the write's one clock read
 //!   settles every response it completed, and a frame that was already
 //!   buffered starts its clock where its predecessor's stopped.
-//! * **Runs of auths served as one batch** — when an `Authenticate`
-//!   frame has more complete auths buffered right behind it
-//!   ([`FrameAccum::frames`]), the loop decodes the whole run borrowed
-//!   from the read buffer and serves it in one
+//! * **One serving step, runs of auths as one call** — the loop
+//!   serves the front of a connection's buffer as a run of `n ≥ 1`
+//!   frames. An admitted `Authenticate` and every complete auth
+//!   buffered right behind it that decodes ([`FrameAccum::frames`])
+//!   are decoded borrowed from the read buffer and served in one
 //!   [`RequestHandler::handle_auths`] call, which the production
 //!   handler turns into one verifier batch that overlaps the items'
-//!   cache misses. The first frame that is not a complete auth that
-//!   decodes ends the run and is served on its own, so answers keep
-//!   frame order. A run reads the clock at its boundaries only, not
-//!   per frame, and is bounded by what one read buffered: at
-//!   saturation a 64 KiB read holds a few hundred auths, at a fixed
-//!   rate a run is usually one frame and takes the per-frame path.
+//!   cache misses, or into one plain query for a lone auth. The first
+//!   frame that is not a complete auth that decodes ends the run and
+//!   is served on its own, as a run of one, so answers keep frame
+//!   order. A run reads the clock at its boundaries only, not per
+//!   frame, books its frames' phases at one site, and is bounded by
+//!   what one read buffered: at saturation a 64 KiB read holds a few
+//!   hundred auths, at a fixed rate a run is usually one frame.
 //!
 //! Protocol semantics are **identical** to the in-process
 //! [`LoopbackTransport`](crate::LoopbackTransport), the semantic
@@ -446,14 +448,9 @@ impl Outbound {
         }
     }
 
-    /// Files the trace record of the response queued last; its
-    /// flush-wait clock starts at `queued_at`.
-    fn track(&mut self, record: TraceRecord, queued_at: Instant) {
-        self.track_at(self.queued_total, record, queued_at);
-    }
-
     /// Files the trace record of the response that ends at out-stream
-    /// offset `end`; responses are filed in queue order.
+    /// offset `end`, its flush-wait clock starting at `queued_at`;
+    /// responses are filed in queue order.
     fn track_at(&mut self, end: u64, record: TraceRecord, queued_at: Instant) {
         self.pending.push_back(PendingFlush {
             end,
@@ -573,12 +570,13 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 /// The wire type byte of an `Authenticate` request.
 const AUTHENTICATE: u8 = 0x03;
 
-/// Buffers of the run path, reused across runs: the answers of the run
-/// being served, and the out-stream offset each one ends at.
+/// Buffers of the serving step, reused across runs: the answers of the
+/// run being served and, per frame, the device hash of its trace record
+/// and the out-stream offset its answer ends at.
 #[derive(Debug, Default)]
 struct RunScratch {
     answers: Vec<Response>,
-    ends: Vec<u64>,
+    frames: Vec<(u64, u64)>,
 }
 
 struct EventLoop {
@@ -591,7 +589,7 @@ struct EventLoop {
     /// Response-encode scratch shared by every connection
     /// (handling is synchronous, so one buffer suffices).
     encode_scratch: Vec<u8>,
-    /// The run path's answer and offset buffers, shared the same way.
+    /// The serving step's buffers, shared the same way.
     run_scratch: RunScratch,
     /// Read buffer lent to the connection being serviced and taken
     /// back when its pass ends with nothing buffered, so idle
@@ -789,9 +787,10 @@ impl EventLoop {
     /// (pipelined frames behind the first accumulate the time earlier
     /// frames held the loop: genuine queueing, attributed).
     ///
-    /// An admitted `Authenticate` with more complete auths buffered
-    /// behind it starts a run, served as one batch by
-    /// [`serve_auth_run`]; every other frame is served on its own.
+    /// Every complete frame at the front of the buffer goes to the one
+    /// serving step, [`serve_run`], which serves it as a run of `n ≥ 1`
+    /// frames: an admitted auth with the complete auths behind it, or
+    /// any other frame on its own.
     fn service(
         &mut self,
         index: usize,
@@ -850,132 +849,17 @@ impl EventLoop {
                                 .telemetry
                                 .first_frame(elapsed_ns(conn.accepted_at, t0));
                         }
-                        // Counted before decode: malformed frames and the
-                        // metrics scrape itself are part of the tally, so
-                        // `server.requests` equals the client-side op
-                        // count exactly.
-                        shared.telemetry.requests_started(1);
-                        let msg_type = conn.accum.payload().first().copied().unwrap_or(0);
-                        // Admission off the type byte alone, metered by
-                        // this connection's unsent response bytes plus the
-                        // ready backlog still queued behind it on the
-                        // loop: a shed request costs a small error frame,
-                        // never a decode or a verifier call, and the
-                        // connection lives on.
-                        if let Some(shed) = shared.admission.check(
-                            RequestClass::of(msg_type),
-                            evented_pressure(conn.pending_out() as u64, self.ready_backlog),
-                        ) {
-                            let t2 = Instant::now();
-                            let queued = conn.out.push(&shed, &mut self.encode_scratch);
-                            let t3 = Instant::now();
-                            let record = shared.telemetry.observe_queued(
-                                msg_type,
-                                0,
-                                elapsed_ns(drain_start, t0),
-                                0,
-                                elapsed_ns(t0, t2),
-                                elapsed_ns(t2, t3),
-                            );
-                            conn.out.track(record, t3);
-                            last_queued = Some(t3);
-                            conn.accum.finish_frame();
-                            if !queued {
-                                break Some(Teardown::Normal);
-                            }
-                            continue;
-                        }
-                        // An admitted auth with another auth buffered
-                        // behind it starts a run. The frames behind it
-                        // share its admission: they carry the same class,
-                        // and nothing is queued while the run is gathered,
-                        // so they meet the same pressure. The run's
-                        // answers count toward the pressure of every
-                        // frame after it.
-                        let run_follows = msg_type == AUTHENTICATE
-                            && conn
-                                .accum
-                                .frames()
-                                .nth(1)
-                                .is_some_and(|next| next.first() == Some(&AUTHENTICATE));
-                        if run_follows {
-                            if let Some((t3, queued)) = serve_auth_run(
-                                conn,
-                                handler,
-                                &shared.telemetry,
-                                &mut self.run_scratch,
-                                &mut self.encode_scratch,
-                                (drain_start, t0),
-                            ) {
-                                last_queued = Some(t3);
-                                if !queued {
-                                    break Some(Teardown::Normal);
-                                }
-                                continue;
-                            }
-                        }
-                        let decoded = RequestRef::decode(conn.accum.payload());
-                        let t1 = Instant::now();
-                        let keep_going = match decoded {
-                            Ok(request) => {
-                                if matches!(request, RequestRef::Authenticate(_)) {
-                                    shared.telemetry.auth_run(1);
-                                }
-                                let device_hash = request_device_hash(&request);
-                                let response = match request {
-                                    // The handler only knows the verifier's
-                                    // metrics; the serving layer folds its
-                                    // own namespace into the blob.
-                                    RequestRef::MetricsSnapshot => shared
-                                        .telemetry
-                                        .merged_metrics_response(handler.handle_ref(request)),
-                                    // Traces live here, not in the
-                                    // handler.
-                                    RequestRef::TraceDump => shared.telemetry.trace_response(),
-                                    request => handler.handle_ref(request),
-                                };
-                                let t2 = Instant::now();
-                                let queued = conn.out.push(&response, &mut self.encode_scratch);
-                                let t3 = Instant::now();
-                                let record = shared.telemetry.observe_queued(
-                                    msg_type,
-                                    device_hash,
-                                    elapsed_ns(drain_start, t0),
-                                    elapsed_ns(t0, t1),
-                                    elapsed_ns(t1, t2),
-                                    elapsed_ns(t2, t3),
-                                );
-                                conn.out.track(record, t3);
-                                last_queued = Some(t3);
-                                queued
-                            }
-                            Err(e) => {
-                                // A typed answer, then the connection ends.
-                                let t2 = Instant::now();
-                                let answered = conn.out.push(
-                                    &Response::Error {
-                                        code: ErrorCode::MalformedRequest,
-                                        detail: FrameError::Decode(e).to_string(),
-                                    },
-                                    &mut self.encode_scratch,
-                                );
-                                let t3 = Instant::now();
-                                let record = shared.telemetry.observe_queued(
-                                    msg_type,
-                                    0,
-                                    elapsed_ns(drain_start, t0),
-                                    elapsed_ns(t0, t1),
-                                    elapsed_ns(t1, t2),
-                                    elapsed_ns(t2, t3),
-                                );
-                                conn.out.track(record, t3);
-                                conn.closing = true;
-                                conn.frame_deadline = None;
-                                answered
-                            }
-                        };
-                        conn.accum.finish_frame();
-                        if !keep_going {
+                        let (t3, queued) = serve_run(
+                            conn,
+                            handler,
+                            shared,
+                            self.ready_backlog,
+                            &mut self.run_scratch,
+                            &mut self.encode_scratch,
+                            (drain_start, t0),
+                        );
+                        last_queued = Some(t3);
+                        if !queued {
                             break Some(Teardown::Normal);
                         }
                         // Pipelining: immediately try the next frame.
@@ -1148,49 +1032,117 @@ fn decode_auth(payload: &[u8]) -> Option<AuthItemRef<'_>> {
     }
 }
 
-/// Serves the run of pipelined auths that starts at the connection's
-/// reported frame — it and every complete auth buffered right behind
-/// it that decodes — as one [`RequestHandler::handle_auths`] call, and
-/// queues the answers in frame order. The run's first frame is already
-/// counted and admitted and started at `t0`; `drain_start` is the
-/// pass's start.
+/// Serves the run at the front of the connection's buffer, which holds
+/// at least one complete frame, and queues its `n` answers in frame
+/// order. A run is an admitted `Authenticate` and every complete auth
+/// buffered right behind it that decodes, served in one
+/// [`RequestHandler::handle_auths`] call (`n` may be 1), or any other
+/// frame on its own: a shed frame, a frame that does not decode (its
+/// typed answer closes the connection) or any other request. The auths
+/// behind the first share its admission: they carry the same class, and
+/// nothing is queued while the run is gathered, so they meet the same
+/// pressure. The run's answers count toward the pressure of every frame
+/// after it.
 ///
-/// The clock is read at the run's boundaries only. Each of the `n`
-/// frames is charged `1/n` of the run's decode, handle and flush
+/// The run's first frame started at `t0`; `drain_start` is the pass's
+/// start. The clock is read at the run's boundaries only. Each of the
+/// `n` frames is charged `1/n` of the run's decode, handle and flush
 /// spans, and the rest of its time from `drain_start` until the answers
 /// were queued is its ready-wait, so its phases sum exactly to its
-/// lifetime. Returns when the answers were queued and whether every
-/// one of them was, or `None`, serving nothing, when fewer than two
-/// frames form a run (the frame then takes the per-frame path).
-fn serve_auth_run(
+/// lifetime, and a run of one is charged its own spans. Returns when
+/// the answers were queued and whether every one of them was.
+fn serve_run(
     conn: &mut Conn,
     handler: &dyn RequestHandler,
-    telemetry: &ServerTelemetry,
+    shared: &Shared,
+    ready_backlog: u64,
     scratch: &mut RunScratch,
     encode: &mut Vec<u8>,
     (drain_start, t0): (Instant, Instant),
-) -> Option<(Instant, bool)> {
-    let mut items = Vec::with_capacity(conn.accum.frames().count());
-    items.extend(conn.accum.frames().map_while(decode_auth));
-    let n = items.len();
-    if n < 2 {
-        return None;
-    }
-    telemetry.requests_started(n as u64 - 1);
-    let t1 = Instant::now();
-    handler.handle_auths(&items, &mut scratch.answers);
-    let t2 = Instant::now();
+) -> (Instant, bool) {
+    let telemetry = &shared.telemetry;
+    // Counted before decode: malformed frames and the metrics scrape
+    // itself are part of the tally, so `server.requests` equals the
+    // client-side op count exactly.
+    telemetry.requests_started(1);
+    let mut frames = conn.accum.frames();
+    let payload = frames.next().unwrap_or_default();
+    let msg_type = payload.first().copied().unwrap_or(0);
+    scratch.frames.clear();
+    // Admission off the type byte alone, metered by this connection's
+    // unsent response bytes plus the ready backlog still queued behind
+    // it on the loop: a shed request costs a small error frame, never a
+    // decode or a verifier call, and the connection lives on.
+    let shed = shared.admission.check(
+        RequestClass::of(msg_type),
+        evented_pressure(conn.pending_out() as u64, ready_backlog),
+    );
+    let (t1, t2) = if let Some(shed) = shed {
+        // A shed frame decodes nothing: admission is its handle span.
+        scratch.frames.push((0, 0));
+        scratch.answers.push(shed);
+        (t0, Instant::now())
+    } else {
+        match RequestRef::decode(payload) {
+            Ok(RequestRef::Authenticate(first)) => {
+                let mut items = Vec::new();
+                let run = match frames.next().and_then(decode_auth) {
+                    None => std::slice::from_ref(&first),
+                    Some(second) => {
+                        items.extend([first, second]);
+                        items.extend(frames.map_while(decode_auth));
+                        &items[..]
+                    }
+                };
+                telemetry.requests_started(run.len() as u64 - 1);
+                telemetry.auth_run(run.len() as u64);
+                scratch.frames.extend(
+                    run.iter()
+                        .map(|&item| (request_device_hash(&RequestRef::Authenticate(item)), 0)),
+                );
+                let t1 = Instant::now();
+                handler.handle_auths(run, &mut scratch.answers);
+                (t1, Instant::now())
+            }
+            Ok(request) => {
+                scratch.frames.push((request_device_hash(&request), 0));
+                let t1 = Instant::now();
+                scratch.answers.push(match request {
+                    // The handler only knows the verifier's metrics; the
+                    // serving layer folds its own namespace into the blob.
+                    RequestRef::MetricsSnapshot => {
+                        telemetry.merged_metrics_response(handler.handle_ref(request))
+                    }
+                    // Traces live here, not in the handler.
+                    RequestRef::TraceDump => telemetry.trace_response(),
+                    request => handler.handle_ref(request),
+                });
+                (t1, Instant::now())
+            }
+            Err(e) => {
+                // A typed answer, then the connection ends.
+                let t1 = Instant::now();
+                conn.closing = true;
+                scratch.frames.push((0, 0));
+                scratch.answers.push(Response::Error {
+                    code: ErrorCode::MalformedRequest,
+                    detail: FrameError::Decode(e).to_string(),
+                });
+                (t1, Instant::now())
+            }
+        }
+    };
     // One answer per frame keeps the connection frame-aligned, whatever
     // a handler outside this crate returns.
+    let n = scratch.frames.len();
     scratch.answers.resize_with(n, || Response::Error {
         code: ErrorCode::Internal,
         detail: "the handler left an auth of the run unanswered".into(),
     });
     let mut queued = true;
-    scratch.ends.clear();
-    for answer in scratch.answers.drain(..) {
+    for (answer, (_, end)) in scratch.answers.drain(..).zip(&mut scratch.frames) {
         queued &= conn.out.push(&answer, encode);
-        scratch.ends.push(conn.out.queued_total);
+        *end = conn.out.queued_total;
     }
     let t3 = Instant::now();
     let share = |from, to| elapsed_ns(from, to) / n as u64;
@@ -1199,20 +1151,13 @@ fn serve_auth_run(
         .saturating_sub(decode_ns)
         .saturating_sub(handle_ns)
         .saturating_sub(flush_ns);
-    for (item, &end) in items.iter().zip(&scratch.ends) {
-        let record = telemetry.observe_queued(
-            AUTHENTICATE,
-            request_device_hash(&RequestRef::Authenticate(*item)),
-            ready_ns,
-            decode_ns,
-            handle_ns,
-            flush_ns,
-        );
+    for &(hash, end) in &scratch.frames {
+        let record =
+            telemetry.observe_queued(msg_type, hash, ready_ns, decode_ns, handle_ns, flush_ns);
         conn.out.track_at(end, record, t3);
     }
-    telemetry.auth_run(n as u64);
     conn.accum.finish_frames(n);
-    Some((t3, queued))
+    (t3, queued)
 }
 
 /// Takes a connection's read buffer back as the loop's `spare` once
@@ -1627,7 +1572,7 @@ mod tests {
             };
             assert!(out.push(&response, &mut scratch));
             let record = telemetry.observe_queued(msg_type, i, 1, 2, 3, 4);
-            out.track(record, Instant::now());
+            out.track_at(out.queued_total, record, Instant::now());
         }
     }
 
@@ -1807,9 +1752,10 @@ mod tests {
         }
     }
 
-    /// Logs, in call order, every run of auths it serves as one call
-    /// (`Run`) and every auth or verdict query it serves on its own
-    /// (`One`); answers every request with a fixed error.
+    /// Logs, in call order, every run of auths it serves as one
+    /// `handle_auths` call (`Run`) and every auth or verdict query it
+    /// serves through `handle_ref` (`One`); answers every request with a
+    /// fixed error.
     #[derive(Default)]
     struct CallLog(Mutex<Vec<Call>>);
 
@@ -1870,7 +1816,7 @@ mod tests {
     fn buffered_auths_are_served_as_runs_in_frame_order() {
         // A run is an auth and the complete auths buffered right behind
         // it; any other frame ends it and is served on its own, and a
-        // lone auth takes the per-frame path.
+        // lone auth is a run of one.
         let burst = [
             auth(11),
             auth(22),
@@ -1892,7 +1838,7 @@ mod tests {
             [
                 Run(vec![11, 22]),
                 One(33),
-                One(44),
+                Run(vec![44]),
                 One(55),
                 Run(vec![66, 77, 88]),
             ]
@@ -1922,15 +1868,15 @@ mod tests {
             );
             event_loop.service(0, false, Instant::now(), &handler, &shared);
         }
-        assert_eq!(*handler.0.lock().unwrap(), [One(101)]);
+        assert_eq!(*handler.0.lock().unwrap(), [Run(vec![101])]);
     }
 
     #[test]
     fn a_read_cut_anywhere_serves_every_frame_once_in_order() {
         // The first read ends at every byte of the burst in turn: the
         // runs it and the second read form differ per cut, but every
-        // frame is served exactly once, in frame order, and no run
-        // holds fewer than two auths.
+        // frame is served exactly once, in frame order, and every auth
+        // is served in a run: only the verdict query is served alone.
         let burst = [
             auth(1),
             auth(2),
@@ -1969,11 +1915,11 @@ mod tests {
             let mut served = Vec::new();
             for call in &calls {
                 match call {
-                    Call::Run(ids) => {
-                        assert!(ids.len() >= 2, "cut at {cut}: {calls:?}");
-                        served.extend(ids);
+                    Call::Run(ids) => served.extend(ids),
+                    Call::One(id) => {
+                        assert_eq!(*id, 4, "cut at {cut}: an auth left its run: {calls:?}");
+                        served.push(*id);
                     }
-                    Call::One(id) => served.push(*id),
                 }
             }
             assert_eq!(served, [1, 2, 3, 4, 5, 6], "cut at {cut}: {calls:?}");
@@ -2068,65 +2014,70 @@ mod tests {
 
     #[test]
     fn a_run_of_k_auths_charges_each_frame_a_kth_and_sums_exactly() {
-        let k = 7u64;
-        let handler = VerifierHandler::new(Arc::new(Verifier::new(2, DetectorConfig::default())));
-        let burst: Vec<Request> = (0..k).map(auth).collect();
-        let config = EventedConfig {
-            slow_trace_threshold: Duration::ZERO,
-            ..EventedConfig::default()
-        };
-        let (_loop, shared, client) = serve_by_hand(&handler, &burst, config, |_, shared| {
-            shared.telemetry.trace_snapshot().recorded == k
-        });
-        let mut reader = ropuf_proto::FrameReader::new(&client);
-        for _ in 0..k {
+        // A lone auth is a run of one, charged its own spans.
+        for k in [1u64, 7] {
+            let handler = CallLog::default();
+            let burst: Vec<Request> = (0..k).map(auth).collect();
+            let config = EventedConfig {
+                slow_trace_threshold: Duration::ZERO,
+                ..EventedConfig::default()
+            };
+            let (_loop, shared, client) = serve_by_hand(&handler, &burst, config, |_, shared| {
+                shared.telemetry.trace_snapshot().recorded == k
+            });
             assert_eq!(
-                reader.read_response().unwrap(),
-                Some(Response::Verdict(ropuf_proto::WireVerdict::Reject))
+                *handler.0.lock().unwrap(),
+                [Call::Run((0..k).collect())],
+                "k = {k}"
             );
-        }
-        // Exactly k samples in each auth phase row and in the total.
-        let snap = shared.telemetry.snapshot();
-        for phase in SERIES_PHASES {
-            match snap.find(
-                "server.request.phase_ns",
-                &[("backend", "evented"), ("msg", "auth"), ("phase", phase)],
-            ) {
-                Some(MetricValue::Histogram(h)) => assert_eq!(h.count, k, "{phase}"),
-                other => panic!("auth {phase}: {other:?}"),
+            let mut reader = ropuf_proto::FrameReader::new(&client);
+            for _ in 0..k {
+                assert_eq!(reader.read_response().unwrap(), Some(CallLog::answer()));
             }
+            // Exactly k samples in each auth phase row and in the total.
+            let snap = shared.telemetry.snapshot();
+            for phase in SERIES_PHASES {
+                match snap.find(
+                    "server.request.phase_ns",
+                    &[("backend", "evented"), ("msg", "auth"), ("phase", phase)],
+                ) {
+                    Some(MetricValue::Histogram(h)) => assert_eq!(h.count, k, "k = {k}: {phase}"),
+                    other => panic!("k = {k}: auth {phase}: {other:?}"),
+                }
+            }
+            assert_eq!(phase_samples(&shared.telemetry), ([k; 5], k));
+            // One run of k: its frames share the run's decode, handle
+            // and flush spans equally, and each sums exactly to its
+            // lifetime.
+            let runs = auth_runs(&shared.telemetry);
+            assert_eq!((runs.count, runs.sum, runs.max), (1, u128::from(k), k));
+            let records = shared.telemetry.trace_snapshot().records;
+            assert_eq!(records.len() as u64, k);
+            for record in &records {
+                assert_eq!(record.msg_type, AUTHENTICATE);
+                assert_eq!(
+                    (record.decode_ns, record.handle_ns, record.flush_ns),
+                    (
+                        records[0].decode_ns,
+                        records[0].handle_ns,
+                        records[0].flush_ns
+                    ),
+                    "{record:?}"
+                );
+                assert_eq!(
+                    record.total_ns,
+                    record.ready_ns
+                        + record.decode_ns
+                        + record.handle_ns
+                        + record.flush_ns
+                        + record.flush_wait_ns,
+                    "{record:?}"
+                );
+            }
+            let hashes: std::collections::HashSet<u64> =
+                records.iter().map(|r| r.device_hash).collect();
+            assert_eq!(hashes.len() as u64, k, "each frame keeps its own device");
         }
-        assert_eq!(phase_samples(&shared.telemetry), ([k; 5], k));
-        // One run of k: its frames share the run's decode, handle and
-        // flush spans equally, and each sums exactly to its lifetime.
-        let runs = auth_runs(&shared.telemetry);
-        assert_eq!((runs.count, runs.sum, runs.max), (1, u128::from(k), k));
-        let records = shared.telemetry.trace_snapshot().records;
-        assert_eq!(records.len() as u64, k);
-        for record in &records {
-            assert_eq!(record.msg_type, AUTHENTICATE);
-            assert_eq!(
-                (record.decode_ns, record.handle_ns, record.flush_ns),
-                (
-                    records[0].decode_ns,
-                    records[0].handle_ns,
-                    records[0].flush_ns
-                ),
-                "{record:?}"
-            );
-            assert_eq!(
-                record.total_ns,
-                record.ready_ns
-                    + record.decode_ns
-                    + record.handle_ns
-                    + record.flush_ns
-                    + record.flush_wait_ns,
-                "{record:?}"
-            );
-        }
-        let hashes: std::collections::HashSet<u64> =
-            records.iter().map(|r| r.device_hash).collect();
-        assert_eq!(hashes.len() as u64, k, "each frame keeps its own device");
     }
 
     #[test]

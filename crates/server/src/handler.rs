@@ -3,14 +3,16 @@
 //!
 //! [`RequestHandler`] is the transport-independent core of the server:
 //! the evented server and the in-process loopback transport both
-//! funnel decoded requests through the same `handle_ref` call, so a
-//! scenario exercised over loopback is bit-for-bit the scenario the
-//! socket path serves. The evented server also hands the handler each
-//! run of pipelined auths one read buffered as one
-//! [`RequestHandler::handle_auths`] call. Its default serves the items
-//! one by one through `handle_ref`, and [`VerifierHandler`] serves them
-//! as one verifier batch with the same answers, so loopback, which has
-//! no pipeline, needs no such call.
+//! funnel decoded requests through the same handler, so a scenario
+//! exercised over loopback is bit-for-bit the scenario the socket path
+//! serves. Loopback sends every request through `handle_ref`. The
+//! evented server sends every admitted `Authenticate` through
+//! [`RequestHandler::handle_auths`], as a run of one or more: the auth
+//! and the complete auths one read buffered right behind it. The
+//! trait's default serves the items one by one through `handle_ref`,
+//! and [`VerifierHandler`] serves a lone auth as one verifier query and
+//! a longer run as one verifier batch, with the answers `handle_ref`
+//! gives.
 //!
 //! The one deliberate asymmetry: a **single** [`Request::Authenticate`]
 //! for a quarantined device is answered with a typed wire error
@@ -41,11 +43,12 @@ pub trait RequestHandler: Send + Sync {
         self.handle_ref(request.as_ref())
     }
 
-    /// Serves a run of pipelined `Authenticate` requests, in order,
-    /// appending one answer per item to `answers`: the answers
+    /// Serves a run of `Authenticate` requests, in order, appending one
+    /// answer per item to `answers`: the answers
     /// [`RequestHandler::handle_ref`] gives the same items one by one.
-    /// The evented server calls it for the auths one read buffered
-    /// back to back; the default does exactly that loop.
+    /// The evented server serves every admitted auth through it, with
+    /// the complete auths buffered right behind it (a run of one when
+    /// there are none); the default does exactly that loop.
     fn handle_auths(&self, items: &[AuthItemRef<'_>], answers: &mut Vec<Response>) {
         answers.extend(
             items
@@ -263,14 +266,19 @@ impl RequestHandler for VerifierHandler {
         }
     }
 
-    /// One verifier batch for the whole run, each verdict answered as
-    /// a single auth's ([`Verifier::authenticate_batch_with`] judges
-    /// every device's items in run order, so the answers are the
-    /// one-by-one answers).
+    /// A lone auth is served by `handle_ref`, one
+    /// [`Verifier::authenticate_query`] that allocates nothing; a batch
+    /// builds a `Vec` of verifier queries. A longer run is one verifier
+    /// batch, each verdict answered as a single auth's
+    /// ([`Verifier::authenticate_batch_with`] judges every device's
+    /// items in run order, so the answers are the one-by-one answers).
     fn handle_auths(&self, items: &[AuthItemRef<'_>], answers: &mut Vec<Response>) {
-        self.with_batch(items, |verdicts| {
-            answers.extend(verdicts.iter().copied().map(auth_answer));
-        });
+        match items {
+            [item] => answers.push(self.handle_ref(RequestRef::Authenticate(*item))),
+            _ => self.with_batch(items, |verdicts| {
+                answers.extend(verdicts.iter().copied().map(auth_answer));
+            }),
+        }
     }
 
     fn shard_count(&self) -> usize {
@@ -312,6 +320,14 @@ mod tests {
             key_digest: auth_key(device.enrolled_key()),
         });
         assert_eq!(response, Response::EnrollOk { device_id: id });
+    }
+
+    /// `h`'s answer to `item` served as a run of one.
+    fn lone_run(h: &VerifierHandler, item: &AuthItem) -> Response {
+        let mut answers = Vec::new();
+        h.handle_auths(&[item.as_ref()], &mut answers);
+        assert_eq!(answers.len(), 1, "{answers:?}");
+        answers.remove(0)
     }
 
     fn genuine_item(device: &mut Device, id: u64, now: u64, nonce: &[u8]) -> AuthItem {
@@ -371,8 +387,10 @@ mod tests {
                 ..
             }
         ));
-        let verdict = h.handle(Request::Authenticate(genuine_item(&mut device, 7, 0, b"n")));
+        let item = genuine_item(&mut device, 7, 0, b"n");
+        let verdict = h.handle(Request::Authenticate(item.clone()));
         assert_eq!(verdict, Response::Verdict(WireVerdict::Accept));
+        assert_eq!(lone_run(&h, &item), verdict, "a run of one answers alike");
     }
 
     #[test]
@@ -387,8 +405,13 @@ mod tests {
             presented_helper: None,
         };
         assert_eq!(
-            h.handle(Request::Authenticate(item)),
+            h.handle(Request::Authenticate(item.clone())),
             Response::Verdict(WireVerdict::Reject)
+        );
+        assert_eq!(
+            lone_run(&h, &item),
+            Response::Verdict(WireVerdict::Reject),
+            "a run of one answers alike"
         );
         assert!(matches!(
             h.handle(Request::QueryVerdict { device_id: 404 }),
@@ -424,11 +447,17 @@ mod tests {
                 ..
             }
         ));
-        // The latch holds for every later request, genuine or not.
-        let later = h.handle(Request::Authenticate(AuthItem {
+        // A run of one flags the same device with the same typed error.
+        let fresh = handler();
+        enroll(&fresh, &device, 1);
+        assert_eq!(lone_run(&fresh, &hostile), first);
+        // The latch holds for every later request, genuine or not, and
+        // for a run of one too.
+        let genuine = AuthItem {
             presented_helper: Some(device.helper().to_vec()),
             ..hostile
-        }));
+        };
+        let later = h.handle(Request::Authenticate(genuine.clone()));
         assert!(matches!(
             later,
             Response::Error {
@@ -436,6 +465,7 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(lone_run(&h, &genuine), later);
         // And the flag is inspectable.
         match h.handle(Request::QueryVerdict { device_id: 1 }) {
             Response::FlagInfo {

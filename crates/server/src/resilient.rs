@@ -201,8 +201,8 @@ impl FaultyTcpTransport {
         ropuf_proto::frame::bound_scratch(&mut self.out);
         match self.accum.poll(&mut self.stream)? {
             FramePoll::Frame => {
-                let payload = self.accum.payload().to_vec();
-                self.accum.finish_frame();
+                let payload = self.accum.frames().next().unwrap_or_default().to_vec();
+                self.accum.finish_frames(1);
                 Ok(payload)
             }
             // This stream blocks, so Pending only comes from an expired

@@ -19,13 +19,16 @@
 //! * flush — appending the response to the out-buffer.
 //! * flush-wait — out-buffer residency until the socket drained.
 //!
-//! A run of `n` pipelined auths served as one batch has one decode,
-//! one handle and one flush span. Each of its frames is charged `1/n`
-//! of each, so the auth rows stay per-item costs, and the rest of its
-//! time from the pass's start until the run's answers were queued is
-//! its ready-wait: its five phases still sum exactly to its lifetime.
-//! `server.loop.auth_run` records each run's length (a lone auth
-//! records 1).
+//! The loop serves a connection's buffer as runs of `n ≥ 1` frames: an
+//! admitted auth with the complete auths buffered behind it, or any
+//! other frame on its own. A run has one decode, one handle and one
+//! flush span, and each of its frames is charged `1/n` of each at one
+//! record site, so the auth rows stay per-item costs. The rest of a
+//! frame's time from the pass's start until the run's answers were
+//! queued is its ready-wait: its five phases still sum exactly to its
+//! lifetime, and a run of one is charged exactly the spans listed
+//! above. `server.loop.auth_run` records each auth run's length (a
+//! lone auth records 1).
 //!
 //! A frame's phases are recorded once its response has left, together
 //! with every other frame the same write drained: one clock read per
